@@ -18,7 +18,6 @@ from .lattices import (
 from .oracle import ORACLE_BOUNDS, WalkTally, enumerate_walks, finite_chain_trace, oracle_bound
 from .quadrature import (
     MomentResult,
-    QuadratureGrid,
     auto_grid_size,
     complex_chain_z,
     complex_fourier_a,
@@ -62,7 +61,6 @@ __all__ = [
     "LatticeSpec",
     "MomentResult",
     "ORACLE_BOUNDS",
-    "QuadratureGrid",
     "RecurrenceReport",
     "Series",
     "SquareTestRecord",

@@ -106,9 +106,6 @@ class LatticeSpec:
     dispersion_terms: tuple[DispersionTerm, ...]
     pbc_size: Optional[int] = None
 
-    def steps_with_label(self, label: int) -> tuple[StepVector, ...]:
-        return tuple(s for s in self.steps if s.label == label)
-
     def coordinate_scale(self) -> int:
         """Smallest integer making every step displacement integral."""
         return math.lcm(*(c.denominator for s in self.steps for c in s.displacement))

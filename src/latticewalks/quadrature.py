@@ -31,33 +31,6 @@ MultiIndex = tuple[int, ...]
 
 
 @dataclass(frozen=True)
-class QuadratureGrid:
-    """Uniform tensor grid of fractional coordinates j/N per axis."""
-
-    points_per_dim: int
-    dimension: int
-
-    def __post_init__(self):
-        if self.points_per_dim < 1:
-            raise ValueError("points_per_dim must be >= 1")
-        if self.dimension < 1:
-            raise ValueError("dimension must be >= 1")
-
-    @property
-    def node_count(self) -> int:
-        return self.points_per_dim**self.dimension
-
-    def fractional_coords(self) -> np.ndarray:
-        """All nodes as an (N**D, D) array; endpoint 1 excluded (periodic)."""
-        axes = [np.arange(self.points_per_dim) / self.points_per_dim] * self.dimension
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
-
-    def cartesian_nodes(self, reciprocal_basis) -> np.ndarray:
-        return self.fractional_coords() @ np.asarray(reciprocal_basis, dtype=float)
-
-
-@dataclass(frozen=True)
 class MomentResult:
     """One dispersion moment: grid mean of a dispersion monomial."""
 
@@ -66,15 +39,6 @@ class MomentResult:
     grid_points: int
     value: float
     estimated_exact: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "lattice": self.lattice,
-            "index": list(self.index),
-            "grid_points": self.grid_points,
-            "value": self.value,
-            "estimated_exact": self.estimated_exact,
-        }
 
 
 def _cos_table(grid_points: int) -> np.ndarray:

@@ -8,6 +8,22 @@ binomials, and the series coefficient at a multi-index of total order
 counts are arbitrary-precision ints and coefficients are
 :class:`fractions.Fraction`; no floating point enters at any stage.
 
+The four symmetric lattices use single-sum closed forms (Guttmann,
+"Lattice Green's functions in all dimensions", J. Phys. A 43 (2010)
+305205; Domb, Adv. Phys. 9 (1960) 149), with ``p = n/2`` and odd
+orders zero where the lattice is bipartite or bcc:
+
+* bcc (OEIS A002897): ``C(n, p)**3``;
+* triangular (A002898): ``sum_k C(n,k) (-2)**(n-k) F(k)``, where
+  ``F(k) = sum_j C(k,j)**3`` are the Franel numbers (A000172);
+* honeycomb: ``2 sum_k C(p,k)**2 C(2k,k)`` (twice A002893);
+* diamond: ``2 sum_k C(p,k)**2 C(2k,k) C(2p-2k,p-k)`` (twice the Domb
+  numbers, A002895).
+
+The factor 2 on the two-site lattices counts both sublattices as the
+walk's start.  In particular the bcc coefficient at order ``2m`` is
+``((2m)! / (m!)**3)**2``, an exact rational square at every order.
+
 Multi-indices are ordinary tuples of non-negative ints, one entry per
 hopping label, stored only where the coefficient is non-zero.
 """
@@ -120,24 +136,6 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (head,) + rest
 
 
-def _same_parity_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Compositions of ``total`` whose parts all share one parity."""
-    for parity in (0, 1):
-        budget = total - parity * parts
-        if budget < 0 or budget % 2:
-            continue
-        for comp in _compositions(budget // 2, parts):
-            yield tuple(2 * m + parity for m in comp)
-
-
-def _multinomial(comp: tuple[int, ...]) -> int:
-    out, rem = 1, sum(comp)
-    for part in comp:
-        out *= math.comb(rem, part)
-        rem -= part
-    return out
-
-
 # ---------------------------------------------------------------------------
 # per-lattice walk counts (exact integers)
 # ---------------------------------------------------------------------------
@@ -173,36 +171,29 @@ def _nnn_count(n1: int, n2: int) -> int:
     return math.comb(n1 + n2, n1) * inner
 
 
-def _simplex_pair_count(n: int, directions: int) -> int:
-    """Closed-walk count for the symmetric simplex-pair lattices.
-
-    ``directions`` is 3 for triangular, 4 for bcc.  Closure forces a
-    common signed offset d across all directions, capped by the smallest
-    per-direction step count.
-    """
-    total = 0
-    for comp in _same_parity_compositions(n, directions):
-        inner = 0
-        for d in _d_grid(min(comp)):
-            term = 1
-            for ni in comp:
-                term *= math.comb(ni, (ni + d) // 2)
-            inner += term
-        total += _multinomial(comp) * inner
-    return total
+def _triangular_count(n: int, franel: list[int]) -> int:
+    return sum(math.comb(n, k) * (-2) ** (n - k) * franel[k] for k in range(n + 1))
 
 
-def _bipartite_count(n: int, directions: int) -> int:
-    """Closed-walk count for honeycomb (3 directions) and diamond (4).
+def _bcc_count(n: int) -> int:
+    return 0 if n % 2 else math.comb(n, n // 2) ** 3
 
-    Walks alternate sublattices, so n is even and the A->B direction
-    tally must be matched step for step by the B->A tally; the factor 2
-    counts the two equivalent choices of terminal sublattice.
-    """
+
+def _honeycomb_count(n: int) -> int:
     if n % 2:
         return 0
     p = n // 2
-    return 2 * sum(_multinomial(comp) ** 2 for comp in _compositions(p, directions))
+    return 2 * sum(math.comb(p, k) ** 2 * math.comb(2 * k, k) for k in range(p + 1))
+
+
+def _diamond_count(n: int) -> int:
+    if n % 2:
+        return 0
+    p = n // 2
+    return 2 * sum(
+        math.comb(p, k) ** 2 * math.comb(2 * k, k) * math.comb(2 * p - 2 * k, p - k)
+        for k in range(p + 1)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -254,19 +245,20 @@ def chain_nnn(max_total_order: int) -> Series:
 
 
 def triangular(max_order: int) -> Series:
-    return _univariate("triangular", max_order, lambda n: _simplex_pair_count(n, 3))
+    franel = [sum(math.comb(k, j) ** 3 for j in range(k + 1)) for k in range(max_order + 1)]
+    return _univariate("triangular", max_order, lambda n: _triangular_count(n, franel))
 
 
 def bcc(max_order: int) -> Series:
-    return _univariate("bcc", max_order, lambda n: _simplex_pair_count(n, 4))
+    return _univariate("bcc", max_order, _bcc_count)
 
 
 def honeycomb(max_order: int) -> Series:
-    return _univariate("honeycomb", max_order, lambda n: _bipartite_count(n, 3))
+    return _univariate("honeycomb", max_order, _honeycomb_count)
 
 
 def diamond(max_order: int) -> Series:
-    return _univariate("diamond", max_order, lambda n: _bipartite_count(n, 4))
+    return _univariate("diamond", max_order, _diamond_count)
 
 
 def expand(name: str, max_order: int, pbc_size: Optional[int] = None) -> Series:

@@ -81,5 +81,4 @@ def brute_total(name: str, n: int, ring: int | None = None) -> int:
 @pytest.fixture
 def tmp_outdir(tmp_path, monkeypatch):
     monkeypatch.delenv("LATTICEWALKS_OUTDIR", raising=False)
-    monkeypatch.delenv("LATTICEWALKS_THREADS", raising=False)
     return tmp_path

@@ -1,9 +1,15 @@
+import contextlib
 import csv
 import io
 import json
+import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from latticewalks import BUILTIN_NAMES
 from latticewalks.cli import main
 
 
@@ -73,7 +79,7 @@ def test_verify_single_lattice(capsys):
 
 
 def test_verify_all_lattices(capsys):
-    code, out, _ = run(capsys, "verify", "--all", "--max-order", "6", "--threads", "4")
+    code, out, _ = run(capsys, "verify", "--all", "--max-order", "6")
     assert code == 0
     doc = json.loads(out)
     assert doc["summary"] == {"lattices": 7, "failed": 0}
@@ -126,6 +132,18 @@ def test_conjecture_command(capsys):
     assert all(r["is_square"] for r in doc["records"])
     by_order = {r["order"]: r for r in doc["records"]}
     assert by_order[12]["root_num"] == "77" and by_order[12]["root_den"] == "60"
+
+
+def test_conjecture_squares_beyond_order_30(capsys):
+    # the bcc coefficient at order 2m is ((2m)! / (m!)**3)**2
+    code, out, _ = run(capsys, "conjecture", "--n-max", "60")
+    assert code == 0
+    records = json.loads(out)["records"]
+    assert len(records) == 31
+    for r in records:
+        m = r["order"] // 2
+        root = Fraction(int(r["root_num"]), int(r["root_den"]))
+        assert root == Fraction(math.factorial(2 * m), math.factorial(m) ** 3)
 
 
 def test_oracle_command(capsys):
@@ -182,7 +200,6 @@ def test_usage_errors(capsys):
     assert run(capsys, "verify", "--max-order", "4")[0] == 2  # neither --lattice nor --all
     assert run(capsys, "coeffs", "--lattice", "chain-nn-finite", "--pbc", "2", "--max-order", "3")[0] == 2
     assert run(capsys, "coeffs", "--lattice", "chain-nn", "--max-order", "-1")[0] == 2
-    assert run(capsys, "verify", "--lattice", "chain-nn", "--max-order", "4", "--threads", "0")[0] == 2
     assert run(capsys, "nonsense")[0] == 2
 
 
@@ -207,8 +224,70 @@ def test_outdir_env_redirects_relative_paths(tmp_outdir, capsys, monkeypatch):
     assert (tmp_outdir / "squares.json").exists()
 
 
-def test_threads_env_default(tmp_outdir, capsys, monkeypatch):
-    monkeypatch.setenv("LATTICEWALKS_THREADS", "2")
-    code, out, _ = run(capsys, "verify", "--all", "--max-order", "4")
-    assert code == 0
-    assert json.loads(out)["summary"]["failed"] == 0
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["appendix-b", "--pbc", "6", "--rho", "nan"],
+        ["verify", "--lattice", "chain-nn", "--max-order", "4", "--tol-rel", "nan"],
+        ["verify", "--lattice", "chain-nn", "--max-order", "171"],
+        ["appendix-b", "--pbc", "6", "--rho", "1e308"],
+    ],
+)
+def test_non_finite_and_overflowing_inputs_are_usage_errors(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "error" in err and "Traceback" not in err
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def _run_isolated(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+_NUMBERS = st.sampled_from(["0", "-1", "1e-9", "0.5", "2", "nan", "inf", "1e308", "x"])
+_LATTICES = st.sampled_from(BUILTIN_NAMES)
+
+
+@st.composite
+def _cli_argv(draw):
+    command = draw(st.sampled_from(["coeffs", "lattice", "verify", "conjecture", "oracle", "appendix-b"]))
+    argv = [command]
+    if command in ("coeffs", "lattice", "oracle", "verify"):
+        argv += ["--lattice", draw(_LATTICES), "--pbc", str(draw(st.integers(2, 7)))]
+    if command in ("coeffs", "verify"):
+        argv += ["--max-order", str(draw(st.integers(-1, 6)))]
+    if command == "verify":
+        argv += ["--grid", draw(st.sampled_from(["auto", "auto", "0", "3", "x"]))]
+        argv += ["--tol-rel", draw(_NUMBERS), "--tol-abs", draw(_NUMBERS)]
+        if draw(st.booleans()):
+            argv.append("--recurrence")
+    if command == "conjecture":
+        argv += ["--n-max", str(draw(st.integers(-1, 40)))]
+    if command == "oracle":
+        argv += ["--n", str(draw(st.integers(-1, 9)))]
+    if command == "appendix-b":
+        argv += ["--pbc", str(draw(st.integers(2, 7))), "--rho", draw(_NUMBERS)]
+        argv += ["--tol-match", draw(_NUMBERS), "--nu-max", str(draw(st.integers(0, 8)))]
+        if draw(st.booleans()):
+            argv += ["--d", str(draw(st.integers(-2, 9)))]
+        if draw(st.booleans()):
+            argv.append("--phi-half")
+    fmt = draw(st.sampled_from(["json", "csv", "pretty"]))
+    return argv + ["--format", fmt]
+
+
+@settings(max_examples=60, deadline=None)
+@given(argv=_cli_argv())
+def test_cli_contract(argv):
+    code, out, err = _run_isolated(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code in (0, 1) and argv[-1] == "json":
+        json.loads(out, parse_constant=_reject_constant)
+    assert _run_isolated(argv) == (code, out, err)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from latticewalks import (
     BUILTIN_NAMES,
-    QuadratureGrid,
     auto_grid_size,
     builtin,
     chain_finite,
@@ -25,32 +24,6 @@ from latticewalks import (
 
 def make(name, pbc=None):
     return builtin(name, pbc)
-
-
-# ---------------------------------------------------------------------------
-# grid container
-# ---------------------------------------------------------------------------
-
-
-def test_grid_invariants():
-    grid = QuadratureGrid(4, 2)
-    assert grid.node_count == 16
-    coords = grid.fractional_coords()
-    assert coords.shape == (16, 2)
-    assert coords.min() == 0.0
-    assert coords.max() == pytest.approx(0.75)  # endpoint 1 excluded once
-    with pytest.raises(ValueError):
-        QuadratureGrid(0, 1)
-    with pytest.raises(ValueError):
-        QuadratureGrid(3, 0)
-
-
-def test_grid_cartesian_nodes_tile_cell():
-    spec = make("triangular")
-    grid = QuadratureGrid(3, 2)
-    nodes = grid.cartesian_nodes(spec.reciprocal_basis)
-    assert nodes.shape == (9, 2)
-    assert np.allclose(nodes[0], 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -7,16 +7,18 @@ from conftest import brute_tally, brute_total
 from latticewalks import (
     Series,
     bcc,
+    builtin,
     chain_finite,
     chain_infinite,
     chain_nnn,
     diamond,
+    enumerate_walks,
     expand,
     honeycomb,
     merge_labels,
     triangular,
 )
-from latticewalks.series import _d_grid, _nnn_d2_max, _same_parity_compositions
+from latticewalks.series import _d_grid, _nnn_d2_max
 
 
 # ---------------------------------------------------------------------------
@@ -184,16 +186,6 @@ def test_bcc_against_brute_force():
         assert s.coefficient((n,)) * math.factorial(n) == brute_total("bcc", n)
 
 
-def test_same_parity_compositions():
-    assert set(_same_parity_compositions(4, 3)) == {
-        (4, 0, 0), (0, 4, 0), (0, 0, 4), (2, 2, 0), (2, 0, 2), (0, 2, 2),
-    }
-    # four odd parts also reach even totals
-    assert (1, 1, 1, 1) in set(_same_parity_compositions(4, 4))
-    assert set(_same_parity_compositions(3, 4)) == set()
-    assert set(_same_parity_compositions(3, 3)) == {(1, 1, 1)}
-
-
 # ---------------------------------------------------------------------------
 # honeycomb / diamond
 # ---------------------------------------------------------------------------
@@ -232,6 +224,15 @@ def test_bipartite_counts_are_even_integers():
 # ---------------------------------------------------------------------------
 # shared properties
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "name,n", [("bcc", 12), ("triangular", 14), ("diamond", 16), ("honeycomb", 20)]
+)
+def test_closed_forms_match_oracle_at_higher_order(name, n):
+    # the oracle's dynamic program shares nothing with the closed forms
+    tally = enumerate_walks(builtin(name), n, bound=n)
+    assert tally.count((n,)) == expand(name, n).walk_count((n,))
 
 
 def test_constant_terms():
