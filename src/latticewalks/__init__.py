@@ -26,7 +26,6 @@ from .quadrature import (
     fourier_a_series,
     moment,
     phi_half_identity_check,
-    two_band_even_moment,
 )
 from .series import (
     Series,
@@ -92,7 +91,6 @@ __all__ = [
     "oracle_bound",
     "phi_half_identity_check",
     "triangular",
-    "two_band_even_moment",
     "verify_identity",
     "verify_recurrence",
 ]

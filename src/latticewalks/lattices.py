@@ -132,19 +132,12 @@ class LatticeSpec:
         return doc
 
 
-def _pm_pairs(*vectors: tuple[tuple[Fraction, ...], int]) -> tuple[StepVector, ...]:
+def _pm_pairs(
+    *vectors: tuple[tuple[Fraction, ...], int], sublattice: Optional[Sublattice] = None
+) -> tuple[StepVector, ...]:
     steps = []
     for coords, label in vectors:
-        fwd = StepVector(coords, label)
-        steps.append(fwd)
-        steps.append(fwd.negated())
-    return tuple(steps)
-
-
-def _bipartite_steps(vectors: tuple[tuple[Fraction, ...], ...]) -> tuple[StepVector, ...]:
-    steps = []
-    for coords in vectors:
-        fwd = StepVector(coords, 1, "AtoB")
+        fwd = StepVector(coords, label, sublattice)
         steps.append(fwd)
         steps.append(fwd.negated())
     return tuple(steps)
@@ -197,12 +190,11 @@ _GEOMETRY = {
         dimension=2,
         basis_size=2,
         basis=((1.0, 0.0), (-0.5, _SQ3 / 2.0)),
-        steps=_bipartite_steps(
-            (
-                (Fraction(-1, 3), Fraction(-2, 3)),
-                (Fraction(2, 3), Fraction(1, 3)),
-                (Fraction(-1, 3), Fraction(1, 3)),
-            )
+        steps=_pm_pairs(
+            ((Fraction(-1, 3), Fraction(-2, 3)), 1),
+            ((Fraction(2, 3), Fraction(1, 3)), 1),
+            ((Fraction(-1, 3), Fraction(1, 3)), 1),
+            sublattice="AtoB",
         ),
         hopping_count=1,
     ),
@@ -210,13 +202,12 @@ _GEOMETRY = {
         dimension=3,
         basis_size=2,
         basis=((0.5, 0.5, 0.0), (0.5, 0.0, 0.5), (0.0, 0.5, 0.5)),
-        steps=_bipartite_steps(
-            (
-                (Fraction(1, 4), Fraction(1, 4), Fraction(1, 4)),
-                (Fraction(-3, 4), Fraction(1, 4), Fraction(1, 4)),
-                (Fraction(1, 4), Fraction(-3, 4), Fraction(1, 4)),
-                (Fraction(1, 4), Fraction(1, 4), Fraction(-3, 4)),
-            )
+        steps=_pm_pairs(
+            ((Fraction(1, 4), Fraction(1, 4), Fraction(1, 4)), 1),
+            ((Fraction(-3, 4), Fraction(1, 4), Fraction(1, 4)), 1),
+            ((Fraction(1, 4), Fraction(-3, 4), Fraction(1, 4)), 1),
+            ((Fraction(1, 4), Fraction(1, 4), Fraction(-3, 4)), 1),
+            sublattice="AtoB",
         ),
         hopping_count=1,
     ),

@@ -8,9 +8,19 @@ every non-constant harmonic averages to zero unless the grid aliases it
 to a reciprocal-lattice multiple of N.  The coefficient routes live in
 :mod:`latticewalks.verify`; this module only produces raw moments.
 
+One grid rule, :func:`auto_grid_size`, decides both the grid that
+``verify`` uses by default and whether a moment is flagged
+``estimated_exact``: ``N = n*h + 1`` points per axis, with ``h`` the
+largest bandwidth the monomial involves (``n//2`` kernel powers on the
+two-sublattice lattices).  The grid's cosines come from one table per
+``N``, whose angles are folded in integer arithmetic into the first
+quadrant, so the table is exactly symmetric and its rational values
+(0, +-1/2, +-1) are exact.
+
 For the finite ring the physically meaningful grid is the ring's own
 ``pbc_size`` quasimomenta: on that grid the deliberate aliasing of the
-mean reproduces exactly the winding walks.
+mean reproduces exactly the winding walks, and only that grid is
+flagged exact.
 
 The complex-hopping helpers treat the ring partition sum
 ``Z(rho, phi) = mean_k exp(-2 rho cos(k + phi))`` as a periodic function
@@ -44,31 +54,21 @@ class MomentResult:
 def _cos_table(grid_points: int) -> np.ndarray:
     """cos(2*pi*m/N) for m = 0..N-1, folded for exact symmetry.
 
-    Arguments are reduced as exact fractions of a turn into the first
-    quadrant, so the table negates exactly under half-turn shifts and
-    the rational cosine values (0, +-1/2, +-1: the only ones a rational
-    angle can take) come out exact.  Grid sums of symmetric integrands
-    then cancel to zero instead of leaving rounding crumbs.
+    Angles are folded in integer units of 1/(2N) of a turn into the
+    first quadrant, so the table negates exactly under half-turn shifts
+    and the rational cosine values (0, +-1/2, +-1: the only ones a
+    rational angle can take) come out exact.  Grid sums of symmetric
+    integrands then cancel to zero instead of leaving rounding crumbs.
     """
-    table = np.empty(grid_points)
-    for m in range(grid_points):
-        turn = Fraction(m, grid_points)
-        if turn > Fraction(1, 2):
-            turn = 1 - turn
-        sign = 1.0
-        if turn > Fraction(1, 4):
-            turn = Fraction(1, 2) - turn
-            sign = -1.0
-        if turn == 0:
-            value = 1.0
-        elif turn == Fraction(1, 4):
-            value = 0.0
-        elif turn == Fraction(1, 6):
-            value = 0.5
-        else:
-            value = math.cos(2.0 * math.pi * float(turn))
-        table[m] = sign * value
-    return table
+    n = grid_points
+    m = np.arange(n)
+    q = 2 * np.minimum(m, n - m)
+    flip = 2 * q > n
+    q = np.where(flip, n - q, q)
+    value = np.cos(2.0 * np.pi * (q / (2 * n)))
+    value[2 * q == n] = 0.0
+    value[3 * q == n] = 0.5
+    return np.where(flip, -value, value)
 
 
 def _term_on_grid(term: DispersionTerm, grid_points: int, dimension: int) -> np.ndarray:
@@ -86,19 +86,8 @@ def _term_on_grid(term: DispersionTerm, grid_points: int, dimension: int) -> np.
     return out
 
 
-def _alias_free_bound(spec: LatticeSpec, index: MultiIndex) -> int:
-    """Smallest grid whose mean has no aliasing for this monomial."""
-    if spec.basis_size == 2:
-        n = index[0]
-        return (n // 2) * spec.dispersion_terms[0].bandwidth + 1
-    width = sum(
-        m * spec.dispersion_terms[label].bandwidth for label, m in enumerate(index)
-    )
-    return width + 1
-
-
 def auto_grid_size(spec: LatticeSpec, index: MultiIndex) -> int:
-    """Grid policy "auto": n*h+1 from the involved bandwidths.
+    """The grid rule: n*h+1 from the involved bandwidths.
 
     The finite ring resolves to its own site count instead, since the
     target there is the discrete quasimomentum sum itself.
@@ -114,19 +103,17 @@ def auto_grid_size(spec: LatticeSpec, index: MultiIndex) -> int:
     return n * max(involved) + 1
 
 
-def _estimated_exact(spec: LatticeSpec, index: MultiIndex, grid_points: int) -> bool:
-    if spec.pbc_size is not None:
-        return grid_points == spec.pbc_size
-    return grid_points >= _alias_free_bound(spec, index)
-
-
 def moment(spec: LatticeSpec, index: MultiIndex, grid_points: int) -> MomentResult:
     """Grid mean of the dispersion monomial ``prod_s eps_s(k)**m_s``.
 
     For two-sublattice lattices the monomial is the subband-summed power
-    ``sum_sigma eps_sigma**n``: even orders go through the squared-band
-    kernel (``2 * mean(kernel**(n/2))``) and odd orders vanish by the
-    sigma = -1/+1 cancellation, so the band square root is never taken.
+    ``sum_sigma eps_sigma**n``: even orders are the product of the one
+    squared-band kernel factor ``kernel**(n/2)`` with weight 2, and odd
+    orders vanish by the sigma = -1/+1 cancellation, so the band square
+    root is never taken.
+
+    The result is flagged ``estimated_exact`` when the grid has at least
+    :func:`auto_grid_size` points, or on the ring exactly that many.
     """
     if grid_points < 1:
         raise ValueError("grid_points must be >= 1")
@@ -134,42 +121,24 @@ def moment(spec: LatticeSpec, index: MultiIndex, grid_points: int) -> MomentResu
     if len(index) != spec.hopping_count or any(m < 0 for m in index):
         raise ValueError(f"bad multi-index {index} for {spec.name}")
     if spec.basis_size == 2:
-        return two_band_even_moment(spec, index[0], grid_points)
+        n = index[0]
+        weight, powers = (0.0, ()) if n % 2 else (2.0, ((0, n // 2),))
+    else:
+        weight, powers = 1.0, enumerate(index)
 
-    values = np.ones([grid_points] * spec.dimension)
-    for label, m in enumerate(index):
+    values = 1.0
+    for label, m in powers:
         if m:
             eps = _term_on_grid(spec.dispersion_terms[label], grid_points, spec.dimension)
             values = values * eps**m
+    bound = auto_grid_size(spec, index)
+    exact = grid_points == bound if spec.pbc_size is not None else grid_points >= bound
     return MomentResult(
         lattice=spec.name,
         index=index,
         grid_points=grid_points,
-        value=float(np.mean(values)),
-        estimated_exact=_estimated_exact(spec, index, grid_points),
-    )
-
-
-def two_band_even_moment(spec: LatticeSpec, order: int, grid_points: int) -> MomentResult:
-    """Subband-summed dispersion moment of a two-sublattice lattice."""
-    if spec.basis_size != 2:
-        raise ValueError(f"{spec.name} has a single sublattice; use moment()")
-    if grid_points < 1:
-        raise ValueError("grid_points must be >= 1")
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    index = (order,)
-    if order % 2:
-        value = 0.0  # the two subbands cancel term by term
-    else:
-        kernel = _term_on_grid(spec.dispersion_terms[0], grid_points, spec.dimension)
-        value = 2.0 * float(np.mean(kernel ** (order // 2)))
-    return MomentResult(
-        lattice=spec.name,
-        index=index,
-        grid_points=grid_points,
-        value=value,
-        estimated_exact=_estimated_exact(spec, index, grid_points),
+        value=weight * float(np.mean(values)),
+        estimated_exact=exact,
     )
 
 
@@ -195,7 +164,20 @@ def finite_chain_ksum(pbc_size: int, xi: float) -> float:
     if not math.isfinite(xi):
         raise ValueError("xi must be finite")
     k = finite_chain_momenta(pbc_size)
-    return float(np.mean(np.exp(2.0 * xi * np.cos(k))))
+    return float(_ring_mean(2.0 * xi, np.cos(k)))
+
+
+def _ring_mean(scale: float, harmonic: np.ndarray) -> np.ndarray:
+    """mean of exp(scale * harmonic) over the momenta (the last axis).
+
+    A sum that leaves the float range is an ``OverflowError``, raised
+    before any ``inf`` or ``nan`` reaches a caller or a warning is shown.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.exp(scale * harmonic).mean(axis=-1)
+    if not np.all(np.isfinite(vals)):
+        raise OverflowError("ring sum is not finite")
+    return vals
 
 
 def complex_chain_z(pbc_size: int, rho: float, phi) -> np.ndarray | float:
@@ -205,7 +187,7 @@ def complex_chain_z(pbc_size: int, rho: float, phi) -> np.ndarray | float:
     """
     k = finite_chain_momenta(pbc_size)
     phi_arr = np.asarray(phi, dtype=float)
-    vals = np.exp(-2.0 * rho * np.cos(k + phi_arr[..., None])).mean(axis=-1)
+    vals = _ring_mean(-2.0 * rho, np.cos(k + phi_arr[..., None]))
     return float(vals) if np.ndim(phi) == 0 else vals
 
 
@@ -258,7 +240,7 @@ def phi_half_identity_check(pbc_size: int, rho: float, nu_max: int = 25) -> floa
     if pbc_size % 2:
         raise ValueError("the phase pi/2 identity requires an even ring")
     k = finite_chain_momenta(pbc_size)
-    lhs = float(np.mean(np.exp(2.0 * rho * np.sin(k))))
+    lhs = float(_ring_mean(2.0 * rho, np.sin(k)))
 
     half = pbc_size // 2
     rhs = 0.0

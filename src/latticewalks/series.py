@@ -141,6 +141,10 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 
 
+def _chain_count(n: int) -> int:
+    return 0 if n % 2 else math.comb(n, n // 2)
+
+
 def _finite_chain_count(n: int, pbc_size: int) -> int:
     # net displacement of a closed ring walk is a multiple of the ring size,
     # and the winding number is capped by n // pbc_size
@@ -214,12 +218,7 @@ def _univariate(lattice: str, max_order: int, count, pbc_size: Optional[int] = N
 
 def chain_infinite(max_order: int) -> Series:
     """Infinite nearest-neighbour chain: coefficient 1/(v! v!) at order 2v."""
-    if max_order < 0:
-        raise ValueError("max_order must be >= 0")
-    coeffs = {}
-    for v in range(max_order // 2 + 1):
-        coeffs[(2 * v,)] = Fraction(1, math.factorial(v) ** 2)
-    return Series("chain-nn", max_order, 1, coeffs)
+    return _univariate("chain-nn", max_order, _chain_count)
 
 
 def chain_finite(pbc_size: int, max_order: int) -> Series:

@@ -111,8 +111,6 @@ def _indices_to_order(label_count: int, max_order: int) -> list[MultiIndex]:
 def _numeric_coefficient(spec: LatticeSpec, index: MultiIndex, grid_points: int) -> float:
     """Coefficient via the moment route: moment / index factorials."""
     result = quadrature.moment(spec, index, grid_points)
-    if spec.basis_size == 2:
-        return result.value / math.factorial(index[0])
     scale = 1
     for m in index:
         scale *= math.factorial(m)
@@ -294,6 +292,10 @@ def appendix_b_report(
     """
     if pbc_size < 3:
         raise ValueError(f"pbc_size must be >= 3, got {pbc_size}")
+    if series_n_max < 0:
+        raise ValueError(f"series_n_max must be >= 0, got {series_n_max}")
+    if nu_max < 0:
+        raise ValueError(f"nu_max must be >= 0, got {nu_max}")
     if d_values is None:
         d_values = range(2 * pbc_size + 1)
     records = []

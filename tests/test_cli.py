@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -239,6 +240,27 @@ def test_non_finite_and_overflowing_inputs_are_usage_errors(capsys, argv):
     assert "error" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--rho", "400"], "not finite"),
+        (["--rho", "400", "--phi-half"], "not finite"),
+        (["--rho", "1e308", "--d", "1"], "not finite"),
+        (["--rho", "1", "--nu-max", "-1", "--phi-half"], "nu_max"),
+        (["--rho", "1", "--nu-max", "-1"], "nu_max"),
+        (["--rho", "1", "--series-n-max", "-1"], "series_n_max"),
+    ],
+)
+def test_appendix_b_overflow_and_negative_counts_are_usage_errors(capsys, argv, message, fmt):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "appendix-b", "--pbc", "6", *argv, "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert err.count("error:") == 1 and message in err
+
+
 def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
@@ -250,7 +272,7 @@ def _run_isolated(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-_NUMBERS = st.sampled_from(["0", "-1", "1e-9", "0.5", "2", "nan", "inf", "1e308", "x"])
+_NUMBERS = st.sampled_from(["0", "-1", "1e-9", "0.5", "2", "400", "nan", "inf", "1e308", "x"])
 _LATTICES = st.sampled_from(BUILTIN_NAMES)
 
 
@@ -273,7 +295,7 @@ def _cli_argv(draw):
         argv += ["--n", str(draw(st.integers(-1, 9)))]
     if command == "appendix-b":
         argv += ["--pbc", str(draw(st.integers(2, 7))), "--rho", draw(_NUMBERS)]
-        argv += ["--tol-match", draw(_NUMBERS), "--nu-max", str(draw(st.integers(0, 8)))]
+        argv += ["--tol-match", draw(_NUMBERS), "--nu-max", str(draw(st.integers(-1, 8)))]
         if draw(st.booleans()):
             argv += ["--d", str(draw(st.integers(-2, 9)))]
         if draw(st.booleans()):

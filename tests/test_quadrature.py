@@ -18,8 +18,8 @@ from latticewalks import (
     fourier_a_series,
     moment,
     phi_half_identity_check,
-    two_band_even_moment,
 )
+from latticewalks.quadrature import _cos_table
 
 
 def make(name, pbc=None):
@@ -55,12 +55,33 @@ def test_moment_validation():
 
 
 def test_two_band_examples():
-    assert two_band_even_moment(make("honeycomb"), 2, 2).value == pytest.approx(6.0)
-    assert two_band_even_moment(make("diamond"), 2, 2).value == pytest.approx(8.0)
+    assert moment(make("honeycomb"), (2,), 2).value == pytest.approx(6.0)
+    assert moment(make("diamond"), (2,), 2).value == pytest.approx(8.0)
     for name in ("honeycomb", "diamond"):
-        assert two_band_even_moment(make(name), 5, 4).value == 0.0
-    with pytest.raises(ValueError):
-        two_band_even_moment(make("bcc"), 2, 3)
+        assert moment(make(name), (0,), 1).value == 2.0  # both subbands count the empty walk
+        assert moment(make(name), (5,), 4).value == 0.0
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+# exact cosine at a turn of k/12, for every k where the value is rational
+_RATIONAL_COS = {0: 1.0, 2: 0.5, 3: 0.0, 4: -0.5, 6: -1.0, 8: -0.5, 9: 0.0, 10: 0.5}
+
+
+def test_cos_table_exact_symmetries():
+    for n in range(1, 257):
+        table = _cos_table(n)
+        m = np.arange(n)
+        assert np.allclose(table, np.cos(2.0 * np.pi * m / n), rtol=0.0, atol=2e-15)
+        assert np.array_equal(_bits(table), _bits(table[(n - m) % n]))
+        if n % 2 == 0:
+            # float equality: bit-for-bit apart from the sign of the two zeros
+            assert np.array_equal(table[(m + n // 2) % n], -table)
+        for k, value in _RATIONAL_COS.items():
+            if k * n % 12 == 0:
+                assert _bits(table[k * n // 12]) == _bits(value), (n, k)
 
 
 def test_refinement_stability():
@@ -127,6 +148,9 @@ def test_estimated_exact_flag():
     assert moment(nnn, (4, 0), 5).estimated_exact
     assert moment(nnn, (0, 2), 5).estimated_exact
     assert not moment(nnn, (0, 2), 4).estimated_exact
+    # mixed indices follow auto_grid_size: (2,2) needs 2*2*2+1 points
+    assert moment(nnn, (2, 2), 9).estimated_exact
+    assert not moment(nnn, (2, 2), 8).estimated_exact
     ring = make("chain-nn-finite", 5)
     assert moment(ring, (6,), 5).estimated_exact
     assert not moment(ring, (6,), 7).estimated_exact  # only the ring's own grid counts
@@ -173,6 +197,8 @@ def test_ksum_examples():
     assert finite_chain_ksum(3, 0.1) == pytest.approx(expected, abs=1e-15)
     with pytest.raises(ValueError):
         finite_chain_ksum(3, float("nan"))
+    with pytest.raises(OverflowError):
+        finite_chain_ksum(3, 400.0)
 
 
 @settings(max_examples=30, deadline=None)
