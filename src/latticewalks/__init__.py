@@ -15,7 +15,7 @@ from .lattices import (
     builtin,
     dispersion_value,
 )
-from .oracle import ORACLE_BOUNDS, WalkTally, enumerate_walks, finite_chain_trace, oracle_bound
+from .oracle import ORACLE_BOUNDS, WalkTally, enumerate_walks, finite_chain_trace
 from .quadrature import (
     MomentResult,
     auto_grid_size,
@@ -88,7 +88,6 @@ __all__ = [
     "honeycomb",
     "merge_labels",
     "moment",
-    "oracle_bound",
     "phi_half_identity_check",
     "triangular",
     "verify_identity",

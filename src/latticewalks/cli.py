@@ -138,11 +138,10 @@ def cmd_lattice(args) -> int:
 
 def cmd_verify(args) -> int:
     names = list(BUILTIN_NAMES) if args.all else [args.lattice]
-    grid = "auto" if args.grid == "auto" else int(args.grid)
     tol = Tolerances(relative=args.tol_rel, zero_abs=args.tol_abs)
 
     reports = [
-        verify_identity(name, args.max_order, _resolve_pbc(name, args), grid, tol)
+        verify_identity(name, args.max_order, _resolve_pbc(name, args), args.grid, tol)
         for name in names
     ]
 
@@ -269,6 +268,18 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _grid_size(text: str) -> int | str:
+    if text == "auto":
+        return text
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f'{text!r} is not "auto" or an integer') from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not >= 1")
+    return value
+
+
 def _add_output_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=FORMATS, default="json")
     sub.add_argument("--output", help="write to this path instead of stdout")
@@ -300,7 +311,9 @@ def build_parser() -> argparse.ArgumentParser:
     which.add_argument("--all", action="store_true", help="verify every built-in lattice")
     verify.add_argument("--pbc", type=int, default=6)
     verify.add_argument("--max-order", type=int, required=True)
-    verify.add_argument("--grid", default="auto", help='grid points per axis, or "auto"')
+    verify.add_argument(
+        "--grid", type=_grid_size, default="auto", help='grid points per axis, or "auto"'
+    )
     verify.add_argument("--tol-rel", type=_finite_float, default=1e-9)
     verify.add_argument("--tol-abs", type=_finite_float, default=1e-12)
     verify.add_argument("--recurrence", action="store_true", help="also check the chain-nnn recurrence")

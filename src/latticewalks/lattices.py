@@ -106,10 +106,6 @@ class LatticeSpec:
     dispersion_terms: tuple[DispersionTerm, ...]
     pbc_size: Optional[int] = None
 
-    def coordinate_scale(self) -> int:
-        """Smallest integer making every step displacement integral."""
-        return math.lcm(*(c.denominator for s in self.steps for c in s.displacement))
-
     def to_json_dict(self) -> dict:
         doc = {
             "name": self.name,

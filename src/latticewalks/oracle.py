@@ -1,10 +1,14 @@
 """Ground-truth walk enumeration, independent of the closed-form series.
 
-``enumerate_walks`` counts closed walks by dynamic programming over
-exact displacement states: positions are integer tuples (step
-coordinates scaled by the lattice's common denominator), transitions are
-the step set, and per-label step usage is carried in the state so the
-tally splits by multi-index.  Walk sequences are never materialised.
+``enumerate_walks`` counts closed walks with a shift stencil on a torus.
+Each step is an integer move: a lattice translation plus one axis per
+hopping label except the last, counting that label's steps.  On the
+two-sublattice lattices hops are measured from the first A->B
+displacement ``e0`` (``d - e0`` for A->B, ``d + e0`` for B->A), so every
+move is a lattice translation.  The torus is the ring itself on the
+finite ring and wider than any walk elsewhere, so the periodic and
+infinite lattices share one path.  Counts are exact Python integers at
+every length; walk sequences are never materialised.
 
 The finite ring additionally has an adjacency-matrix route: the trace of
 the n-th matrix power counts all closed walks, and dividing by the site
@@ -13,20 +17,17 @@ count (exact, by vertex transitivity) gives the per-site tally.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .lattices import LatticeSpec
+import numpy as np
+
+from .lattices import LatticeSpec, _integer_coords
 
 MultiIndex = tuple[int, ...]
 
 # default length caps by spatial dimension (resource guard, not a hard limit)
 ORACLE_BOUNDS = {1: 12, 2: 10, 3: 8}
-
-
-def oracle_bound(dimension: int) -> int:
-    return ORACLE_BOUNDS[dimension]
 
 
 @dataclass(frozen=True)
@@ -70,64 +71,44 @@ def enumerate_walks(spec: LatticeSpec, n: int, bound: Optional[int] = None) -> W
     tally is doubled, counting both equivalent terminal sublattices of
     one abstract lattice point.
     """
-    limit = oracle_bound(spec.dimension) if bound is None else bound
+    limit = ORACLE_BOUNDS[spec.dimension] if bound is None else bound
     if n < 0:
         raise ValueError("walk length must be >= 0")
     if n > limit:
         raise ValueError(f"walk length {n} exceeds enumeration bound {limit}")
-
-    scale = spec.coordinate_scale()
-    ring = spec.pbc_size * scale if spec.pbc_size is not None else None
-    moves = []
-    for s in spec.steps:
-        delta = tuple(int(c * scale) for c in s.displacement)
-        moves.append((delta, s.label - 1, s.sublattice))
-
-    labels = spec.hopping_count
-    origin = (0,) * spec.dimension
-    frontier: dict[tuple[tuple[int, ...], MultiIndex], int] = {(origin, (0,) * labels): 1}
-    for t in range(n):
-        wanted = None
-        if spec.basis_size == 2:
-            wanted = "AtoB" if t % 2 == 0 else "BtoA"
-        nxt: dict[tuple[tuple[int, ...], MultiIndex], int] = defaultdict(int)
-        for (pos, used), ways in frontier.items():
-            for delta, lab, flag in moves:
-                if wanted is not None and flag != wanted:
-                    continue
-                if ring is None:
-                    new_pos = tuple(p + d for p, d in zip(pos, delta))
-                else:
-                    new_pos = tuple((p + d) % ring for p, d in zip(pos, delta))
-                new_used = used[:lab] + (used[lab] + 1,) + used[lab + 1 :]
-                nxt[(new_pos, new_used)] += ways
-        frontier = nxt
-
     doubled = spec.basis_size == 2
+    if doubled and n % 2:
+        # the integer part can return to 0 while the walk sits on B
+        return WalkTally(spec.name, n, {}, sublattice_doubled=True)
+
+    origin = (0,) * spec.dimension
+    e0 = next((s.displacement for s in spec.steps if s.sublattice == "AtoB"), origin)
+    moves = {}
+    for s in spec.steps:
+        sign = 1 if s.sublattice == "BtoA" else -1
+        hop = tuple(d + sign * e for d, e in zip(s.displacement, e0))
+        label_part = tuple(int(s.label == l) for l in range(1, spec.hopping_count))
+        moves.setdefault(s.sublattice, []).append(_integer_coords(hop) + label_part)
+    cycle = [moves["AtoB"], moves["BtoA"]] if doubled else [moves[None]]
+
+    # off the ring a walk's displacement is smaller than the side, so
+    # wrapping never closes a walk that is not closed
+    reach = max(abs(c) for group in cycle for move in group for c in move)
+    side = spec.pbc_size or n * reach + 1
+    axes = tuple(range(len(cycle[0][0])))
+    ways = np.zeros((side,) * len(axes), dtype=object)
+    ways.flat[0] = 1
+    for t in range(n):
+        ways = sum(np.roll(ways, move, axes) for move in cycle[t % len(cycle)])
+
     factor = 2 if doubled else 1
-    counts: dict[MultiIndex, int] = {}
-    for (pos, used), ways in frontier.items():
-        if pos == origin:
-            counts[used] = counts.get(used, 0) + factor * ways
+    closed = ways[origin + (...,)]
+    counts = {
+        labels + (n - sum(labels),): factor * count
+        for labels, count in np.ndenumerate(closed)
+        if count
+    }
     return WalkTally(spec.name, n, counts, sublattice_doubled=doubled)
-
-
-def _matmul(x: list[list[int]], y: list[list[int]]) -> list[list[int]]:
-    size = len(x)
-    cols = list(zip(*y))
-    return [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in x]
-
-
-def _matpow(a: list[list[int]], n: int) -> list[list[int]]:
-    size = len(a)
-    result = [[int(i == j) for j in range(size)] for i in range(size)]
-    base = a
-    while n:
-        if n & 1:
-            result = _matmul(result, base)
-        base = _matmul(base, base)
-        n >>= 1
-    return result
 
 
 def finite_chain_trace(pbc_size: int, n: int) -> int:
@@ -136,12 +117,14 @@ def finite_chain_trace(pbc_size: int, n: int) -> int:
         raise ValueError(f"pbc_size must be >= 3, got {pbc_size}")
     if n < 0:
         raise ValueError("walk length must be >= 0")
-    adjacency = [
-        [1 if (i - j) % pbc_size in (1, pbc_size - 1) else 0 for j in range(pbc_size)]
-        for i in range(pbc_size)
-    ]
-    power = _matpow(adjacency, n)
-    trace = sum(power[i][i] for i in range(pbc_size))
+    adjacency = np.array(
+        [
+            [int((i - j) % pbc_size in (1, pbc_size - 1)) for j in range(pbc_size)]
+            for i in range(pbc_size)
+        ],
+        dtype=object,
+    )
+    trace = np.linalg.matrix_power(adjacency, n).trace()
     if trace % pbc_size:
         raise AssertionError("ring trace not divisible by site count")
     return trace // pbc_size

@@ -128,7 +128,7 @@ def verify_identity(
     """Compare all three coefficient routes up to ``max_order``."""
     spec = builtin(name, pbc_size)
     exact = series.expand(name, max_order, pbc_size)
-    limit = oracle.oracle_bound(spec.dimension) if oracle_limit is None else oracle_limit
+    limit = oracle.ORACLE_BOUNDS[spec.dimension] if oracle_limit is None else oracle_limit
 
     tallies = {
         n: oracle.enumerate_walks(spec, n, bound=limit)

@@ -202,6 +202,10 @@ def test_usage_errors(capsys):
     assert run(capsys, "coeffs", "--lattice", "chain-nn-finite", "--pbc", "2", "--max-order", "3")[0] == 2
     assert run(capsys, "coeffs", "--lattice", "chain-nn", "--max-order", "-1")[0] == 2
     assert run(capsys, "nonsense")[0] == 2
+    for grid in ("abc", "1e3", "0"):
+        code, _, err = run(capsys, "verify", "--lattice", "chain-nn", "--max-order", "4", "--grid", grid)
+        assert code == 2
+        assert "usage:" in err and "--grid" in err
 
 
 def test_output_files_idempotent(tmp_outdir, capsys):
@@ -292,7 +296,7 @@ def _cli_argv(draw):
     if command == "conjecture":
         argv += ["--n-max", str(draw(st.integers(-1, 40)))]
     if command == "oracle":
-        argv += ["--n", str(draw(st.integers(-1, 9)))]
+        argv += ["--n", str(draw(st.integers(-1, 13)))]
     if command == "appendix-b":
         argv += ["--pbc", str(draw(st.integers(2, 7))), "--rho", draw(_NUMBERS)]
         argv += ["--tol-match", draw(_NUMBERS), "--nu-max", str(draw(st.integers(-1, 8)))]

@@ -80,20 +80,6 @@ def test_bipartite_flags():
         assert {c.denominator for c in s.displacement} <= {1, 2, 4}
 
 
-def test_coordinate_scales():
-    expected = {
-        "chain-nn": 1,
-        "chain-nn-finite": 1,
-        "chain-nnn": 1,
-        "triangular": 1,
-        "bcc": 1,
-        "honeycomb": 3,
-        "diamond": 4,
-    }
-    for spec in ALL_SPECS:
-        assert spec.coordinate_scale() == expected[spec.name]
-
-
 def test_cell_volumes():
     vols = {spec.name: spec.cell_volume for spec in ALL_SPECS}
     assert vols["chain-nn"] == pytest.approx(2 * math.pi)

@@ -5,12 +5,12 @@ import pytest
 from conftest import brute_tally
 from latticewalks import (
     BUILTIN_NAMES,
+    ORACLE_BOUNDS,
     builtin,
     chain_finite,
     enumerate_walks,
     expand,
     finite_chain_trace,
-    oracle_bound,
 )
 
 
@@ -82,7 +82,7 @@ def test_total_equals_merged_label_count():
 
 
 def test_bounds_guard():
-    assert oracle_bound(1) == 12 and oracle_bound(2) == 10 and oracle_bound(3) == 8
+    assert ORACLE_BOUNDS == {1: 12, 2: 10, 3: 8}
     with pytest.raises(ValueError):
         enumerate_walks(make("bcc"), 9)
     with pytest.raises(ValueError):
@@ -91,6 +91,13 @@ def test_bounds_guard():
     assert enumerate_walks(make("bcc"), 10, bound=10).total > 0
     with pytest.raises(ValueError):
         enumerate_walks(make("chain-nn"), 13)
+
+
+def test_counts_exact_past_int64():
+    # both counts exceed 2**63, so a fixed-width integer array would wrap
+    assert enumerate_walks(make("chain-nn"), 70, bound=70).count((70,)) == math.comb(70, 35)
+    assert enumerate_walks(make("bcc"), 24, bound=24).count((24,)) == math.comb(24, 12) ** 3
+    assert math.comb(70, 35) > 2**63 and math.comb(24, 12) ** 3 > 2**63
 
 
 def test_finite_chain_trace_examples():

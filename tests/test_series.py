@@ -227,12 +227,24 @@ def test_bipartite_counts_are_even_integers():
 
 
 @pytest.mark.parametrize(
-    "name,n", [("bcc", 12), ("triangular", 14), ("diamond", 16), ("honeycomb", 20)]
+    "name,n",
+    [
+        ("bcc", 12),
+        ("triangular", 14),
+        ("diamond", 16),
+        ("honeycomb", 20),
+        ("chain-nnn", 30),
+        ("diamond", 30),
+        ("honeycomb", 38),
+    ],
 )
 def test_closed_forms_match_oracle_at_higher_order(name, n):
-    # the oracle's dynamic program shares nothing with the closed forms
+    # the oracle's stencil shares nothing with the closed forms
     tally = enumerate_walks(builtin(name), n, bound=n)
-    assert tally.count((n,)) == expand(name, n).walk_count((n,))
+    table = expand(name, n)
+    expected = {index: table.walk_count(index) for index, _ in table.items() if sum(index) == n}
+    assert {index: tally.count(index) for index in expected} == expected
+    assert tally.total == sum(expected.values())
 
 
 def test_constant_terms():
