@@ -17,7 +17,6 @@ from .lattices import (
 )
 from .oracle import ORACLE_BOUNDS, WalkTally, enumerate_walks, finite_chain_trace
 from .quadrature import (
-    MomentResult,
     auto_grid_size,
     complex_chain_z,
     complex_fourier_a,
@@ -36,7 +35,6 @@ from .series import (
     diamond,
     expand,
     honeycomb,
-    merge_labels,
     triangular,
 )
 from .verify import (
@@ -58,7 +56,6 @@ __all__ = [
     "CoefficientRecord",
     "DispersionTerm",
     "LatticeSpec",
-    "MomentResult",
     "ORACLE_BOUNDS",
     "RecurrenceReport",
     "Series",
@@ -86,7 +83,6 @@ __all__ = [
     "finite_chain_trace",
     "fourier_a_series",
     "honeycomb",
-    "merge_labels",
     "moment",
     "phi_half_identity_check",
     "triangular",

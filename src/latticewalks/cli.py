@@ -362,6 +362,9 @@ def main(argv=None) -> int:
     except OverflowError as exc:
         print(f"error: result out of floating-point range ({exc})", file=sys.stderr)
         return 2
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
 
 
 def entrypoint() -> None:

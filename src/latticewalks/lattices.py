@@ -148,29 +148,18 @@ _SQ3 = math.sqrt(3.0)
 # direct primitive bases (rows are the translation vectors a_p) and step sets
 _GEOMETRY = {
     "chain-nn": dict(
-        dimension=1,
-        basis_size=1,
         basis=((1.0,),),
         steps=_pm_pairs((_fr(1), 1)),
-        hopping_count=1,
     ),
     "chain-nnn": dict(
-        dimension=1,
-        basis_size=1,
         basis=((1.0,),),
         steps=_pm_pairs((_fr(1), 1), (_fr(2), 2)),
-        hopping_count=2,
     ),
     "triangular": dict(
-        dimension=2,
-        basis_size=1,
         basis=((1.0, 0.0), (-0.5, _SQ3 / 2.0)),
         steps=_pm_pairs((_fr(1, 0), 1), (_fr(0, 1), 1), (_fr(-1, -1), 1)),
-        hopping_count=1,
     ),
     "bcc": dict(
-        dimension=3,
-        basis_size=1,
         basis=((0.5, 0.5, 0.5), (-0.5, -0.5, 0.5), (-0.5, 0.5, -0.5)),
         steps=_pm_pairs(
             (_fr(1, 0, 0), 1),
@@ -178,13 +167,10 @@ _GEOMETRY = {
             (_fr(0, 0, 1), 1),
             (_fr(-1, -1, -1), 1),
         ),
-        hopping_count=1,
     ),
     # honeycomb shares the triangular point lattice, so we reuse the same
     # primitive basis and hence the identical reciprocal cell
     "honeycomb": dict(
-        dimension=2,
-        basis_size=2,
         basis=((1.0, 0.0), (-0.5, _SQ3 / 2.0)),
         steps=_pm_pairs(
             ((Fraction(-1, 3), Fraction(-2, 3)), 1),
@@ -192,11 +178,8 @@ _GEOMETRY = {
             ((Fraction(-1, 3), Fraction(1, 3)), 1),
             sublattice="AtoB",
         ),
-        hopping_count=1,
     ),
     "diamond": dict(
-        dimension=3,
-        basis_size=2,
         basis=((0.5, 0.5, 0.0), (0.5, 0.0, 0.5), (0.0, 0.5, 0.5)),
         steps=_pm_pairs(
             ((Fraction(1, 4), Fraction(1, 4), Fraction(1, 4)), 1),
@@ -205,7 +188,6 @@ _GEOMETRY = {
             ((Fraction(1, 4), Fraction(1, 4), Fraction(-3, 4)), 1),
             sublattice="AtoB",
         ),
-        hopping_count=1,
     ),
 }
 _GEOMETRY["chain-nn-finite"] = _GEOMETRY["chain-nn"]
@@ -269,58 +251,24 @@ def builtin(name: str, pbc_size: Optional[int] = None) -> LatticeSpec:
         raise ValueError(f"pbc_size is only meaningful for chain-nn-finite, not {name}")
 
     geo = _GEOMETRY[name]
-    basis = geo["basis"]
+    basis, steps = geo["basis"], geo["steps"]
+    dimension = len(basis)
+    basis_size = 2 if steps[0].sublattice else 1
+    hopping_count = max(s.label for s in steps)
     recip = _reciprocal_basis(basis)
     volume = abs(float(np.linalg.det(np.asarray(recip))))
-    spec = LatticeSpec(
+    return LatticeSpec(
         name=name,
-        dimension=geo["dimension"],
-        basis_size=geo["basis_size"],
-        steps=geo["steps"],
-        hopping_count=geo["hopping_count"],
+        dimension=dimension,
+        basis_size=basis_size,
+        steps=steps,
+        hopping_count=hopping_count,
         direct_basis=basis,
         reciprocal_basis=recip,
         cell_volume=volume,
-        dispersion_terms=_dispersion_terms(
-            geo["dimension"], geo["basis_size"], geo["steps"], geo["hopping_count"]
-        ),
-        pbc_size=pbc_size if name == "chain-nn-finite" else None,
+        dispersion_terms=_dispersion_terms(dimension, basis_size, steps, hopping_count),
+        pbc_size=pbc_size,
     )
-    _validate(spec)
-    return spec
-
-
-def _validate(spec: LatticeSpec) -> None:
-    by_key = {(s.displacement, s.label, s.sublattice) for s in spec.steps}
-    labels = sorted({s.label for s in spec.steps})
-    if labels != list(range(1, spec.hopping_count + 1)):
-        raise ValueError(f"{spec.name}: labels {labels} not contiguous 1..{spec.hopping_count}")
-    for s in spec.steps:
-        if all(c == 0 for c in s.displacement):
-            raise ValueError(f"{spec.name}: zero step displacement")
-        neg = s.negated()
-        if (neg.displacement, neg.label, neg.sublattice) not in by_key:
-            raise ValueError(f"{spec.name}: step set not closed under negation: {s}")
-        if (spec.basis_size == 2) != (s.sublattice is not None):
-            raise ValueError(f"{spec.name}: sublattice flag inconsistent with basis size")
-    # reciprocal consistency: translations t satisfy exp(i b.t) = 1; for the
-    # bipartite lattices the translations are the A->B step differences
-    a = np.asarray(spec.direct_basis)
-    b = np.asarray(spec.reciprocal_basis)
-    if not np.allclose(b @ a.T, _TWO_PI * np.eye(spec.dimension), atol=1e-12):
-        raise ValueError(f"{spec.name}: reciprocal basis is not dual to the direct basis")
-    if spec.basis_size == 1:
-        translations = [s.displacement for s in spec.steps]
-    else:
-        fwd = [s.displacement for s in spec.steps if s.sublattice == "AtoB"]
-        translations = [
-            tuple(x - y for x, y in zip(ei, ej)) for ei in fwd for ej in fwd
-        ]
-    for t in translations:
-        cart = np.array([float(c) for c in t]) @ a
-        phases = b @ cart / _TWO_PI
-        if not np.allclose(phases, np.round(phases), atol=1e-9):
-            raise ValueError(f"{spec.name}: translation {t} incompatible with reciprocal cell")
 
 
 def dispersion_value(spec: LatticeSpec, label: int, k) -> float:

@@ -8,10 +8,9 @@ every non-constant harmonic averages to zero unless the grid aliases it
 to a reciprocal-lattice multiple of N.  The coefficient routes live in
 :mod:`latticewalks.verify`; this module only produces raw moments.
 
-One grid rule, :func:`auto_grid_size`, decides both the grid that
-``verify`` uses by default and whether a moment is flagged
-``estimated_exact``: ``N = n*h + 1`` points per axis, with ``h`` the
-largest bandwidth the monomial involves (``n//2`` kernel powers on the
+One grid rule, :func:`auto_grid_size`, decides the grid that ``verify``
+uses by default: ``N = n*h + 1`` points per axis, with ``h`` the largest
+bandwidth the monomial involves (``n//2`` kernel powers on the
 two-sublattice lattices).  The grid's cosines come from one table per
 ``N``, whose angles are folded in integer arithmetic into the first
 quadrant, so the table is exactly symmetric and its rational values
@@ -19,8 +18,7 @@ quadrant, so the table is exactly symmetric and its rational values
 
 For the finite ring the physically meaningful grid is the ring's own
 ``pbc_size`` quasimomenta: on that grid the deliberate aliasing of the
-mean reproduces exactly the winding walks, and only that grid is
-flagged exact.
+mean reproduces exactly the winding walks, so the rule picks that grid.
 
 The complex-hopping helpers treat the ring partition sum
 ``Z(rho, phi) = mean_k exp(-2 rho cos(k + phi))`` as a periodic function
@@ -31,24 +29,12 @@ coefficients with the same uniform-grid rule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 import numpy as np
 
 from .lattices import DispersionTerm, LatticeSpec
 
 MultiIndex = tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class MomentResult:
-    """One dispersion moment: grid mean of a dispersion monomial."""
-
-    lattice: str
-    index: MultiIndex
-    grid_points: int
-    value: float
-    estimated_exact: bool
 
 
 def _cos_table(grid_points: int) -> np.ndarray:
@@ -103,7 +89,7 @@ def auto_grid_size(spec: LatticeSpec, index: MultiIndex) -> int:
     return n * max(involved) + 1
 
 
-def moment(spec: LatticeSpec, index: MultiIndex, grid_points: int) -> MomentResult:
+def moment(spec: LatticeSpec, index: MultiIndex, grid_points: int) -> float:
     """Grid mean of the dispersion monomial ``prod_s eps_s(k)**m_s``.
 
     For two-sublattice lattices the monomial is the subband-summed power
@@ -111,9 +97,6 @@ def moment(spec: LatticeSpec, index: MultiIndex, grid_points: int) -> MomentResu
     squared-band kernel factor ``kernel**(n/2)`` with weight 2, and odd
     orders vanish by the sigma = -1/+1 cancellation, so the band square
     root is never taken.
-
-    The result is flagged ``estimated_exact`` when the grid has at least
-    :func:`auto_grid_size` points, or on the ring exactly that many.
     """
     if grid_points < 1:
         raise ValueError("grid_points must be >= 1")
@@ -131,15 +114,7 @@ def moment(spec: LatticeSpec, index: MultiIndex, grid_points: int) -> MomentResu
         if m:
             eps = _term_on_grid(spec.dispersion_terms[label], grid_points, spec.dimension)
             values = values * eps**m
-    bound = auto_grid_size(spec, index)
-    exact = grid_points == bound if spec.pbc_size is not None else grid_points >= bound
-    return MomentResult(
-        lattice=spec.name,
-        index=index,
-        grid_points=grid_points,
-        value=weight * float(np.mean(values)),
-        estimated_exact=exact,
-    )
+    return weight * float(np.mean(values))
 
 
 # ---------------------------------------------------------------------------

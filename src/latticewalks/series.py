@@ -104,28 +104,6 @@ class Series:
             doc["pbc_size"] = self.pbc_size
         return doc
 
-    @staticmethod
-    def from_json_dict(doc: dict) -> "Series":
-        coeffs = {
-            tuple(entry["index"]): Fraction(int(entry["num"]), int(entry["den"]))
-            for entry in doc["coefficients"]
-        }
-        if not coeffs:
-            raise ValueError("series document has no coefficients")
-        arity = len(next(iter(coeffs)))
-        return Series(
-            lattice=doc["lattice"],
-            max_order=doc["max_order"],
-            label_count=arity,
-            coefficients=coeffs,
-            pbc_size=doc.get("pbc_size"),
-        )
-
-
-def _d_grid(d_max: int) -> range:
-    """Signed offsets -d_max, -d_max+2, ..., d_max (empty when d_max < 0)."""
-    return range(-d_max, d_max + 1, 2)
-
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     if parts == 1:
@@ -157,21 +135,17 @@ def _finite_chain_count(n: int, pbc_size: int) -> int:
     return total
 
 
-def _nnn_d2_max(n1: int, n2: int) -> int:
-    # |d2| <= min(n1/2, n2) with d2 matching the parity of n2; may be
-    # negative, in which case no closed walk exists
-    cap = min(n1 // 2, n2)
-    if (cap - n2) % 2:
-        cap -= 1
-    return cap
-
-
 def _nnn_count(n1: int, n2: int) -> int:
+    # the double steps' net displacement d2 has the parity of n2 and
+    # |d2| <= min(n1/2, n2), so the unit steps can cancel it
     if n1 % 2:
         return 0
-    inner = 0
-    for d2 in _d_grid(_nnn_d2_max(n1, n2)):
-        inner += math.comb(n1, (n1 - 2 * d2) // 2) * math.comb(n2, (n2 - d2) // 2)
+    cap = min(n1 // 2, n2)
+    inner = sum(
+        math.comb(n1, (n1 - 2 * d2) // 2) * math.comb(n2, (n2 - d2) // 2)
+        for d2 in range(-cap, cap + 1)
+        if (n2 - d2) % 2 == 0
+    )
     return math.comb(n1 + n2, n1) * inner
 
 
@@ -274,27 +248,3 @@ def expand(name: str, max_order: int, pbc_size: Optional[int] = None) -> Series:
     if name in simple:
         return simple[name](max_order)
     raise ValueError(f"unknown lattice {name!r}")
-
-
-def merge_labels(series: Series, assignment: Mapping[int, int]) -> Series:
-    """Identify hopping labels: re-accumulate coefficients under the map.
-
-    ``assignment`` sends each source label 1..C to a target label; the
-    targets must form a contiguous range 1..C'.  Total degree of every
-    term is preserved.
-    """
-    sources = sorted(assignment)
-    if sources != list(range(1, series.label_count + 1)):
-        raise ValueError(f"assignment must cover labels 1..{series.label_count}")
-    targets = sorted(set(assignment.values()))
-    if targets != list(range(1, len(targets) + 1)):
-        raise ValueError(f"target labels {targets} not contiguous from 1")
-    merged: dict[MultiIndex, Fraction] = {}
-    arity = len(targets)
-    for index, coeff in series.coefficients.items():
-        new = [0] * arity
-        for source, exponent in enumerate(index, start=1):
-            new[assignment[source] - 1] += exponent
-        key = tuple(new)
-        merged[key] = merged.get(key, Fraction(0)) + coeff
-    return Series(series.lattice, series.max_order, arity, merged, pbc_size=series.pbc_size)

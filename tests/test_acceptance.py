@@ -147,14 +147,7 @@ def test_criterion_7_quadrature_route():
                 for index in _compositions(n, spec.hopping_count):
                     grid = auto_grid_size(spec, index)
                     assert grid <= 64
-                    result = moment(spec, index, grid)
-                    if spec.basis_size == 2:
-                        numeric = result.value / math.factorial(n)
-                    else:
-                        scale = 1
-                        for m in index:
-                            scale *= math.factorial(m)
-                        numeric = result.value / scale
+                    numeric = moment(spec, index, grid) / math.prod(map(math.factorial, index))
                     exact = float(table.coefficient(index))
                     if exact:
                         assert abs(numeric - exact) <= 1e-9 * abs(exact), (name, index)

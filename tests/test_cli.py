@@ -220,6 +220,13 @@ def test_output_files_idempotent(tmp_outdir, capsys):
     capsys.readouterr()
     doc = json.loads(first)
     assert doc["lattice"] == "diamond"
+    # a path under a regular file cannot be created: a usage error, not a traceback
+    code, out, err = run(
+        capsys, "coeffs", "--lattice", "chain-nn", "--max-order", "4",
+        "--output", str(target / "out.json"),
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_outdir_env_redirects_relative_paths(tmp_outdir, capsys, monkeypatch):

@@ -45,6 +45,7 @@ def test_builtin_shape(name, dim, basis, labels, n_steps):
     assert spec.dimension == dim
     assert spec.basis_size == basis
     assert spec.hopping_count == labels
+    assert {s.label for s in spec.steps} == set(range(1, labels + 1))
     assert len(spec.steps) == n_steps
     assert len(spec.dispersion_terms) == labels
 
@@ -70,6 +71,9 @@ def test_steps_closed_under_negation():
 
 
 def test_bipartite_flags():
+    for spec in ALL_SPECS:
+        for s in spec.steps:
+            assert (s.sublattice is None) == (spec.basis_size == 1), (spec.name, s)
     hc = make("honeycomb")
     assert {s.sublattice for s in hc.steps} == {"AtoB", "BtoA"}
     assert sum(s.sublattice == "AtoB" for s in hc.steps) == 3

@@ -32,16 +32,14 @@ def make(name, pbc=None):
 
 
 def test_moment_examples():
-    assert moment(make("chain-nn"), (2,), 3).value == pytest.approx(2.0, rel=1e-12)
+    assert moment(make("chain-nn"), (2,), 3) == pytest.approx(2.0, rel=1e-12)
     for n in (4, 7, 9):
-        assert moment(make("triangular"), (3,), n).value == pytest.approx(12.0, rel=1e-12)
-    assert moment(make("bcc"), (2,), 3).value == pytest.approx(8.0, rel=1e-12)
+        assert moment(make("triangular"), (3,), n) == pytest.approx(12.0, rel=1e-12)
+    assert moment(make("bcc"), (2,), 3) == pytest.approx(8.0, rel=1e-12)
 
 
 def test_moment_zero_order():
-    res = moment(make("chain-nn"), (0,), 1)
-    assert res.value == 1.0
-    assert res.estimated_exact
+    assert moment(make("chain-nn"), (0,), 1) == 1.0
 
 
 def test_moment_validation():
@@ -55,11 +53,11 @@ def test_moment_validation():
 
 
 def test_two_band_examples():
-    assert moment(make("honeycomb"), (2,), 2).value == pytest.approx(6.0)
-    assert moment(make("diamond"), (2,), 2).value == pytest.approx(8.0)
+    assert moment(make("honeycomb"), (2,), 2) == pytest.approx(6.0)
+    assert moment(make("diamond"), (2,), 2) == pytest.approx(8.0)
     for name in ("honeycomb", "diamond"):
-        assert moment(make(name), (0,), 1).value == 2.0  # both subbands count the empty walk
-        assert moment(make(name), (5,), 4).value == 0.0
+        assert moment(make(name), (0,), 1) == 2.0  # both subbands count the empty walk
+        assert moment(make(name), (5,), 4) == 0.0
 
 
 def _bits(values):
@@ -93,8 +91,8 @@ def test_refinement_stability():
                 base = sum(
                     m * spec.dispersion_terms[lab].bandwidth for lab, m in enumerate(index)
                 ) + 1
-                coarse = moment(spec, index, base).value
-                fine = moment(spec, index, 2 * base).value
+                coarse = moment(spec, index, base)
+                fine = moment(spec, index, 2 * base)
                 assert fine == pytest.approx(coarse, rel=1e-12, abs=1e-12)
 
 
@@ -112,15 +110,7 @@ def test_moments_match_exact_coefficients():
         for total in range(9):
             for index in _indices(spec.hopping_count, total):
                 grid = auto_grid_size(spec, index)
-                res = moment(spec, index, grid)
-                assert res.estimated_exact
-                if spec.basis_size == 2:
-                    approx = res.value / math.factorial(total)
-                else:
-                    scale = 1
-                    for m in index:
-                        scale *= math.factorial(m)
-                    approx = res.value / scale
+                approx = moment(spec, index, grid) / math.prod(map(math.factorial, index))
                 exact = float(table.coefficient(index))
                 if exact:
                     assert approx == pytest.approx(exact, rel=1e-9)
@@ -132,28 +122,10 @@ def test_odd_moments_vanish_where_series_says_so():
     for name in ("chain-nn", "bcc"):
         spec = make(name)
         for n in (1, 3, 5):
-            res = moment(spec, (n,), auto_grid_size(spec, (n,)))
-            assert abs(res.value) <= 1e-12
+            assert abs(moment(spec, (n,), auto_grid_size(spec, (n,)))) <= 1e-12
     # but not on the triangular lattice, whose odd orders count real walks
     tri = make("triangular")
-    assert moment(tri, (3,), auto_grid_size(tri, (3,))).value == pytest.approx(12.0)
-
-
-def test_estimated_exact_flag():
-    tri = make("triangular")
-    assert moment(tri, (4,), 5).estimated_exact
-    assert not moment(tri, (4,), 4).estimated_exact
-    nnn = make("chain-nnn")
-    # involved bandwidths decide the bound: (4,0) needs 5 points, (0,2) needs 5
-    assert moment(nnn, (4, 0), 5).estimated_exact
-    assert moment(nnn, (0, 2), 5).estimated_exact
-    assert not moment(nnn, (0, 2), 4).estimated_exact
-    # mixed indices follow auto_grid_size: (2,2) needs 2*2*2+1 points
-    assert moment(nnn, (2, 2), 9).estimated_exact
-    assert not moment(nnn, (2, 2), 8).estimated_exact
-    ring = make("chain-nn-finite", 5)
-    assert moment(ring, (6,), 5).estimated_exact
-    assert not moment(ring, (6,), 7).estimated_exact  # only the ring's own grid counts
+    assert moment(tri, (3,), auto_grid_size(tri, (3,))) == pytest.approx(12.0)
 
 
 def test_auto_grid_policy():
@@ -171,9 +143,8 @@ def test_ring_grid_reproduces_winding_counts():
         spec = make("chain-nn-finite", lam)
         table = chain_finite(lam, 8)
         for n in range(9):
-            res = moment(spec, (n,), lam)
             expected = float(table.coefficient((n,)) * math.factorial(n))
-            assert res.value == pytest.approx(expected, rel=1e-12, abs=1e-12)
+            assert moment(spec, (n,), lam) == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
