@@ -23,7 +23,7 @@ from .quadrature import (
     finite_chain_ksum,
     finite_chain_momenta,
     fourier_a_series,
-    moment,
+    moments,
     phi_half_identity_check,
 )
 from .series import (
@@ -83,7 +83,7 @@ __all__ = [
     "finite_chain_trace",
     "fourier_a_series",
     "honeycomb",
-    "moment",
+    "moments",
     "phi_half_identity_check",
     "triangular",
     "verify_identity",

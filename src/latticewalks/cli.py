@@ -5,7 +5,8 @@ on stdout (or to ``--output``): ``coeffs`` for exact series, ``verify``
 for the cross-route identity reports, ``conjecture`` for the bcc
 perfect-square scan, ``oracle`` for raw walk tallies, ``appendix-b`` for
 the complex-hopping checks.  Exit codes: 0 all checks pass, 1 a
-verification failed, 2 usage error.  Diagnostics go to stderr.
+verification failed, 2 usage error (a request too large for memory
+included).  Diagnostics go to stderr.
 
 Everything is deterministic: there is no randomness anywhere, so a
 repeated invocation produces byte-identical output.  The environment
@@ -361,6 +362,9 @@ def main(argv=None) -> int:
         return 2
     except OverflowError as exc:
         print(f"error: result out of floating-point range ({exc})", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory ({exc})", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)

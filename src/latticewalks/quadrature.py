@@ -8,13 +8,17 @@ every non-constant harmonic averages to zero unless the grid aliases it
 to a reciprocal-lattice multiple of N.  The coefficient routes live in
 :mod:`latticewalks.verify`; this module only produces raw moments.
 
-One grid rule, :func:`auto_grid_size`, decides the grid that ``verify``
-uses by default: ``N = n*h + 1`` points per axis, with ``h`` the largest
-bandwidth the monomial involves (``n//2`` kernel powers on the
-two-sublattice lattices).  The grid's cosines come from one table per
-``N``, whose angles are folded in integer arithmetic into the first
-quadrant, so the table is exactly symmetric and its rational values
-(0, +-1/2, +-1) are exact.
+:func:`moments` returns every moment of a run up to order ``n`` from one
+grid, taking each order from the last by one more factor of the
+dispersion.  One grid rule, :func:`auto_grid_size`, decides that grid
+by default: ``N = n*h + 1`` points per axis, with ``h`` the largest
+bandwidth of any dispersion term (``n//2`` kernel powers on the
+two-sublattice lattices).  A grid that is alias-free at the top order
+is alias-free at every lower one (Trefethen & Weideman, SIAM Rev. 56
+(2014) 385), so one grid serves the whole run.  The grid's cosines come
+from one table per ``N``, whose angles are folded in integer arithmetic
+into the first quadrant, so the table is exactly symmetric and its
+rational values (0, +-1/2, +-1) are exact.
 
 For the finite ring the physically meaningful grid is the ring's own
 ``pbc_size`` quasimomenta: on that grid the deliberate aliasing of the
@@ -72,49 +76,55 @@ def _term_on_grid(term: DispersionTerm, grid_points: int, dimension: int) -> np.
     return out
 
 
-def auto_grid_size(spec: LatticeSpec, index: MultiIndex) -> int:
-    """The grid rule: n*h+1 from the involved bandwidths.
+def auto_grid_size(spec: LatticeSpec, max_order: int) -> int:
+    """The grid rule: n*h+1 points per axis for a run up to order n.
 
-    The finite ring resolves to its own site count instead, since the
+    ``h`` is the largest bandwidth of any term; ``n`` counts kernel
+    powers (``max_order // 2``) on the two-sublattice lattices.  The
+    finite ring resolves to its own site count instead, since the
     target there is the discrete quasimomentum sum itself.
     """
     if spec.pbc_size is not None:
         return spec.pbc_size
-    n = sum(index)
-    if spec.basis_size == 2:
-        return (n // 2) * spec.dispersion_terms[0].bandwidth + 1
-    involved = [spec.dispersion_terms[lab].bandwidth for lab, m in enumerate(index) if m]
-    if not involved:
-        return 1
-    return n * max(involved) + 1
+    n = max_order // 2 if spec.basis_size == 2 else max_order
+    return n * max(term.bandwidth for term in spec.dispersion_terms) + 1
 
 
-def moment(spec: LatticeSpec, index: MultiIndex, grid_points: int) -> float:
-    """Grid mean of the dispersion monomial ``prod_s eps_s(k)**m_s``.
+def moments(spec: LatticeSpec, max_order: int, grid_points: int) -> dict[MultiIndex, float]:
+    """Grid means of every dispersion monomial up to ``max_order``, on one grid.
 
-    For two-sublattice lattices the monomial is the subband-summed power
-    ``sum_sigma eps_sigma**n``: even orders are the product of the one
-    squared-band kernel factor ``kernel**(n/2)`` with weight 2, and odd
-    orders vanish by the sigma = -1/+1 cancellation, so the band square
-    root is never taken.
+    The keys are every multi-index ``m`` with ``sum(m) <= max_order``, and
+    the monomial is ``prod_s eps_s(k)**m_s``.  Each order comes from the
+    last by one more factor of the dispersion, so only one order's powers
+    are held (the two-label chain is one-dimensional and keeps its two
+    power tables).  For two-sublattice lattices the monomial is the
+    subband-summed power ``sum_sigma eps_sigma**n``: even orders are the
+    one squared-band kernel factor ``kernel**(n/2)`` with weight 2, and
+    odd orders vanish by the sigma = -1/+1 cancellation, so the band
+    square root is never taken.
     """
     if grid_points < 1:
         raise ValueError("grid_points must be >= 1")
-    index = tuple(index)
-    if len(index) != spec.hopping_count or any(m < 0 for m in index):
-        raise ValueError(f"bad multi-index {index} for {spec.name}")
-    if spec.basis_size == 2:
-        n = index[0]
-        weight, powers = (0.0, ()) if n % 2 else (2.0, ((0, n // 2),))
-    else:
-        weight, powers = 1.0, enumerate(index)
+    if max_order < 0:
+        raise ValueError("max_order must be >= 0")
+    eps = [_term_on_grid(term, grid_points, spec.dimension) for term in spec.dispersion_terms]
 
-    values = 1.0
-    for label, m in powers:
-        if m:
-            eps = _term_on_grid(spec.dispersion_terms[label], grid_points, spec.dimension)
-            values = values * eps**m
-    return weight * float(np.mean(values))
+    if spec.hopping_count == 2:
+        p1, p2 = (np.cumprod([np.ones_like(e)] + [e] * max_order, axis=0) for e in eps)
+        out = {}
+        for m1 in range(max_order + 1):
+            means = np.mean(p1[m1] * p2[: max_order + 1 - m1], axis=1)
+            out.update(((m1, m2), float(mean)) for m2, mean in enumerate(means))
+        return out
+
+    weight, step = (2.0, 2) if spec.basis_size == 2 else (1.0, 1)
+    out = {(n,): 0.0 for n in range(max_order + 1)}
+    out[(0,)] = weight
+    values = np.ones_like(eps[0])
+    for n in range(step, max_order + 1, step):
+        values *= eps[0]
+        out[(n,)] = weight * float(np.mean(values))
+    return out
 
 
 # ---------------------------------------------------------------------------

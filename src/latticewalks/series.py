@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Mapping, Optional
+from typing import Mapping, Optional
 
 MultiIndex = tuple[int, ...]
 
@@ -103,15 +103,6 @@ class Series:
         if self.pbc_size is not None:
             doc["pbc_size"] = self.pbc_size
         return doc
-
-
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
 
 
 # ---------------------------------------------------------------------------

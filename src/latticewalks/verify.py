@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import oracle, quadrature, series
-from .lattices import LatticeSpec, builtin
+from .lattices import builtin
 from .series import MultiIndex
 
 
@@ -101,18 +101,6 @@ class VerificationReport:
         }
 
 
-def _indices_to_order(label_count: int, max_order: int) -> list[MultiIndex]:
-    out = []
-    for n in range(max_order + 1):
-        out.extend(series._compositions(n, label_count))
-    return sorted(out)
-
-
-def _numeric_coefficient(spec: LatticeSpec, index: MultiIndex, grid_points: int) -> float:
-    """Coefficient via the moment route: moment / index factorials."""
-    return quadrature.moment(spec, index, grid_points) / math.prod(map(math.factorial, index))
-
-
 def verify_identity(
     name: str,
     max_order: int,
@@ -123,21 +111,24 @@ def verify_identity(
     """Compare all three coefficient routes up to ``max_order``."""
     spec = builtin(name, pbc_size)
     exact = series.expand(name, max_order, pbc_size)
+    # n! bounds every index's factorial divisor: past order 170 it is no
+    # float, so the run fails here, before any grid is built
+    float(math.factorial(max_order))
     limit = oracle.ORACLE_BOUNDS[spec.dimension]
 
     tallies = {
         n: oracle.enumerate_walks(spec, n)
         for n in range(min(max_order, limit) + 1)
     }
+    grid_points = quadrature.auto_grid_size(spec, max_order) if grid == "auto" else int(grid)
+    table = quadrature.moments(spec, max_order, grid_points)
 
     records = []
-    for index in _indices_to_order(spec.hopping_count, max_order):
+    for index in sorted(table):
         n = sum(index)
         coeff = exact.coefficient(index)
         count = tallies[n].count(index) if n in tallies else None
-
-        grid_points = quadrature.auto_grid_size(spec, index) if grid == "auto" else int(grid)
-        numeric = _numeric_coefficient(spec, index, grid_points)
+        numeric = table[index] / math.prod(map(math.factorial, index))
 
         approx = float(coeff)
         abs_error = abs(numeric - approx)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latticewalks import BUILTIN_NAMES
+from latticewalks import BUILTIN_NAMES, quadrature
 from latticewalks.cli import main
 
 
@@ -243,12 +243,24 @@ def test_outdir_env_redirects_relative_paths(tmp_outdir, capsys, monkeypatch):
         ["verify", "--lattice", "chain-nn", "--max-order", "4", "--tol-rel", "nan"],
         ["verify", "--lattice", "chain-nn", "--max-order", "171"],
         ["appendix-b", "--pbc", "6", "--rho", "1e308"],
+        # a 100000**3 grid is larger than any address space: refused at once
+        ["verify", "--lattice", "bcc", "--max-order", "2", "--grid", "100000"],
     ],
 )
 def test_non_finite_and_overflowing_inputs_are_usage_errors(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert "error" in err and "Traceback" not in err
+
+
+def test_orders_past_float_range_fail_before_any_grid(capsys, monkeypatch):
+    def no_grid(*args):
+        pytest.fail("a grid was built for an order that cannot be compared")
+
+    monkeypatch.setattr(quadrature, "moments", no_grid)
+    code, out, err = run(capsys, "verify", "--lattice", "bcc", "--max-order", "1000")
+    assert code == 2 and out == ""
+    assert err == "error: result out of floating-point range (int too large to convert to float)\n"
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])

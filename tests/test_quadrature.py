@@ -16,7 +16,7 @@ from latticewalks import (
     finite_chain_ksum,
     finite_chain_momenta,
     fourier_a_series,
-    moment,
+    moments,
     phi_half_identity_check,
 )
 from latticewalks.quadrature import _cos_table
@@ -32,32 +32,30 @@ def make(name, pbc=None):
 
 
 def test_moment_examples():
-    assert moment(make("chain-nn"), (2,), 3) == pytest.approx(2.0, rel=1e-12)
+    assert moments(make("chain-nn"), 2, 3)[(2,)] == pytest.approx(2.0, rel=1e-12)
     for n in (4, 7, 9):
-        assert moment(make("triangular"), (3,), n) == pytest.approx(12.0, rel=1e-12)
-    assert moment(make("bcc"), (2,), 3) == pytest.approx(8.0, rel=1e-12)
+        assert moments(make("triangular"), 3, n)[(3,)] == pytest.approx(12.0, rel=1e-12)
+    assert moments(make("bcc"), 2, 3)[(2,)] == pytest.approx(8.0, rel=1e-12)
 
 
 def test_moment_zero_order():
-    assert moment(make("chain-nn"), (0,), 1) == 1.0
+    assert moments(make("chain-nn"), 0, 1) == {(0,): 1.0}
 
 
 def test_moment_validation():
     spec = make("chain-nnn")
     with pytest.raises(ValueError):
-        moment(spec, (2,), 5)
+        moments(spec, 2, 0)
     with pytest.raises(ValueError):
-        moment(spec, (2, -1), 5)
-    with pytest.raises(ValueError):
-        moment(spec, (2, 0), 0)
+        moments(spec, -1, 5)
 
 
 def test_two_band_examples():
-    assert moment(make("honeycomb"), (2,), 2) == pytest.approx(6.0)
-    assert moment(make("diamond"), (2,), 2) == pytest.approx(8.0)
+    assert moments(make("honeycomb"), 2, 2)[(2,)] == pytest.approx(6.0)
+    assert moments(make("diamond"), 2, 2)[(2,)] == pytest.approx(8.0)
     for name in ("honeycomb", "diamond"):
-        assert moment(make(name), (0,), 1) == 2.0  # both subbands count the empty walk
-        assert moment(make(name), (5,), 4) == 0.0
+        assert moments(make(name), 0, 1)[(0,)] == 2.0  # both subbands count the empty walk
+        assert moments(make(name), 5, 4)[(5,)] == 0.0
 
 
 def _bits(values):
@@ -86,14 +84,23 @@ def test_refinement_stability():
     # alias-free grids: doubling the bandwidth-sized grid changes nothing
     for name in ("chain-nn", "chain-nn-finite", "chain-nnn", "triangular", "bcc"):
         spec = make(name, 6 if name == "chain-nn-finite" else None)
+        h = max(term.bandwidth for term in spec.dispersion_terms)
         for total in (2, 3, 4):
+            coarse = moments(spec, total, total * h + 1)
+            fine = moments(spec, total, 2 * (total * h + 1))
             for index in _indices(spec.hopping_count, total):
-                base = sum(
-                    m * spec.dispersion_terms[lab].bandwidth for lab, m in enumerate(index)
-                ) + 1
-                coarse = moment(spec, index, base)
-                fine = moment(spec, index, 2 * base)
-                assert fine == pytest.approx(coarse, rel=1e-12, abs=1e-12)
+                assert fine[index] == pytest.approx(coarse[index], rel=1e-12, abs=1e-12)
+    # and the grid of the top order is alias-free at every lower order: the
+    # whole order-12 table matches each order's own grid (coefficients to 1e-12)
+    top = 12
+    for name in BUILTIN_NAMES:
+        spec = make(name, 6 if name == "chain-nn-finite" else None)
+        wide = moments(spec, top, auto_grid_size(spec, top))
+        for n in range(top + 1):
+            own = moments(spec, n, auto_grid_size(spec, n))
+            for index in _indices(spec.hopping_count, n):
+                scale = math.prod(map(math.factorial, index))
+                assert wide[index] == pytest.approx(own[index], rel=1e-12, abs=1e-12 * scale)
 
 
 def _indices(labels, total):
@@ -107,10 +114,11 @@ def test_moments_match_exact_coefficients():
         pbc = 5 if name == "chain-nn-finite" else None
         spec = make(name, pbc)
         table = expand(name, 8, pbc)
+        values = moments(spec, 8, auto_grid_size(spec, 8))
+        assert sorted(values) == sorted(i for t in range(9) for i in _indices(spec.hopping_count, t))
         for total in range(9):
             for index in _indices(spec.hopping_count, total):
-                grid = auto_grid_size(spec, index)
-                approx = moment(spec, index, grid) / math.prod(map(math.factorial, index))
+                approx = values[index] / math.prod(map(math.factorial, index))
                 exact = float(table.coefficient(index))
                 if exact:
                     assert approx == pytest.approx(exact, rel=1e-9)
@@ -121,20 +129,22 @@ def test_moments_match_exact_coefficients():
 def test_odd_moments_vanish_where_series_says_so():
     for name in ("chain-nn", "bcc"):
         spec = make(name)
+        values = moments(spec, 5, auto_grid_size(spec, 5))
         for n in (1, 3, 5):
-            assert abs(moment(spec, (n,), auto_grid_size(spec, (n,)))) <= 1e-12
+            assert abs(values[(n,)]) <= 1e-12
     # but not on the triangular lattice, whose odd orders count real walks
     tri = make("triangular")
-    assert moment(tri, (3,), auto_grid_size(tri, (3,))) == pytest.approx(12.0)
+    assert moments(tri, 3, auto_grid_size(tri, 3))[(3,)] == pytest.approx(12.0)
 
 
 def test_auto_grid_policy():
-    assert auto_grid_size(make("chain-nn"), (6,)) == 7
-    assert auto_grid_size(make("chain-nnn"), (2, 2)) == 9  # max involved bandwidth 2
-    assert auto_grid_size(make("chain-nnn"), (4, 0)) == 5
-    assert auto_grid_size(make("chain-nn-finite", 7), (6,)) == 7
-    assert auto_grid_size(make("honeycomb"), (8,)) == 5
-    assert auto_grid_size(make("diamond"), (0,)) == 1
+    assert auto_grid_size(make("chain-nn"), 6) == 7
+    assert auto_grid_size(make("chain-nnn"), 4) == 9  # largest bandwidth 2, any index
+    assert auto_grid_size(make("chain-nnn"), 0) == 1
+    assert auto_grid_size(make("chain-nn-finite", 7), 6) == 7
+    assert auto_grid_size(make("honeycomb"), 8) == 5
+    assert auto_grid_size(make("diamond"), 0) == 1
+    assert auto_grid_size(make("bcc"), 100) == 101
 
 
 def test_ring_grid_reproduces_winding_counts():
@@ -144,7 +154,7 @@ def test_ring_grid_reproduces_winding_counts():
         table = chain_finite(lam, 8)
         for n in range(9):
             expected = float(table.coefficient((n,)) * math.factorial(n))
-            assert moment(spec, (n,), lam) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+            assert moments(spec, 8, lam)[(n,)] == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,14 @@ def test_verify_identity_passes(name, order, pbc):
     assert report.lattice == name
 
 
+@pytest.mark.parametrize("name,order", [("bcc", 100), ("diamond", 150)])
+def test_verify_identity_high_order_on_one_grid(name, order):
+    report = verify_identity(name, order)
+    assert report.failed == 0
+    assert len({r.grid_points for r in report.records}) == 1
+    assert max(r.rel_error for r in report.records if r.rel_error is not None) <= 1e-13
+
+
 def test_verify_identity_record_contents():
     report = verify_identity("triangular", 6)
     by_index = {r.index: r for r in report.records}
