@@ -8,6 +8,14 @@ the complex-hopping checks.  Exit codes: 0 all checks pass, 1 a
 verification failed, 2 usage error (a request too large for memory
 included).  Diagnostics go to stderr.
 
+Each handler computes its result, builds one JSON document and one list
+of table rows from it, and hands both to ``_render``, which writes the
+document for ``--format json`` and the rows for ``csv`` or ``pretty``.
+The pretty table joins each ``num``/``den`` pair into one
+``coefficient`` column and each ``root_num``/``root_den`` pair into one
+``root`` column, printed as ``num/den`` (the numerator alone when the
+denominator is 1), and prints an empty or ``None`` cell as blank.
+
 Everything is deterministic: there is no randomness anywhere, so a
 repeated invocation produces byte-identical output.  The environment
 variable ``LATTICEWALKS_OUTDIR`` sets the base directory for relative
@@ -40,23 +48,6 @@ from .verify import (
 FORMATS = ("json", "csv", "pretty")
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output is None:
-        sys.stdout.write(text)
-        return
-    path = Path(output)
-    outdir = os.environ.get("LATTICEWALKS_OUTDIR")
-    if outdir and not path.is_absolute():
-        path = Path(outdir) / path
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
-    print(f"wrote {path}", file=sys.stderr)
-
-
-def _json_text(doc) -> str:
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
-
-
 def _csv_text(rows: list[dict]) -> str:
     if not rows:
         return ""
@@ -67,11 +58,28 @@ def _csv_text(rows: list[dict]) -> str:
     return buf.getvalue()
 
 
+# a numerator column -> (its denominator column, the joined column's name)
+_RATIONALS = {"num": ("den", "coefficient"), "root_num": ("root_den", "root")}
+
+
+def _pretty_cells(row: dict) -> dict:
+    cells = {}
+    for key, value in row.items():
+        if key in _RATIONALS:
+            den_key, name = _RATIONALS[key]
+            den = row[den_key]
+            cells[name] = value if den in ("1", "") else f"{value}/{den}"
+        elif key not in ("den", "root_den"):
+            cells[key] = "" if value is None else str(value)
+    return cells
+
+
 def _pretty_text(rows: list[dict]) -> str:
     if not rows:
         return "(empty)\n"
-    headers = list(rows[0].keys())
-    table = [[str(row[h]) for h in headers] for row in rows]
+    cells = [_pretty_cells(row) for row in rows]
+    headers = list(cells[0].keys())
+    table = [[row[h] for h in headers] for row in cells]
     widths = [max(len(h), *(len(r[i]) for r in table)) for i, h in enumerate(headers)]
     lines = [
         "  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip(),
@@ -81,8 +89,24 @@ def _pretty_text(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _rational_str(num: str, den: str) -> str:
-    return num if den == "1" else f"{num}/{den}"
+def _render(args, doc, rows: list[dict]) -> None:
+    """Write ``doc`` (json) or ``rows`` (csv, pretty) to stdout or ``--output``."""
+    if args.format == "json":
+        text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    elif args.format == "csv":
+        text = _csv_text(rows)
+    else:
+        text = _pretty_text(rows)
+    if args.output is None:
+        sys.stdout.write(text)
+        return
+    path = Path(args.output)
+    outdir = os.environ.get("LATTICEWALKS_OUTDIR")
+    if outdir and not path.is_absolute():
+        path = Path(outdir) / path
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
+    print(f"wrote {path}", file=sys.stderr)
 
 
 def _resolve_pbc(name: str, args) -> int | None:
@@ -96,44 +120,13 @@ def _resolve_pbc(name: str, args) -> int | None:
 
 def cmd_coeffs(args) -> int:
     table = expand(args.lattice, args.max_order, _resolve_pbc(args.lattice, args))
-    if args.format == "json":
-        text = _json_text(table.to_json_dict())
-    else:
-        rows = [
-            {
-                "lattice": table.lattice,
-                "index": " ".join(str(m) for m in index),
-                "num": str(c.numerator),
-                "den": str(c.denominator),
-            }
-            for index, c in table.items()
-        ]
-        if args.format == "csv":
-            text = _csv_text(rows)
-        else:
-            for row in rows:
-                row["coefficient"] = _rational_str(row.pop("num"), row.pop("den"))
-            text = _pretty_text(rows)
-    _emit(text, args.output)
+    _render(args, table.to_json_dict(), table.rows())
     return 0
 
 
 def cmd_lattice(args) -> int:
     spec = builtin(args.lattice, _resolve_pbc(args.lattice, args))
-    if args.format == "json":
-        text = _json_text(spec.to_json_dict())
-    else:
-        rows = [
-            {
-                "lattice": spec.name,
-                "displacement": " ".join(str(c) for c in s.displacement),
-                "label": s.label,
-                "sublattice": s.sublattice or "",
-            }
-            for s in spec.steps
-        ]
-        text = _csv_text(rows) if args.format == "csv" else _pretty_text(rows)
-    _emit(text, args.output)
+    _render(args, spec.to_json_dict(), spec.rows())
     return 0
 
 
@@ -149,26 +142,20 @@ def cmd_verify(args) -> int:
     recurrence = verify_recurrence(args.max_order) if args.recurrence else None
     failed = sum(r.failed for r in reports) + (recurrence.failed if recurrence else 0)
 
-    if args.format == "json":
-        if len(reports) == 1 and recurrence is None:
-            doc = reports[0].to_json_dict()
-        else:
-            doc = {
-                "summary": {"lattices": len(reports), "failed": failed},
-                "reports": [r.to_json_dict() for r in reports],
-            }
-            if recurrence is not None:
-                doc["recurrence"] = recurrence.to_json_dict()
-        text = _json_text(doc)
+    docs = [r.to_json_dict() for r in reports]
+    if len(reports) == 1 and recurrence is None:
+        doc = docs[0]
     else:
-        rows = [row for r in reports for row in r.rows()]
-        text = _csv_text(rows) if args.format == "csv" else _pretty_text(rows)
+        doc = {"summary": {"lattices": len(reports), "failed": failed}, "reports": docs}
         if recurrence is not None:
-            print(
-                f"recurrence: checked {recurrence.checked}, failed {recurrence.failed}",
-                file=sys.stderr,
-            )
-    _emit(text, args.output)
+            doc["recurrence"] = recurrence.to_json_dict()
+    # the json document carries the recurrence result; the tables do not
+    if recurrence is not None and args.format != "json":
+        print(
+            f"recurrence: checked {recurrence.checked}, failed {recurrence.failed}",
+            file=sys.stderr,
+        )
+    _render(args, doc, [row for d in docs for row in d["records"]])
     for report in reports:
         print(
             f"{report.lattice}: checked {report.checked}, failed {report.failed}",
@@ -180,43 +167,14 @@ def cmd_verify(args) -> int:
 def cmd_conjecture(args) -> int:
     records = check_square_conjecture(args.n_max)
     rows = [r.to_row() for r in records]
-    if args.format == "json":
-        text = _json_text({"n_max": args.n_max, "records": rows})
-    elif args.format == "csv":
-        text = _csv_text(rows)
-    else:
-        pretty = [
-            {
-                "order": row["order"],
-                "coefficient": _rational_str(row["num"], row["den"]),
-                "is_square": row["is_square"],
-                "root": _rational_str(row["root_num"], row["root_den"])
-                if row["root_num"]
-                else "",
-            }
-            for row in rows
-        ]
-        text = _pretty_text(pretty)
-    _emit(text, args.output)
+    _render(args, {"n_max": args.n_max, "records": rows}, rows)
     return 1 if any(not r.is_square for r in records) else 0
 
 
 def cmd_oracle(args) -> int:
     spec = builtin(args.lattice, _resolve_pbc(args.lattice, args))
     tally = enumerate_walks(spec, args.n)
-    if args.format == "json":
-        text = _json_text(tally.to_json_dict())
-    else:
-        rows = [
-            {
-                "lattice": tally.lattice,
-                "index": " ".join(str(m) for m in index),
-                "count": str(count),
-            }
-            for index, count in sorted(tally.counts.items())
-        ]
-        text = _csv_text(rows) if args.format == "csv" else _pretty_text(rows)
-    _emit(text, args.output)
+    _render(args, tally.to_json_dict(), tally.rows())
     print(f"{tally.lattice}: length {tally.length}, total {tally.total}", file=sys.stderr)
     return 0
 
@@ -231,27 +189,13 @@ def cmd_appendix_b(args) -> int:
         phi_points=args.m_phi,
         series_n_max=args.series_n_max,
         nu_max=args.nu_max,
+        phi_half=args.phi_half,
+        tol_match=args.tol_match,
+        tol_selection=args.tol_selection,
     )
     records = report["records"]
-    if not args.phi_half:
-        records = [r for r in records if r["kind"] != "phi_half"]
-        report = dict(report, records=records)
-    failed = 0
-    for record in records:
-        limit = args.tol_selection if record["kind"] == "fourier_a_selection" else args.tol_match
-        record["pass"] = record["residual"] <= limit
-        failed += 0 if record["pass"] else 1
-
-    if args.format == "json":
-        text = _json_text(report)
-    else:
-        rows = [
-            {key: ("" if record[key] is None else record[key]) for key in record}
-            for record in records
-        ]
-        text = _csv_text(rows) if args.format == "csv" else _pretty_text(rows)
-    _emit(text, args.output)
-    return 1 if failed else 0
+    _render(args, report, records)
+    return 0 if all(r["pass"] for r in records) else 1
 
 
 # ---------------------------------------------------------------------------

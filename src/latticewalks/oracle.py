@@ -63,6 +63,16 @@ class WalkTally:
             ],
         }
 
+    def rows(self) -> list[dict]:
+        return [
+            {
+                "lattice": self.lattice,
+                "index": " ".join(str(m) for m in index),
+                "count": str(count),
+            }
+            for index, count in sorted(self.counts.items())
+        ]
+
 
 def enumerate_walks(spec: LatticeSpec, n: int, bound: Optional[int] = None) -> WalkTally:
     """Count length-``n`` closed walks from the origin, per multi-index.

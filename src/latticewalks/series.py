@@ -104,6 +104,17 @@ class Series:
             doc["pbc_size"] = self.pbc_size
         return doc
 
+    def rows(self) -> list[dict]:
+        return [
+            {
+                "lattice": self.lattice,
+                "index": " ".join(str(m) for m in index),
+                "num": str(c.numerator),
+                "den": str(c.denominator),
+            }
+            for index, c in self.items()
+        ]
+
 
 # ---------------------------------------------------------------------------
 # per-lattice walk counts (exact integers)

@@ -268,13 +268,19 @@ def appendix_b_report(
     phi_points: int = 256,
     series_n_max: int = 30,
     nu_max: int = 25,
+    phi_half: bool = False,
+    tol_match: float = 1e-9,
+    tol_selection: float = 1e-10,
 ) -> dict:
     """Numeric checks of the complex-hopping ring identities.
 
     Per ``d``: the Fourier integral a_d either matches its series form
-    (when the ring size divides d) or vanishes (selection rule).  For
-    even rings, the phase pi/2 identity residual; always, the phase pi
-    reduction back to the real-hopping series.
+    (when the ring size divides d) or vanishes (selection rule).  When
+    ``phi_half`` is set and the ring is even, the phase pi/2 identity
+    residual; always, the phase pi reduction back to the real-hopping
+    series.  Each record passes when its residual is within
+    ``tol_selection`` (selection-rule records) or ``tol_match`` (all
+    others).
     """
     if pbc_size < 3:
         raise ValueError(f"pbc_size must be >= 3, got {pbc_size}")
@@ -282,6 +288,10 @@ def appendix_b_report(
         raise ValueError(f"series_n_max must be >= 0, got {series_n_max}")
     if nu_max < 0:
         raise ValueError(f"nu_max must be >= 0, got {nu_max}")
+    if tol_match <= 0:
+        raise ValueError(f"tol_match must be positive, got {tol_match}")
+    if tol_selection <= 0:
+        raise ValueError(f"tol_selection must be positive, got {tol_selection}")
     if d_values is None:
         d_values = range(2 * pbc_size + 1)
     records = []
@@ -302,7 +312,7 @@ def appendix_b_report(
                 "residual": abs(value - reference),
             }
         )
-    if pbc_size % 2 == 0:
+    if phi_half and pbc_size % 2 == 0:
         records.append(
             {
                 "kind": "phi_half",
@@ -323,6 +333,9 @@ def appendix_b_report(
             "residual": abs(z_pi - real_series),
         }
     )
+    for record in records:
+        limit = tol_selection if record["kind"] == "fourier_a_selection" else tol_match
+        record["pass"] = record["residual"] <= limit
     return {
         "pbc_size": pbc_size,
         "rho": rho,

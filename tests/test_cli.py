@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -170,6 +171,16 @@ def test_appendix_b_command(capsys):
     assert all(r["pass"] for r in doc["records"])
 
 
+def test_appendix_b_skips_phi_half_unless_asked(capsys, monkeypatch):
+    def no_phi_half(*args):
+        pytest.fail("the phase pi/2 identity was computed without --phi-half")
+
+    monkeypatch.setattr(quadrature, "phi_half_identity_check", no_phi_half)
+    code, out, _ = run(capsys, "appendix-b", "--pbc", "6", "--rho", "0.5", "--nu-max", "400")
+    assert code == 0
+    assert "phi_half" not in {r["kind"] for r in json.loads(out)["records"]}
+
+
 def test_appendix_b_phi_half_needs_even_ring(capsys):
     code, _, err = run(capsys, "appendix-b", "--pbc", "5", "--rho", "0.5", "--phi-half")
     assert code == 2
@@ -273,6 +284,9 @@ def test_orders_past_float_range_fail_before_any_grid(capsys, monkeypatch):
         (["--rho", "1", "--nu-max", "-1", "--phi-half"], "nu_max"),
         (["--rho", "1", "--nu-max", "-1"], "nu_max"),
         (["--rho", "1", "--series-n-max", "-1"], "series_n_max"),
+        (["--rho", "0.5", "--tol-match", "0"], "tol_match"),
+        (["--rho", "0.5", "--tol-selection", "-1"], "tol_selection"),
+        (["--rho", "0.5", "--tol-match", "-0.5", "--phi-half"], "tol_match"),
     ],
 )
 def test_appendix_b_overflow_and_negative_counts_are_usage_errors(capsys, argv, message, fmt):
@@ -282,6 +296,34 @@ def test_appendix_b_overflow_and_negative_counts_are_usage_errors(capsys, argv, 
     assert code == 2
     assert out == ""
     assert err.count("error:") == 1 and message in err
+
+
+# SHA-256 of stdout for the commands whose output is ints and strings only, so
+# the bytes do not depend on the platform: no renderer change may move one byte
+_GOLDEN_STDOUT = {
+    ("coeffs --lattice bcc --max-order 24", "json"): "4ae13af4eec7bc46f6733d98b44ee4231ba6b26c5b2e4c775906e9c18fb18d2e",
+    ("coeffs --lattice bcc --max-order 24", "csv"): "0aee6422df9416fd0e2ed87ffc9f83fde261a3a622bf293a53f2e2299bd6434b",
+    ("coeffs --lattice bcc --max-order 24", "pretty"): "05db31c796ed8e3891d4288a65ff5563d7462b7ebf6bbf7969249ea20f8dd768",
+    ("coeffs --lattice chain-nnn --max-order 12", "json"): "5918f0bbe85f4a17885ce64688a5b485fd276f715e2b4465d3143780115809fc",
+    ("coeffs --lattice chain-nnn --max-order 12", "csv"): "6c7ff3490ab28332aa8fdad027a9bfb5d923059ca1bbb951f1157c4ad74d7398",
+    ("coeffs --lattice chain-nnn --max-order 12", "pretty"): "bc43f59fffcc96041b722a5c0db9dd00d5396d0a3fca90386d23d3ba76e12e43",
+    ("coeffs --lattice chain-nn-finite --pbc 5 --max-order 20", "json"): "4d85875fbe8c8b3e9b117c0961acb4951ce836be4f63bc99821916bfab7cebb0",
+    ("coeffs --lattice chain-nn-finite --pbc 5 --max-order 20", "csv"): "dd3e0f9601a903c8a6529e92501c6e0ae5945834e612f7235ddff7b767544884",
+    ("coeffs --lattice chain-nn-finite --pbc 5 --max-order 20", "pretty"): "2591e83482d0f5b1e4a5d01e534492ce43c293aff7f27c1563252e749f0e21d0",
+    ("conjecture --n-max 30", "json"): "6280a448560b14c28bf02777559e687fc4b8d15df207fa2a48ac2c3706214f6a",
+    ("conjecture --n-max 30", "csv"): "8db2d62615adf730ffbb086f064986760dc87c19911bb708577383f1866ae3af",
+    ("conjecture --n-max 30", "pretty"): "c2e371f624ff963dc06a5c84353516b6681ae6c6e81fa60a90847e2c488233e4",
+    ("oracle --lattice chain-nnn --n 8", "json"): "b5bc63dc1cd962ddea940aaa25c7795150b6cec32beb957ea0ca913604accab8",
+    ("oracle --lattice chain-nnn --n 8", "csv"): "1785efa7b2514a749c4e1729b75f2d99a6147c9819f7d88839a48dc231f352ea",
+    ("oracle --lattice chain-nnn --n 8", "pretty"): "5c520bb071fc2d7d320bce9ad93601932951250f522259e9709e41a834279385",
+}
+
+
+@pytest.mark.parametrize("command, fmt", list(_GOLDEN_STDOUT))
+def test_exact_outputs_match_pinned_bytes(capsys, command, fmt):
+    code, out, _ = run(capsys, *command.split(), "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _GOLDEN_STDOUT[command, fmt]
 
 
 def _reject_constant(name):

@@ -118,7 +118,7 @@ def test_square_conjecture_validates():
 
 
 def test_appendix_b_report_contents():
-    report = appendix_b_report(4, 0.5)
+    report = appendix_b_report(4, 0.5, phi_half=True)
     kinds = [r["kind"] for r in report["records"]]
     assert kinds.count("fourier_a") == 3  # d = 0, 4, 8
     assert kinds.count("fourier_a_selection") == 6
@@ -129,7 +129,7 @@ def test_appendix_b_report_contents():
 
 
 def test_appendix_b_odd_ring_skips_phi_half():
-    report = appendix_b_report(5, 0.5)
+    report = appendix_b_report(5, 0.5, phi_half=True)
     kinds = {r["kind"] for r in report["records"]}
     assert "phi_half" not in kinds
     assert "phi_pi" in kinds
