@@ -31,6 +31,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -225,13 +226,20 @@ def _grid_size(text: str) -> int | str:
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # take "-1e-3" for a value: argparse's own pattern knows only "-1" and "-0.5"
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def _add_output_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=FORMATS, default="json")
     sub.add_argument("--output", help="write to this path instead of stdout")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="latticewalks",
         description="Closed-walk series of tight-binding partition functions, three ways.",
     )

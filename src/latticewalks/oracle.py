@@ -1,18 +1,19 @@
 """Ground-truth walk enumeration, independent of the closed-form series.
 
-``enumerate_walks`` counts closed walks with a shift stencil on a torus.
-Each step is an integer move: a lattice translation plus one axis per
+``closed_walks`` counts closed walks of every length up to ``L`` in one
+pass of a shift stencil on a torus, reading the origin after each step.
+A step is an integer move: a lattice translation plus one axis per
 hopping label except the last, counting that label's steps.  On the
 two-sublattice lattices hops are measured from the first A->B
 displacement ``e0`` (``d - e0`` for A->B, ``d + e0`` for B->A), so every
 move is a lattice translation.  The torus is the ring itself on the
-finite ring and wider than any walk elsewhere, so the periodic and
-infinite lattices share one path.  Counts are exact Python integers at
-every length; walk sequences are never materialised.
+finite ring and wider than any walk of length ``L`` elsewhere.  A cell
+never exceeds the ``z**t`` walks of its length (``z`` moves a step), so
+cells are int64 while ``z**L < 2**63`` and exact Python ints past it.
 
-The finite ring additionally has an adjacency-matrix route: the trace of
-the n-th matrix power counts all closed walks, and dividing by the site
-count (exact, by vertex transitivity) gives the per-site tally.
+The ring also has an adjacency route: the trace of ``A**n``, built by
+``n`` shift steps from the identity, over the site count (exact, by
+vertex transitivity) is the per-site tally.
 """
 
 from __future__ import annotations
@@ -74,23 +75,16 @@ class WalkTally:
         ]
 
 
-def enumerate_walks(spec: LatticeSpec, n: int, bound: Optional[int] = None) -> WalkTally:
-    """Count length-``n`` closed walks from the origin, per multi-index.
+def closed_walks(spec: LatticeSpec, max_length: int) -> list[WalkTally]:
+    """Closed-walk tallies from the origin of every length ``0..max_length``.
 
-    For two-sublattice lattices the walk starts on sublattice A and the
+    For two-sublattice lattices the walk starts on sublattice A and each
     tally is doubled, counting both equivalent terminal sublattices of
     one abstract lattice point.
     """
-    limit = ORACLE_BOUNDS[spec.dimension] if bound is None else bound
-    if n < 0:
+    if max_length < 0:
         raise ValueError("walk length must be >= 0")
-    if n > limit:
-        raise ValueError(f"walk length {n} exceeds enumeration bound {limit}")
     doubled = spec.basis_size == 2
-    if doubled and n % 2:
-        # the integer part can return to 0 while the walk sits on B
-        return WalkTally(spec.name, n, {}, sublattice_doubled=True)
-
     origin = (0,) * spec.dimension
     e0 = next((s.displacement for s in spec.steps if s.sublattice == "AtoB"), origin)
     moves = {}
@@ -104,37 +98,48 @@ def enumerate_walks(spec: LatticeSpec, n: int, bound: Optional[int] = None) -> W
     # off the ring a walk's displacement is smaller than the side, so
     # wrapping never closes a walk that is not closed
     reach = max(abs(c) for group in cycle for move in group for c in move)
-    side = spec.pbc_size or n * reach + 1
+    side = spec.pbc_size or max_length * reach + 1
     axes = tuple(range(len(cycle[0][0])))
-    ways = np.zeros((side,) * len(axes), dtype=object)
+    # no cell exceeds the z**t walks of its length t, z the largest move set
+    dtype = np.int64 if max(map(len, cycle)) ** max_length < 2**63 else object
+    ways = np.zeros((side,) * len(axes), dtype=dtype)
     ways.flat[0] = 1
-    for t in range(n):
-        ways = sum(np.roll(ways, move, axes) for move in cycle[t % len(cycle)])
-
     factor = 2 if doubled else 1
-    closed = ways[origin + (...,)]
-    counts = {
-        labels + (n - sum(labels),): factor * count
-        for labels, count in np.ndenumerate(closed)
-        if count
-    }
-    return WalkTally(spec.name, n, counts, sublattice_doubled=doubled)
+    tallies = []
+    for n in range(max_length + 1):
+        if n:
+            ways = sum(np.roll(ways, move, axes) for move in cycle[(n - 1) % len(cycle)])
+        closed = np.ndenumerate(ways[origin + (...,)])
+        # the integer part can return to 0 while the walk sits on B
+        counts = {} if doubled and n % 2 else {
+            labels + (n - sum(labels),): factor * int(count) for labels, count in closed if count
+        }
+        tallies.append(WalkTally(spec.name, n, counts, sublattice_doubled=doubled))
+    return tallies
+
+
+def enumerate_walks(spec: LatticeSpec, n: int, bound: Optional[int] = None) -> WalkTally:
+    """The length-``n`` tally of ``closed_walks``; ``n`` may not pass ``bound``."""
+    limit = ORACLE_BOUNDS[spec.dimension] if bound is None else bound
+    if n < 0:
+        raise ValueError("walk length must be >= 0")
+    if n > limit:
+        raise ValueError(f"walk length {n} exceeds enumeration bound {limit}")
+    return closed_walks(spec, n)[-1]
 
 
 def finite_chain_trace(pbc_size: int, n: int) -> int:
-    """Per-site closed-walk count on the ring, via exact A**n trace."""
+    """Per-site closed-walk count on the ring, via the exact trace of A**n."""
     if pbc_size < 3:
         raise ValueError(f"pbc_size must be >= 3, got {pbc_size}")
     if n < 0:
         raise ValueError("walk length must be >= 0")
-    adjacency = np.array(
-        [
-            [int((i - j) % pbc_size in (1, pbc_size - 1)) for j in range(pbc_size)]
-            for i in range(pbc_size)
-        ],
-        dtype=object,
-    )
-    trace = np.linalg.matrix_power(adjacency, n).trace()
+    # an entry of A**n counts some of the 2**n walks from its row's site;
+    # the trace, up to pbc_size times that, is summed in Python ints
+    ways = np.identity(pbc_size, dtype=np.int64 if 2**n < 2**63 else object)
+    for _ in range(n):
+        ways = np.roll(ways, 1, axis=1) + np.roll(ways, -1, axis=1)
+    trace = sum(map(int, ways.diagonal()))
     if trace % pbc_size:
         raise AssertionError("ring trace not divisible by site count")
     return trace // pbc_size

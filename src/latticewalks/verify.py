@@ -83,6 +83,15 @@ class VerificationReport:
     def passed(self) -> int:
         return self.checked - self.failed
 
+    @property
+    def oracle_max_order(self) -> Optional[int]:
+        orders = [sum(r.index) for r in self.records if r.oracle_count is not None]
+        return max(orders, default=None)
+
+    @property
+    def worst_rel_error(self) -> Optional[float]:
+        return max((r.rel_error for r in self.records if r.rel_error is not None), default=None)
+
     def rows(self) -> list[dict]:
         return [r.to_row(self.lattice) for r in self.records]
 
@@ -96,7 +105,13 @@ class VerificationReport:
                 "relative": self.tolerances.relative,
                 "zero_abs": self.tolerances.zero_abs,
             },
-            "summary": {"checked": self.checked, "passed": self.passed, "failed": self.failed},
+            "summary": {
+                "checked": self.checked,
+                "passed": self.passed,
+                "failed": self.failed,
+                "oracle_max_order": self.oracle_max_order,
+                "worst_rel_error": self.worst_rel_error,
+            },
             "records": self.rows(),
         }
 
@@ -114,12 +129,7 @@ def verify_identity(
     # n! bounds every index's factorial divisor: past order 170 it is no
     # float, so the run fails here, before any grid is built
     float(math.factorial(max_order))
-    limit = oracle.ORACLE_BOUNDS[spec.dimension]
-
-    tallies = {
-        n: oracle.enumerate_walks(spec, n)
-        for n in range(min(max_order, limit) + 1)
-    }
+    tallies = oracle.closed_walks(spec, min(max_order, oracle.ORACLE_BOUNDS[spec.dimension]))
     grid_points = quadrature.auto_grid_size(spec, max_order) if grid == "auto" else int(grid)
     table = quadrature.moments(spec, max_order, grid_points)
 
@@ -127,7 +137,7 @@ def verify_identity(
     for index in sorted(table):
         n = sum(index)
         coeff = exact.coefficient(index)
-        count = tallies[n].count(index) if n in tallies else None
+        count = tallies[n].count(index) if n < len(tallies) else None
         numeric = table[index] / math.prod(map(math.factorial, index))
 
         approx = float(coeff)

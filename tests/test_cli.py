@@ -287,6 +287,7 @@ def test_orders_past_float_range_fail_before_any_grid(capsys, monkeypatch):
         (["--rho", "0.5", "--tol-match", "0"], "tol_match"),
         (["--rho", "0.5", "--tol-selection", "-1"], "tol_selection"),
         (["--rho", "0.5", "--tol-match", "-0.5", "--phi-half"], "tol_match"),
+        (["--rho", "0.5", "--tol-match", "-1e-9"], "tol_match must be positive"),
     ],
 )
 def test_appendix_b_overflow_and_negative_counts_are_usage_errors(capsys, argv, message, fmt):
@@ -296,6 +297,15 @@ def test_appendix_b_overflow_and_negative_counts_are_usage_errors(capsys, argv, 
     assert code == 2
     assert out == ""
     assert err.count("error:") == 1 and message in err
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+def test_negative_numbers_in_exponent_form_are_values(capsys, fmt):
+    code, out, err = run(capsys, "appendix-b", "--pbc", "6", "--rho", "-1e-3", "--format", fmt)
+    assert code == 0 and "error" not in err
+    assert (code, out, err) == run(capsys, "appendix-b", "--pbc", "6", "--rho=-1e-3", "--format", fmt)
+    code, _, err = run(capsys, "verify", "--lattice", "chain-nn", "--max-order", "4", "--tol-rel", "-1e-9")
+    assert code == 2 and err == "error: tolerances must be positive\n"
 
 
 # SHA-256 of stdout for the commands whose output is ints and strings only, so
@@ -337,7 +347,7 @@ def _run_isolated(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-_NUMBERS = st.sampled_from(["0", "-1", "1e-9", "0.5", "2", "400", "nan", "inf", "1e308", "x"])
+_NUMBERS = st.sampled_from(["0", "-1", "-1e-3", "1e-9", "0.5", "2", "400", "nan", "inf", "1e308", "x"])
 _LATTICES = st.sampled_from(BUILTIN_NAMES)
 
 

@@ -12,10 +12,20 @@ from latticewalks import (
     expand,
     finite_chain_trace,
 )
+from latticewalks.oracle import closed_walks
 
 
 def make(name, pbc=None):
     return builtin(name, pbc)
+
+
+def series_counts(table, n):
+    """n! times every nonzero order-n coefficient: the walk counts the series predicts."""
+    return {
+        index: coeff * math.factorial(n)
+        for index, coeff in table.items()
+        if sum(index) == n and coeff
+    }
 
 
 def test_chain_length_two():
@@ -100,6 +110,43 @@ def test_counts_exact_past_int64():
     assert math.comb(70, 35) > 2**63 and math.comb(24, 12) ** 3 > 2**63
 
 
+# (lattice, moves per step z, length): each pair sits just under and just
+# over z**n = 2**63, where the stencil switches from int64 to Python ints
+@pytest.mark.parametrize(
+    "name, z, n",
+    [
+        ("chain-nn", 2, 62), ("chain-nn", 2, 64),
+        ("bcc", 8, 20), ("bcc", 8, 22),
+        ("honeycomb", 3, 38), ("honeycomb", 3, 40),
+        ("chain-nnn", 4, 30), ("chain-nnn", 4, 32),
+    ],
+)  # fmt: skip
+def test_counts_exact_on_both_sides_of_int64(name, z, n):
+    assert (z**n < 2**63) == (n in (62, 20, 38, 30))
+    table = expand(name, n)
+    for tally in closed_walks(make(name), n):
+        assert tally.counts == series_counts(table, tally.length)
+        assert all(type(count) is int for count in tally.counts.values())
+
+
+@pytest.mark.parametrize(
+    "name, pbc",
+    [(name, None) for name in BUILTIN_NAMES if name != "chain-nn-finite"]
+    + [("chain-nn-finite", lam) for lam in (3, 6, 7)],
+)
+def test_one_pass_gives_every_length(name, pbc):
+    spec = make(name, pbc)
+    top = ORACLE_BOUNDS[spec.dimension]
+    tallies = closed_walks(spec, top)
+    assert [t.length for t in tallies] == list(range(top + 1))
+    table = expand(name, top, pbc)
+    for n, tally in enumerate(tallies):
+        assert tally.counts == series_counts(table, n)
+        assert tally == enumerate_walks(spec, n)
+    with pytest.raises(ValueError, match="walk length must be >= 0"):
+        closed_walks(spec, -1)
+
+
 def test_finite_chain_trace_examples():
     assert finite_chain_trace(4, 2) == 2
     assert finite_chain_trace(3, 3) == 2
@@ -119,6 +166,17 @@ def test_trace_agrees_with_series_and_dp():
             per_site = finite_chain_trace(lam, n)
             assert per_site == table.coefficient((n,)) * math.factorial(n)
             assert per_site == enumerate_walks(spec, n).total
+
+
+def test_trace_exact_on_both_sides_of_int64():
+    # an entry of A**n is at most 2**n, so the trace switches to Python ints at n = 63
+    for lam in range(3, 10):
+        table = chain_finite(lam, 70)
+        for n in range(71):
+            assert finite_chain_trace(lam, n) == table.coefficient((n,)) * math.factorial(n)
+    # the entries fit int64 here, but their sum, 64 * C(62, 31), does not
+    assert finite_chain_trace(64, 62) == math.comb(62, 31)
+    assert 64 * math.comb(62, 31) > 2**63
 
 
 def test_tally_json_document():

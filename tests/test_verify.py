@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -5,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from latticewalks import (
+    ORACLE_BOUNDS,
     Tolerances,
     appendix_b_report,
     chain_nnn,
@@ -74,11 +76,28 @@ def test_verify_identity_deterministic():
 
 def test_verify_identity_report_document():
     doc = verify_identity("honeycomb", 6).to_json_dict()
-    assert doc["summary"] == {"checked": 7, "passed": 7, "failed": 0}
+    summary = doc["summary"]
+    assert summary.pop("worst_rel_error") <= 1e-9
+    assert summary == {"checked": 7, "passed": 7, "failed": 0, "oracle_max_order": 6}
     assert doc["tolerances"] == {"relative": 1e-9, "zero_abs": 1e-12}
     assert [r["index"] for r in doc["records"]] == [str(n) for n in range(7)]
     record = doc["records"][-1]
     assert record["exact_num"] == "31" and record["exact_den"] == "120"
+
+
+def test_verify_summary_reports_oracle_coverage():
+    # bcc is oracle-checked only up to its length bound, and the summary says so
+    report = verify_identity("bcc", 12)
+    summary = report.to_json_dict()["summary"]
+    assert summary["oracle_max_order"] == ORACLE_BOUNDS[3] == 8
+    assert [r.oracle_count is not None for r in report.records] == [
+        sum(r.index) <= 8 for r in report.records
+    ]
+    errors = [r.rel_error for r in report.records if r.rel_error is not None]
+    assert summary["worst_rel_error"] == max(errors) <= 1e-9
+    assert verify_identity("chain-nn", 5).oracle_max_order == 5
+    empty = dataclasses.replace(report, records=())
+    assert empty.oracle_max_order is None and empty.worst_rel_error is None
 
 
 def test_verify_recurrence_base_cases():
