@@ -18,11 +18,10 @@ from .lattices import (
 from .oracle import ORACLE_BOUNDS, WalkTally, enumerate_walks, finite_chain_trace
 from .quadrature import (
     auto_grid_size,
+    bessel_i,
     complex_chain_z,
     complex_fourier_a,
-    finite_chain_ksum,
     finite_chain_momenta,
-    fourier_a_series,
     moments,
     phi_half_identity_check,
 )
@@ -67,6 +66,7 @@ __all__ = [
     "appendix_b_report",
     "auto_grid_size",
     "bcc",
+    "bessel_i",
     "builtin",
     "chain_finite",
     "chain_infinite",
@@ -78,10 +78,8 @@ __all__ = [
     "dispersion_value",
     "enumerate_walks",
     "expand",
-    "finite_chain_ksum",
     "finite_chain_momenta",
     "finite_chain_trace",
-    "fourier_a_series",
     "honeycomb",
     "moments",
     "phi_half_identity_check",

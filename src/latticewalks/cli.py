@@ -188,8 +188,6 @@ def cmd_appendix_b(args) -> int:
         args.rho,
         d_values=[args.d] if args.d is not None else None,
         phi_points=args.m_phi,
-        series_n_max=args.series_n_max,
-        nu_max=args.nu_max,
         phi_half=args.phi_half,
         tol_match=args.tol_match,
         tol_selection=args.tol_selection,
@@ -290,9 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     appendix.add_argument("--rho", type=_finite_float, required=True)
     appendix.add_argument("--d", type=int, help="check a single Fourier index")
     appendix.add_argument("--phi-half", action="store_true", help="include the phase pi/2 identity")
-    appendix.add_argument("--nu-max", type=int, default=25)
     appendix.add_argument("--m-phi", type=int, default=256)
-    appendix.add_argument("--series-n-max", type=int, default=30)
     appendix.add_argument("--tol-match", type=_finite_float, default=1e-9)
     appendix.add_argument("--tol-selection", type=_finite_float, default=1e-10)
     _add_output_options(appendix)

@@ -27,13 +27,16 @@ mean reproduces exactly the winding walks, so the rule picks that grid.
 The complex-hopping helpers treat the ring partition sum
 ``Z(rho, phi) = mean_k exp(-2 rho cos(k + phi))`` as a periodic function
 of the hopping phase ``phi`` and extract its cosine-Fourier
-coefficients with the same uniform-grid rule.
+coefficients with the same uniform-grid rule.  Their references are the
+same sum regrouped by winding number, ``sum_c I_{|c|N}(-2 rho) cos(c N phi)``
+(DLMF 10.35.1), and every modified Bessel value comes from one term-ratio
+recurrence of its power series (DLMF 10.25.2), :func:`bessel_i`, summed
+until the rest of the series is below one ulp.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 import numpy as np
 
 from .lattices import DispersionTerm, LatticeSpec
@@ -144,14 +147,6 @@ def finite_chain_momenta(pbc_size: int) -> np.ndarray:
     return 2.0 * math.pi * ms / pbc_size
 
 
-def finite_chain_ksum(pbc_size: int, xi: float) -> float:
-    """Discrete partition sum of the ring: mean_k exp(2 xi cos k)."""
-    if not math.isfinite(xi):
-        raise ValueError("xi must be finite")
-    k = finite_chain_momenta(pbc_size)
-    return float(_ring_mean(2.0 * xi, np.cos(k)))
-
-
 def _ring_mean(scale: float, harmonic: np.ndarray) -> np.ndarray:
     """mean of exp(scale * harmonic) over the momenta (the last axis).
 
@@ -195,30 +190,55 @@ def complex_fourier_a(pbc_size: int, rho: float, d: int, phi_points: int = 256) 
     return mean if d == 0 else 2.0 * mean
 
 
-def fourier_a_series(rho: float, d: int, n_max: int = 30) -> float:
-    """Series form of a_d: sum over walk lengths n with |net drift| = d.
+def bessel_i(m: int, x: float) -> float:
+    """Modified Bessel function I_m(x) of integer order m >= 0 (DLMF 10.25.2).
 
-    Terms are (2 or 1) * (-rho)**n / (((n+d)/2)! ((n-d)/2)!), n running
-    over d, d+2, ..., n_max.  Matches the Fourier integral whenever d is
-    winding-compatible (a multiple of the ring size).
+    Sums (x/2)**(m+2k) / (k! (m+k)!) from its first term prod_{j<=m} (x/2)/j
+    by the term ratio (x/2)**2 / ((k+1)(m+k+1)), so no factorial becomes a
+    float; a negative x needs no care, (x/2)**m carries the sign.  Once the
+    ratio is below 1/2 the rest of the series is smaller than the current
+    term, so the sum stops at the first such term below one ulp of the total.
     """
-    if d < 0:
-        raise ValueError("d must be >= 0")
-    factor = 1.0 if d == 0 else 2.0
-    total = 0.0
-    for n in range(d, n_max + 1, 2):
-        denom = math.factorial((n + d) // 2) * math.factorial((n - d) // 2)
-        total += factor * (-rho) ** n / denom
-    return total
+    if m < 0:
+        raise ValueError(f"m must be >= 0, got {m}")
+    half = x / 2.0
+    term = math.prod((half / j for j in range(1, m + 1)), start=1.0)
+    total, k = term, 0
+    while True:
+        ratio = half * half / ((k + 1) * (m + k + 1))
+        if ratio < 0.5 and abs(term) < math.ulp(total):
+            return total
+        term *= ratio
+        total += term
+        k += 1
+        if not math.isfinite(total):
+            raise OverflowError("Bessel series is not finite")
 
 
-def phi_half_identity_check(pbc_size: int, rho: float, nu_max: int = 25) -> float:
+def winding_sum(pbc_size: int, x: float, sign: int = 1) -> float:
+    """sum over windings c in Z of sign**c * I_{|c|N}(x), N the ring size.
+
+    The ring sum regrouped by the winding number c of its closed walks:
+    ``Z(rho, pi) = winding_sum(N, 2 rho)``.  Once ``|c| N`` passes ``|x|``
+    each Bessel term is below half the one before, so the sum stops, like
+    :func:`bessel_i`, at the first such term below one ulp of the total.
+    """
+    total, c = bessel_i(0, x), 0
+    while True:
+        c += 1
+        term = 2 * sign**c * bessel_i(c * pbc_size, x)
+        total += term
+        if c * pbc_size > abs(x) and abs(term) < math.ulp(total):
+            return total
+
+
+def phi_half_identity_check(pbc_size: int, rho: float) -> float:
     """Residual of the phase pi/2 identity on an even ring.
 
-    Compares mean_k exp(2 rho sin k) against the double series
-    sum_nu rho**(2 nu) * sum_delta (-1)**delta / ((nu+delta)! (nu-delta)!)
-    with delta restricted to half-multiples of the ring size (the
-    winding-compatible drifts).  Returns the absolute difference.
+    Compares mean_k exp(2 rho sin k), the ring sum at phase pi/2, against
+    its winding form sum_c (-1)**(c N/2) I_{|c|N}(2 rho): a walk of
+    winding c picks up the phase cos(c N pi/2).  Returns the absolute
+    difference.
     """
     if pbc_size < 3:
         raise ValueError(f"pbc_size must be >= 3, got {pbc_size}")
@@ -226,16 +246,4 @@ def phi_half_identity_check(pbc_size: int, rho: float, nu_max: int = 25) -> floa
         raise ValueError("the phase pi/2 identity requires an even ring")
     k = finite_chain_momenta(pbc_size)
     lhs = float(_ring_mean(2.0 * rho, np.sin(k)))
-
-    half = pbc_size // 2
-    rhs = 0.0
-    for nu in range(nu_max + 1):
-        inner = Fraction(0)
-        c = -(nu // half)
-        while c * half <= nu:
-            delta = c * half
-            sign = -1 if delta % 2 else 1
-            inner += Fraction(sign, math.factorial(nu + delta) * math.factorial(nu - delta))
-            c += 1
-        rhs += float(inner) * rho ** (2 * nu)
-    return abs(lhs - rhs)
+    return abs(lhs - winding_sum(pbc_size, 2.0 * rho, (-1) ** (pbc_size // 2)))

@@ -16,10 +16,10 @@ from latticewalks import (
     chain_finite,
     chain_infinite,
     check_square_conjecture,
+    complex_chain_z,
     complex_fourier_a,
     enumerate_walks,
     expand,
-    finite_chain_ksum,
     finite_chain_trace,
     moments,
     phi_half_identity_check,
@@ -138,7 +138,7 @@ def test_criterion_6_finite_chain_triple_agreement():
                 assert combinatorial.denominator == 1
                 assert combinatorial.numerator == finite_chain_trace(lam, n)
             for xi in (-1.0, -0.5, -0.1, 0.0, 0.25, 0.7, 1.0):
-                gap = abs(finite_chain_ksum(lam, xi) - float(table.evaluate(xi)))
+                gap = abs(complex_chain_z(lam, xi, math.pi) - float(table.evaluate(xi)))
                 assert gap <= 1e-10, (lam, xi, gap)
 
 
@@ -176,4 +176,4 @@ def test_criterion_9_complex_hopping_checks():
                     if d % lam:
                         assert abs(complex_fourier_a(lam, rho, d)) <= 1e-10, (lam, rho, d)
             for rho in (0.25, 0.5, 1.0):
-                assert phi_half_identity_check(lam, rho, 25) <= 1e-9, (lam, rho)
+                assert phi_half_identity_check(lam, rho) <= 1e-9, (lam, rho)

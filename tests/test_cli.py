@@ -176,7 +176,7 @@ def test_appendix_b_skips_phi_half_unless_asked(capsys, monkeypatch):
         pytest.fail("the phase pi/2 identity was computed without --phi-half")
 
     monkeypatch.setattr(quadrature, "phi_half_identity_check", no_phi_half)
-    code, out, _ = run(capsys, "appendix-b", "--pbc", "6", "--rho", "0.5", "--nu-max", "400")
+    code, out, _ = run(capsys, "appendix-b", "--pbc", "6", "--rho", "0.5")
     assert code == 0
     assert "phi_half" not in {r["kind"] for r in json.loads(out)["records"]}
 
@@ -281,9 +281,14 @@ def test_orders_past_float_range_fail_before_any_grid(capsys, monkeypatch):
         (["--rho", "400"], "not finite"),
         (["--rho", "400", "--phi-half"], "not finite"),
         (["--rho", "1e308", "--d", "1"], "not finite"),
-        (["--rho", "1", "--nu-max", "-1", "--phi-half"], "nu_max"),
-        (["--rho", "1", "--nu-max", "-1"], "nu_max"),
-        (["--rho", "1", "--series-n-max", "-1"], "series_n_max"),
+        # the references are summed to convergence, so there is no truncation to set
+        pytest.param(
+            ["--rho", "1", "--nu-max", "-1", "--phi-half"], "unrecognized arguments: --nu-max", id="argv3-nu_max"
+        ),
+        pytest.param(["--rho", "1", "--nu-max", "-1"], "unrecognized arguments: --nu-max", id="argv4-nu_max"),
+        pytest.param(
+            ["--rho", "1", "--series-n-max", "30"], "unrecognized arguments: --series-n-max", id="argv5-series_n_max"
+        ),
         (["--rho", "0.5", "--tol-match", "0"], "tol_match"),
         (["--rho", "0.5", "--tol-selection", "-1"], "tol_selection"),
         (["--rho", "0.5", "--tol-match", "-0.5", "--phi-half"], "tol_match"),
@@ -297,6 +302,43 @@ def test_appendix_b_overflow_and_negative_counts_are_usage_errors(capsys, argv, 
     assert code == 2
     assert out == ""
     assert err.count("error:") == 1 and message in err
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+@pytest.mark.parametrize(
+    "argv",
+    [["--pbc", "6", "--rho", "50"], ["--pbc", "3", "--rho", "120"], ["--pbc", "6", "--rho", "-50", "--phi-half"]],
+)
+def test_appendix_b_large_rho_passes(capsys, argv, fmt):
+    code, out, err = run(capsys, "appendix-b", *argv, "--format", fmt)
+    assert code == 0 and err == ""
+    if fmt == "json":
+        records = json.loads(out)["records"]
+        assert all(r["pass"] for r in records)
+        a0 = next(r for r in records if r["kind"] == "fourier_a" and r["d"] == 0)
+        assert math.isclose(a0["value"], a0["reference"], rel_tol=1e-13)
+
+
+@pytest.mark.parametrize("pbc", [3, 4, 6, 7])
+@pytest.mark.parametrize("rho", ["-300", "-3", "-1e-3", "0", "0.5", "10", "50", "300"])
+def test_appendix_b_passes_across_rho(capsys, pbc, rho):
+    phi_half = ["--phi-half"] if pbc % 2 == 0 else []
+    code, _, err = run(capsys, "appendix-b", "--pbc", str(pbc), "--rho", rho, *phi_half)
+    assert (code, err) == (0, "")
+
+
+def test_appendix_b_truncated_reference_fails(capsys, monkeypatch):
+    # a reference cut at walk length 30, as a fixed truncation would give,
+    # is off by a scaled residual of about 0.04 at rho = 50 and must fail
+    def truncated(m, x):
+        terms = range((30 - m) // 2 + 1)
+        return sum((x / 2) ** (m + 2 * k) / (math.factorial(k) * math.factorial(m + k)) for k in terms)
+
+    monkeypatch.setattr(quadrature, "bessel_i", truncated)
+    code, out, _ = run(capsys, "appendix-b", "--pbc", "6", "--rho", "50", "--d", "0")
+    assert code == 1
+    a0 = json.loads(out)["records"][0]
+    assert a0["kind"] == "fourier_a" and not a0["pass"] and a0["residual"] > 0.01
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
@@ -347,7 +389,7 @@ def _run_isolated(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-_NUMBERS = st.sampled_from(["0", "-1", "-1e-3", "1e-9", "0.5", "2", "400", "nan", "inf", "1e308", "x"])
+_NUMBERS = st.sampled_from(["0", "-1", "-1e-3", "1e-9", "0.5", "2", "50", "-300", "400", "nan", "inf", "1e308", "x"])
 _LATTICES = st.sampled_from(BUILTIN_NAMES)
 
 
@@ -370,7 +412,7 @@ def _cli_argv(draw):
         argv += ["--n", str(draw(st.integers(-1, 13)))]
     if command == "appendix-b":
         argv += ["--pbc", str(draw(st.integers(2, 7))), "--rho", draw(_NUMBERS)]
-        argv += ["--tol-match", draw(_NUMBERS), "--nu-max", str(draw(st.integers(-1, 8)))]
+        argv += ["--tol-match", draw(_NUMBERS)]
         if draw(st.booleans()):
             argv += ["--d", str(draw(st.integers(-2, 9)))]
         if draw(st.booleans()):
@@ -388,3 +430,21 @@ def test_cli_contract(argv):
     if code in (0, 1) and argv[-1] == "json":
         json.loads(out, parse_constant=_reject_constant)
     assert _run_isolated(argv) == (code, out, err)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    pbc=st.integers(3, 12),
+    rho=st.floats(-300, 300, allow_nan=False),
+    d=st.none() | st.integers(0, 40),
+    phi_half=st.booleans(),
+    fmt=st.sampled_from(["json", "csv", "pretty"]),
+)
+def test_appendix_b_converges_for_every_finite_rho(pbc, rho, d, phi_half, fmt):
+    argv = ["appendix-b", "--pbc", str(pbc), "--rho", repr(rho), "--format", fmt]
+    if d is not None:
+        argv += ["--d", str(d)]
+    if phi_half and pbc % 2 == 0:
+        argv.append("--phi-half")
+    code, out, err = _run_isolated(argv)
+    assert (code, err) == (0, ""), (argv, out)

@@ -8,14 +8,13 @@ from hypothesis import strategies as st
 from latticewalks import (
     BUILTIN_NAMES,
     auto_grid_size,
+    bessel_i,
     builtin,
     chain_finite,
     complex_chain_z,
     complex_fourier_a,
     expand,
-    finite_chain_ksum,
     finite_chain_momenta,
-    fourier_a_series,
     moments,
     phi_half_identity_check,
 )
@@ -173,27 +172,29 @@ def test_momenta_sets():
 
 
 def test_ksum_examples():
-    assert finite_chain_ksum(3, 0.0) == pytest.approx(1.0, abs=1e-15)
+    assert complex_chain_z(3, 0.0, math.pi) == pytest.approx(1.0, abs=1e-15)
     expected = (math.exp(0.2) + 2 * math.exp(-0.1)) / 3
-    assert finite_chain_ksum(3, 0.1) == pytest.approx(expected, abs=1e-15)
-    with pytest.raises(ValueError):
-        finite_chain_ksum(3, float("nan"))
+    assert complex_chain_z(3, 0.1, math.pi) == pytest.approx(expected, abs=1e-15)
     with pytest.raises(OverflowError):
-        finite_chain_ksum(3, 400.0)
+        complex_chain_z(3, float("nan"), math.pi)
+    with pytest.raises(OverflowError):
+        complex_chain_z(3, 400.0, math.pi)
 
 
 @settings(max_examples=30, deadline=None)
 @given(xi=st.floats(-1, 1, allow_nan=False))
 def test_ksum_even_in_xi_for_even_rings(xi):
     for lam in (4, 6):
-        assert finite_chain_ksum(lam, xi) == pytest.approx(finite_chain_ksum(lam, -xi), abs=1e-12)
+        assert complex_chain_z(lam, xi, math.pi) == pytest.approx(
+            complex_chain_z(lam, -xi, math.pi), abs=1e-12
+        )
 
 
 def test_ksum_matches_series_evaluation():
     for lam in range(3, 13):
         table = chain_finite(lam, 30)
         for xi in (-1.0, -0.4, 0.1, 0.6, 1.0):
-            assert abs(finite_chain_ksum(lam, xi) - float(table.evaluate(xi))) <= 1e-10
+            assert abs(complex_chain_z(lam, xi, math.pi) - float(table.evaluate(xi))) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +218,14 @@ def test_fourier_matches_series_on_winding_multiples():
     for lam, d in [(4, 0), (4, 4), (4, 8), (3, 3), (6, 6)]:
         for rho in (0.25, 0.5, 1.0):
             integral = complex_fourier_a(lam, rho, d)
-            tail = fourier_a_series(rho, d, 30)
-            assert integral == pytest.approx(tail, abs=1e-9)
+            reference = (1 if d == 0 else 2) * bessel_i(d, -2 * rho)
+            assert integral == pytest.approx(reference, abs=1e-9)
+    # far past any fixed truncation: the sum runs until it has converged
+    for lam, d in [(6, 0), (6, 6), (3, 12)]:
+        for rho in (-50.0, 50.0, 300.0):
+            integral = complex_fourier_a(lam, rho, d)
+            reference = (1 if d == 0 else 2) * bessel_i(d, -2 * rho)
+            assert integral == pytest.approx(reference, rel=1e-13)
 
 
 def test_fourier_validation():
@@ -227,26 +234,44 @@ def test_fourier_validation():
     with pytest.raises(ValueError):
         complex_fourier_a(4, 0.5, 0, phi_points=0)
     with pytest.raises(ValueError):
-        fourier_a_series(0.5, -2)
+        bessel_i(-2, 0.5)
+    with pytest.raises(OverflowError):
+        bessel_i(0, 1500.0)
+
+
+def test_bessel_i_known_values():
+    assert bessel_i(0, 2.0) == pytest.approx(2.2795853023360673, rel=1e-14)
+    assert bessel_i(1, 2.0) == pytest.approx(1.590636854637329, rel=1e-14)
+    assert bessel_i(0, 100.0) == pytest.approx(1.0737517071310736e42, rel=1e-14)
+    assert bessel_i(0, 0.0) == 1.0
+    assert bessel_i(3, 0.0) == 0.0
+
+
+@pytest.mark.parametrize("x", [1e-3, 0.7, 2.0, 25.0, 100.0, 700.0])
+def test_bessel_i_parity_and_recurrence(x):
+    for m in range(0, 40):
+        assert bessel_i(m, -x) == (-1) ** m * bessel_i(m, x)
+    for m in range(1, 40):
+        lhs = bessel_i(m - 1, x) - bessel_i(m + 1, x)
+        assert abs(lhs - 2 * m / x * bessel_i(m, x)) <= 1e-13 * bessel_i(m - 1, x), (m, x)
 
 
 def test_complex_z_reduces_to_real_cases():
     # phase pi flips the sign back to the real-hopping sum
     for lam in (3, 4, 7):
         for rho in (0.2, 0.9):
-            assert complex_chain_z(lam, rho, math.pi) == pytest.approx(
-                finite_chain_ksum(lam, rho), abs=1e-14
-            )
+            real = np.mean(np.exp(2 * rho * np.cos(finite_chain_momenta(lam))))
+            assert complex_chain_z(lam, rho, math.pi) == pytest.approx(real, abs=1e-14)
     # vectorised phase argument
     vals = complex_chain_z(4, 0.5, np.array([0.0, math.pi]))
     assert vals.shape == (2,)
-    assert vals[1] == pytest.approx(finite_chain_ksum(4, 0.5), abs=1e-14)
+    assert vals[1] == pytest.approx(complex_chain_z(4, 0.5, math.pi), abs=1e-14)
 
 
 def test_phi_half_identity():
-    assert phi_half_identity_check(4, 0.0, 5) == pytest.approx(0.0, abs=1e-15)
-    assert phi_half_identity_check(4, 0.5, 20) <= 1e-10
-    assert phi_half_identity_check(6, 1.0, 25) <= 1e-9
+    assert phi_half_identity_check(4, 0.0) == pytest.approx(0.0, abs=1e-15)
+    assert phi_half_identity_check(4, 0.5) <= 1e-10
+    assert phi_half_identity_check(6, 1.0) <= 1e-9
     with pytest.raises(ValueError):
         phi_half_identity_check(5, 0.5)
     with pytest.raises(ValueError):
@@ -259,4 +284,4 @@ def test_phi_half_against_closed_form():
         lhs = (2.0 + 2.0 * math.cosh(2 * rho)) / 4.0
         k = finite_chain_momenta(4)
         assert float(np.mean(np.exp(2 * rho * np.sin(k)))) == pytest.approx(lhs, abs=1e-14)
-        assert phi_half_identity_check(4, rho, 25) <= 1e-12
+        assert phi_half_identity_check(4, rho) <= 1e-12
