@@ -23,7 +23,6 @@ from .quadrature import (
     complex_fourier_a,
     finite_chain_momenta,
     moments,
-    phi_half_identity_check,
 )
 from .series import (
     Series,
@@ -82,7 +81,6 @@ __all__ = [
     "finite_chain_trace",
     "honeycomb",
     "moments",
-    "phi_half_identity_check",
     "triangular",
     "verify_identity",
     "verify_recurrence",

@@ -187,7 +187,6 @@ def cmd_appendix_b(args) -> int:
         args.pbc,
         args.rho,
         d_values=[args.d] if args.d is not None else None,
-        phi_points=args.m_phi,
         phi_half=args.phi_half,
         tol_match=args.tol_match,
         tol_selection=args.tol_selection,
@@ -288,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     appendix.add_argument("--rho", type=_finite_float, required=True)
     appendix.add_argument("--d", type=int, help="check a single Fourier index")
     appendix.add_argument("--phi-half", action="store_true", help="include the phase pi/2 identity")
-    appendix.add_argument("--m-phi", type=int, default=256)
     appendix.add_argument("--tol-match", type=_finite_float, default=1e-9)
     appendix.add_argument("--tol-selection", type=_finite_float, default=1e-10)
     _add_output_options(appendix)

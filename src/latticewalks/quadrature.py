@@ -26,12 +26,15 @@ mean reproduces exactly the winding walks, so the rule picks that grid.
 
 The complex-hopping helpers treat the ring partition sum
 ``Z(rho, phi) = mean_k exp(-2 rho cos(k + phi))`` as a periodic function
-of the hopping phase ``phi`` and extract its cosine-Fourier
-coefficients with the same uniform-grid rule.  Their references are the
-same sum regrouped by winding number, ``sum_c I_{|c|N}(-2 rho) cos(c N phi)``
-(DLMF 10.35.1), and every modified Bessel value comes from one term-ratio
-recurrence of its power series (DLMF 10.25.2), :func:`bessel_i`, summed
-until the rest of the series is below one ulp.
+of the hopping phase ``phi``.  Regrouped by the winding number ``c`` of
+its closed walks it is ``sum_c I_{|c|N}(-2 rho) cos(c N phi)`` (DLMF
+10.35.1), so one table, :func:`ring_harmonics`, holds its cosine-Fourier
+coefficients ``a_m`` up to the first winding past ``2|rho|`` that is below
+one ulp; every modified Bessel value comes from one term-ratio recurrence of its power
+series (DLMF 10.25.2), :func:`bessel_i`.  The table's largest harmonic
+``H`` is the sum's bandwidth, so a uniform grid of ``M = d + H + 1``
+phases gives :func:`complex_fourier_a` an alias-free ``a_d``: every
+harmonic the grid folds onto ``d`` has ``|m| >= M - d > H``.
 """
 
 from __future__ import annotations
@@ -171,13 +174,14 @@ def complex_chain_z(pbc_size: int, rho: float, phi) -> np.ndarray | float:
     return float(vals) if np.ndim(phi) == 0 else vals
 
 
-def complex_fourier_a(pbc_size: int, rho: float, d: int, phi_points: int = 256) -> float:
-    """Cosine-Fourier coefficient a_d of the ring sum in the hopping phase.
+def complex_fourier_a(pbc_size: int, rho: float, d: int, phi_points: int) -> float:
+    """Cosine-Fourier coefficient a_d of the ring sum, from ``phi_points`` phases.
 
     Only harmonics at multiples of the ring size survive (each walk's
     phase is its winding displacement), so the value is ~0 unless
     ``pbc_size`` divides ``d``.  d = 0 carries the mean normalisation,
-    d > 0 the doubled cosine normalisation.
+    d > 0 the doubled cosine normalisation.  The 1/M of the mean sits in
+    the weights, so the sum never leaves the ring sum's own range.
     """
     if d < 0:
         raise ValueError("d must be >= 0")
@@ -185,8 +189,7 @@ def complex_fourier_a(pbc_size: int, rho: float, d: int, phi_points: int = 256) 
         raise ValueError("phi_points must be >= 1")
     phis = -math.pi + 2.0 * math.pi * np.arange(phi_points) / phi_points
     z = complex_chain_z(pbc_size, rho, phis)
-    weight = np.cos(d * phis)
-    mean = float(np.mean(z * weight))
+    mean = float(np.sum(z * (np.cos(d * phis) / phi_points)))
     return mean if d == 0 else 2.0 * mean
 
 
@@ -215,35 +218,23 @@ def bessel_i(m: int, x: float) -> float:
             raise OverflowError("Bessel series is not finite")
 
 
-def winding_sum(pbc_size: int, x: float, sign: int = 1) -> float:
-    """sum over windings c in Z of sign**c * I_{|c|N}(x), N the ring size.
+def ring_harmonics(pbc_size: int, rho: float) -> dict[int, float]:
+    """{m: a_m}, the cosine-Fourier coefficients of Z(rho, .) in the hopping phase.
 
-    The ring sum regrouped by the winding number c of its closed walks:
-    ``Z(rho, pi) = winding_sum(N, 2 rho)``.  Once ``|c| N`` passes ``|x|``
-    each Bessel term is below half the one before, so the sum stops, like
-    :func:`bessel_i`, at the first such term below one ulp of the total.
-    """
-    total, c = bessel_i(0, x), 0
-    while True:
-        c += 1
-        term = 2 * sign**c * bessel_i(c * pbc_size, x)
-        total += term
-        if c * pbc_size > abs(x) and abs(term) < math.ulp(total):
-            return total
-
-
-def phi_half_identity_check(pbc_size: int, rho: float) -> float:
-    """Residual of the phase pi/2 identity on an even ring.
-
-    Compares mean_k exp(2 rho sin k), the ring sum at phase pi/2, against
-    its winding form sum_c (-1)**(c N/2) I_{|c|N}(2 rho): a walk of
-    winding c picks up the phase cos(c N pi/2).  Returns the absolute
-    difference.
+    A walk of winding c picks up the phase c N phi, so a_0 = I_0(-2 rho),
+    a_{cN} = 2 I_{cN}(-2 rho) and every other a_m is 0 (DLMF 10.35.1).
+    Once cN passes 2|rho| each term is below half the one before, so the
+    table stops, like :func:`bessel_i`, at the first such term below one
+    ulp of a_0; its largest key is the sum's bandwidth.
     """
     if pbc_size < 3:
         raise ValueError(f"pbc_size must be >= 3, got {pbc_size}")
-    if pbc_size % 2:
-        raise ValueError("the phase pi/2 identity requires an even ring")
-    k = finite_chain_momenta(pbc_size)
-    lhs = float(_ring_mean(2.0 * rho, np.sin(k)))
-    return abs(lhs - winding_sum(pbc_size, 2.0 * rho, (-1) ** (pbc_size // 2)))
+    x = -2.0 * rho
+    table = {0: bessel_i(0, x)}
+    m = 0
+    while True:
+        m += pbc_size
+        term = 2.0 * bessel_i(m, x)
+        if m > abs(x) and abs(term) < math.ulp(table[0]):
+            return table
+        table[m] = term

@@ -275,19 +275,21 @@ def appendix_b_report(
     pbc_size: int,
     rho: float,
     d_values: Optional[Sequence[int]] = None,
-    phi_points: int = 256,
     phi_half: bool = False,
     tol_match: float = 1e-9,
     tol_selection: float = 1e-10,
 ) -> dict:
     """Numeric checks of the complex-hopping ring identities.
 
-    Per ``d``: the Fourier integral a_d either matches its Bessel form
-    (when the ring size divides d) or vanishes (selection rule).  When
-    ``phi_half`` is set and the ring is even, the phase pi/2 identity
-    residual; always, the phase pi reduction back to the real-hopping
-    sum.  Every reference is summed until it has converged.  Residuals
-    are taken on the ring sum's own scale: divided by e^{2|rho|}, which
+    Every reference comes from one table of the ring sum's winding
+    harmonics, :func:`quadrature.ring_harmonics`.  Per ``d``: the Fourier
+    integral a_d either matches its table entry (when the ring size
+    divides d) or vanishes (selection rule), on one phase grid of
+    ``max(d) + H + 1`` points, alias-free for every d since no harmonic
+    past the table's bandwidth H reaches one ulp.  Always, the ring sum at
+    phase pi against the table's cosine series there; when ``phi_half``
+    is set and the ring is even, the same at phase pi/2.  Residuals are
+    taken on the ring sum's own scale: divided by e^{2|rho|}, which
     bounds |Z(rho, phi)| and so every value and reference.  Each record
     passes when its residual is within ``tol_selection``
     (selection-rule records) or ``tol_match`` (all others).
@@ -298,50 +300,27 @@ def appendix_b_report(
         raise ValueError(f"tol_match must be positive, got {tol_match}")
     if tol_selection <= 0:
         raise ValueError(f"tol_selection must be positive, got {tol_selection}")
+    try:
+        scale = math.exp(2.0 * abs(rho))
+    except OverflowError:
+        raise OverflowError("ring sum is not finite") from None
     if d_values is None:
         d_values = range(2 * pbc_size + 1)
+    harmonics = quadrature.ring_harmonics(pbc_size, rho)
+    phi_points = max(d_values, default=0) + max(harmonics) + 1
     records = []
     for d in d_values:
         value = quadrature.complex_fourier_a(pbc_size, rho, d, phi_points)
-        if d % pbc_size == 0:
-            reference = (1 if d == 0 else 2) * quadrature.bessel_i(d, -2.0 * rho)
-            kind = "fourier_a"
-        else:
-            reference = 0.0
-            kind = "fourier_a_selection"
-        records.append(
-            {
-                "kind": kind,
-                "d": int(d),
-                "value": value,
-                "reference": reference,
-                "residual": abs(value - reference),
-            }
-        )
-    if phi_half and pbc_size % 2 == 0:
-        records.append(
-            {
-                "kind": "phi_half",
-                "d": None,
-                "value": None,
-                "reference": None,
-                "residual": quadrature.phi_half_identity_check(pbc_size, rho),
-            }
-        )
-    z_pi = quadrature.complex_chain_z(pbc_size, rho, math.pi)
-    real_sum = quadrature.winding_sum(pbc_size, 2.0 * rho)
-    records.append(
-        {
-            "kind": "phi_pi",
-            "d": None,
-            "value": z_pi,
-            "reference": real_sum,
-            "residual": abs(z_pi - real_sum),
-        }
-    )
-    scale = math.exp(2.0 * abs(rho))
+        reference = harmonics.get(d, 0.0)
+        kind = "fourier_a" if d % pbc_size == 0 else "fourier_a_selection"
+        records.append({"kind": kind, "d": int(d), "value": value, "reference": reference})
+    phases = [("phi_half", math.pi / 2)] if phi_half and pbc_size % 2 == 0 else []
+    for kind, phi in phases + [("phi_pi", math.pi)]:
+        value = quadrature.complex_chain_z(pbc_size, rho, phi)
+        reference = sum(a * math.cos(m * phi) for m, a in harmonics.items())
+        records.append({"kind": kind, "d": None, "value": value, "reference": reference})
     for record in records:
-        record["residual"] /= scale
+        record["residual"] = abs(record["value"] - record["reference"]) / scale
         limit = tol_selection if record["kind"] == "fourier_a_selection" else tol_match
         record["pass"] = record["residual"] <= limit
     return {

@@ -172,10 +172,14 @@ def test_appendix_b_command(capsys):
 
 
 def test_appendix_b_skips_phi_half_unless_asked(capsys, monkeypatch):
-    def no_phi_half(*args):
-        pytest.fail("the phase pi/2 identity was computed without --phi-half")
+    ring_sum = quadrature.complex_chain_z
 
-    monkeypatch.setattr(quadrature, "phi_half_identity_check", no_phi_half)
+    def no_phi_half(pbc_size, rho, phi):
+        if isinstance(phi, float) and phi == math.pi / 2:
+            pytest.fail("the phase pi/2 identity was computed without --phi-half")
+        return ring_sum(pbc_size, rho, phi)
+
+    monkeypatch.setattr(quadrature, "complex_chain_z", no_phi_half)
     code, out, _ = run(capsys, "appendix-b", "--pbc", "6", "--rho", "0.5")
     assert code == 0
     assert "phi_half" not in {r["kind"] for r in json.loads(out)["records"]}
@@ -293,6 +297,9 @@ def test_orders_past_float_range_fail_before_any_grid(capsys, monkeypatch):
         (["--rho", "0.5", "--tol-selection", "-1"], "tol_selection"),
         (["--rho", "0.5", "--tol-match", "-0.5", "--phi-half"], "tol_match"),
         (["--rho", "0.5", "--tol-match", "-1e-9"], "tol_match must be positive"),
+        # e^{2|rho|} bounds the ring sum: past the float range every run stops here
+        (["--rho", "354.95"], "ring sum is not finite"),
+        (["--rho", "-354.95", "--phi-half"], "ring sum is not finite"),
     ],
 )
 def test_appendix_b_overflow_and_negative_counts_are_usage_errors(capsys, argv, message, fmt):
@@ -317,6 +324,34 @@ def test_appendix_b_large_rho_passes(capsys, argv, fmt):
         assert all(r["pass"] for r in records)
         a0 = next(r for r in records if r["kind"] == "fourier_a" and r["d"] == 0)
         assert math.isclose(a0["value"], a0["reference"], rel_tol=1e-13)
+        # the phase pi/2 sum is e^-13 of its largest harmonic at rho = -50: the
+        # cancelling winding form is exact to the ring sum's scale, not the value's
+        for r in records:
+            if r["kind"] == "phi_half":
+                assert r["residual"] <= 1e-13
+                assert math.isclose(r["value"], r["reference"], rel_tol=1e-9)
+
+
+@pytest.mark.parametrize("pbc", [3, 4, 6, 7])
+@pytest.mark.parametrize("rho", ["0.5", "50", "-300"])
+@pytest.mark.parametrize("d", ["200", "252", "256", "300", "1000"])
+def test_appendix_b_large_d_is_alias_free(capsys, pbc, rho, d):
+    code, out, err = run(capsys, "appendix-b", "--pbc", str(pbc), "--rho", rho, "--d", d)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["phi_points"] > int(d)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+@pytest.mark.parametrize("pbc", [3, 4, 6, 7])
+@pytest.mark.parametrize("rho", ["354.3", "-354.3", "354.88", "-354.88"])
+def test_appendix_b_passes_up_to_the_float_edge(capsys, pbc, rho, fmt):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "appendix-b", "--pbc", str(pbc), "--rho", rho, "--format", fmt)
+    assert (code, err) == (0, "")
+    if fmt == "json":
+        assert all(r["pass"] for r in json.loads(out, parse_constant=_reject_constant)["records"])
 
 
 @pytest.mark.parametrize("pbc", [3, 4, 6, 7])
@@ -414,7 +449,7 @@ def _cli_argv(draw):
         argv += ["--pbc", str(draw(st.integers(2, 7))), "--rho", draw(_NUMBERS)]
         argv += ["--tol-match", draw(_NUMBERS)]
         if draw(st.booleans()):
-            argv += ["--d", str(draw(st.integers(-2, 9)))]
+            argv += ["--d", str(draw(st.integers(-2, 9) | st.sampled_from([256, 300])))]
         if draw(st.booleans()):
             argv.append("--phi-half")
     fmt = draw(st.sampled_from(["json", "csv", "pretty"]))
@@ -435,8 +470,8 @@ def test_cli_contract(argv):
 @settings(max_examples=40, deadline=None)
 @given(
     pbc=st.integers(3, 12),
-    rho=st.floats(-300, 300, allow_nan=False),
-    d=st.none() | st.integers(0, 40),
+    rho=st.floats(-354.8, 354.8, allow_nan=False),
+    d=st.none() | st.integers(0, 1000),
     phi_half=st.booleans(),
     fmt=st.sampled_from(["json", "csv", "pretty"]),
 )

@@ -16,9 +16,9 @@ from latticewalks import (
     expand,
     finite_chain_momenta,
     moments,
-    phi_half_identity_check,
 )
-from latticewalks.quadrature import _cos_table
+from latticewalks.cli import build_parser, cmd_appendix_b
+from latticewalks.quadrature import _cos_table, ring_harmonics
 
 
 def make(name, pbc=None):
@@ -202,41 +202,66 @@ def test_ksum_matches_series_evaluation():
 # ---------------------------------------------------------------------------
 
 
+def _fourier_a(lam, rho, d):
+    # the alias-free phase grid of appendix_b_report: d + bandwidth + 1
+    return complex_fourier_a(lam, rho, d, d + max(ring_harmonics(lam, rho)) + 1)
+
+
+def _winding_form(lam, rho, phi):
+    return sum(a * math.cos(m * phi) for m, a in ring_harmonics(lam, rho).items())
+
+
 def test_fourier_selection_rule():
     for lam in (3, 4, 5, 6):
         for d in range(1, 2 * lam + 1):
             if d % lam:
-                assert abs(complex_fourier_a(lam, 0.8, d)) <= 1e-10
+                assert abs(_fourier_a(lam, 0.8, d)) <= 1e-10
 
 
 def test_fourier_trivial_values():
-    assert complex_fourier_a(3, 0.0, 0) == pytest.approx(1.0, abs=1e-14)
-    assert complex_fourier_a(4, 0.0, 4) == pytest.approx(0.0, abs=1e-14)
+    assert complex_fourier_a(3, 0.0, 0, 1) == pytest.approx(1.0, abs=1e-14)
+    assert complex_fourier_a(4, 0.0, 4, 5) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_fourier_matches_series_on_winding_multiples():
     for lam, d in [(4, 0), (4, 4), (4, 8), (3, 3), (6, 6)]:
         for rho in (0.25, 0.5, 1.0):
-            integral = complex_fourier_a(lam, rho, d)
+            integral = _fourier_a(lam, rho, d)
             reference = (1 if d == 0 else 2) * bessel_i(d, -2 * rho)
             assert integral == pytest.approx(reference, abs=1e-9)
     # far past any fixed truncation: the sum runs until it has converged
     for lam, d in [(6, 0), (6, 6), (3, 12)]:
         for rho in (-50.0, 50.0, 300.0):
-            integral = complex_fourier_a(lam, rho, d)
+            integral = _fourier_a(lam, rho, d)
             reference = (1 if d == 0 else 2) * bessel_i(d, -2 * rho)
             assert integral == pytest.approx(reference, rel=1e-13)
 
 
 def test_fourier_validation():
     with pytest.raises(ValueError):
-        complex_fourier_a(4, 0.5, -1)
+        complex_fourier_a(4, 0.5, -1, 256)
     with pytest.raises(ValueError):
         complex_fourier_a(4, 0.5, 0, phi_points=0)
     with pytest.raises(ValueError):
         bessel_i(-2, 0.5)
     with pytest.raises(OverflowError):
         bessel_i(0, 1500.0)
+
+
+@pytest.mark.parametrize("lam", [3, 4, 7])
+@pytest.mark.parametrize("rho", [0.0, 0.5, -3.0, 50.0, -300.0])
+def test_ring_harmonics_regroup_the_ring_sum(lam, rho):
+    table = ring_harmonics(lam, rho)
+    assert table[0] == bessel_i(0, -2 * rho)
+    assert all(m % lam == 0 and a == 2 * bessel_i(m, -2 * rho) for m, a in table.items() if m)
+    # the first winding past the table is below one ulp of a_0 and past 2|rho|
+    bandwidth = max(table)
+    assert bandwidth + lam > 2 * abs(rho) and 2 * abs(bessel_i(bandwidth + lam, -2 * rho)) < math.ulp(table[0])
+    for phi in (0.0, 0.3, math.pi / 2, 2.0, math.pi):
+        residual = abs(complex_chain_z(lam, rho, phi) - _winding_form(lam, rho, phi))
+        assert residual <= 1e-14 * math.exp(2 * abs(rho)), phi
+    with pytest.raises(ValueError):
+        ring_harmonics(2, rho)
 
 
 def test_bessel_i_known_values():
@@ -269,13 +294,20 @@ def test_complex_z_reduces_to_real_cases():
 
 
 def test_phi_half_identity():
-    assert phi_half_identity_check(4, 0.0) == pytest.approx(0.0, abs=1e-15)
-    assert phi_half_identity_check(4, 0.5) <= 1e-10
-    assert phi_half_identity_check(6, 1.0) <= 1e-9
+    # the ring sum at phase pi/2 against its winding form, in which a walk of
+    # winding c picks up the phase cos(c N pi/2)
+    def residual(lam, rho):
+        return abs(complex_chain_z(lam, rho, math.pi / 2) - _winding_form(lam, rho, math.pi / 2))
+
+    assert residual(4, 0.0) == pytest.approx(0.0, abs=1e-15)
+    assert residual(4, 0.5) <= 1e-10
+    assert residual(6, 1.0) <= 1e-9
+    with pytest.raises(ValueError, match="even"):
+        cmd_appendix_b(build_parser().parse_args(["appendix-b", "--pbc", "5", "--rho", "0.5", "--phi-half"]))
     with pytest.raises(ValueError):
-        phi_half_identity_check(5, 0.5)
+        complex_chain_z(2, 0.5, math.pi / 2)
     with pytest.raises(ValueError):
-        phi_half_identity_check(2, 0.5)
+        ring_harmonics(2, 0.5)
 
 
 def test_phi_half_against_closed_form():
@@ -284,4 +316,5 @@ def test_phi_half_against_closed_form():
         lhs = (2.0 + 2.0 * math.cosh(2 * rho)) / 4.0
         k = finite_chain_momenta(4)
         assert float(np.mean(np.exp(2 * rho * np.sin(k)))) == pytest.approx(lhs, abs=1e-14)
-        assert phi_half_identity_check(4, rho) <= 1e-12
+        assert complex_chain_z(4, rho, math.pi / 2) == pytest.approx(lhs, abs=1e-14)
+        assert abs(_winding_form(4, rho, math.pi / 2) - lhs) <= 1e-12
