@@ -20,6 +20,17 @@ from one table per ``N``, whose angles are folded in integer arithmetic
 into the first quadrant, so the table is exactly symmetric and its
 rational values (0, +-1/2, +-1) are exact.
 
+The grid is streamed, never held whole: the power chain runs over slabs
+of axis-0 rows of about ``_SLAB_POINTS`` points, small enough to stay in
+cache, and adds each slab's row sums of every power to one vector of
+``max_order + 1`` sums.  The dispersion is even, ``eps(k) = eps(-k)``,
+and ``k -> -k`` maps every uniform grid onto itself, aliased or not, so
+the trapezoid rule on the inversion-reduced cell (Monkhorst & Pack,
+Phys. Rev. B 13 (1976) 5188) gives the same sums from rows ``0..N//2``:
+each row but 0 and (for even ``N``) ``N/2`` stands for its mirror too
+and has weight 2.  Memory is then one slab, whatever the order or grid;
+the work, grid points times orders, is bounded by ``MAX_GRID_WORK``.
+
 For the finite ring the physically meaningful grid is the ring's own
 ``pbc_size`` quasimomenta: on that grid the deliberate aliasing of the
 mean reproduces exactly the winding walks, so the rule picks that grid.
@@ -46,6 +57,12 @@ from .lattices import DispersionTerm, LatticeSpec
 
 MultiIndex = tuple[int, ...]
 
+# points in one slab of the moment stream: a few of its float arrays fit in cache
+_SLAB_POINTS = 1 << 16
+# grid points times orders one moments() call may take on, 100x bcc's
+# auto grid at order 170 (171**3 * 170, about 8.5e8)
+MAX_GRID_WORK = 10**11
+
 
 def _cos_table(grid_points: int) -> np.ndarray:
     """cos(2*pi*m/N) for m = 0..N-1, folded for exact symmetry.
@@ -67,15 +84,21 @@ def _cos_table(grid_points: int) -> np.ndarray:
     return np.where(flip, -value, value)
 
 
-def _term_on_grid(term: DispersionTerm, grid_points: int, dimension: int) -> np.ndarray:
-    """Evaluate a cosine-harmonic term on the fractional grid."""
+def _term_on_grid(
+    term: DispersionTerm, table: np.ndarray, dimension: int, rows: np.ndarray
+) -> np.ndarray:
+    """Evaluate a cosine-harmonic term on the axis-0 ``rows`` of the fractional grid.
+
+    ``table`` is the grid's :func:`_cos_table`, so its length is the
+    number of points per axis.
+    """
+    grid_points = len(table)
     axes = []
     for p in range(dimension):
         view = [1] * dimension
-        view[p] = grid_points
-        axes.append(np.arange(grid_points).reshape(view))
-    table = _cos_table(grid_points)
-    out = np.zeros([grid_points] * dimension)
+        view[p] = -1
+        axes.append((rows if p == 0 else np.arange(grid_points)).reshape(view))
+    out = np.zeros((len(rows),) + (grid_points,) * (dimension - 1))
     for freq, amp in term.harmonics:
         phase = sum(axes[p] * freq[p] for p in range(dimension) if freq[p])
         out += amp * table[np.mod(phase, grid_points)]
@@ -101,21 +124,34 @@ def moments(spec: LatticeSpec, max_order: int, grid_points: int) -> dict[MultiIn
 
     The keys are every multi-index ``m`` with ``sum(m) <= max_order``, and
     the monomial is ``prod_s eps_s(k)**m_s``.  Each order comes from the
-    last by one more factor of the dispersion, so only one order's powers
-    are held (the two-label chain is one-dimensional and keeps its two
-    power tables).  For two-sublattice lattices the monomial is the
-    subband-summed power ``sum_sigma eps_sigma**n``: even orders are the
-    one squared-band kernel factor ``kernel**(n/2)`` with weight 2, and
-    odd orders vanish by the sigma = -1/+1 cancellation, so the band
-    square root is never taken.
+    last by one more factor of the dispersion.  For two-sublattice
+    lattices the monomial is the subband-summed power
+    ``sum_sigma eps_sigma**n``: even orders are the one squared-band
+    kernel factor ``kernel**(n/2)`` with weight 2, and odd orders vanish
+    by the sigma = -1/+1 cancellation, so the band square root is never
+    taken.
+
+    A single-term dispersion is streamed in slabs over rows ``0..N//2``
+    with inversion weights (see the module docstring); the two-label
+    chain is one-dimensional and keeps its two power tables whole.  A
+    run past ``MAX_GRID_WORK`` grid points times orders is a
+    ``ValueError`` before anything is allocated.
     """
     if grid_points < 1:
         raise ValueError("grid_points must be >= 1")
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
-    eps = [_term_on_grid(term, grid_points, spec.dimension) for term in spec.dispersion_terms]
+    size = grid_points**spec.dimension
+    if size * max(max_order, 1) > MAX_GRID_WORK:
+        raise ValueError(
+            f"a grid of {grid_points}**{spec.dimension} points to order {max_order} is past "
+            f"the bound of {MAX_GRID_WORK:.0e} grid points times orders"
+        )
+    table = _cos_table(grid_points)
 
     if spec.hopping_count == 2:
+        rows = np.arange(grid_points)
+        eps = [_term_on_grid(term, table, spec.dimension, rows) for term in spec.dispersion_terms]
         p1, p2 = (np.cumprod([np.ones_like(e)] + [e] * max_order, axis=0) for e in eps)
         out = {}
         for m1 in range(max_order + 1):
@@ -124,13 +160,24 @@ def moments(spec: LatticeSpec, max_order: int, grid_points: int) -> dict[MultiIn
         return out
 
     weight, step = (2.0, 2) if spec.basis_size == 2 else (1.0, 1)
-    out = {(n,): 0.0 for n in range(max_order + 1)}
-    out[(0,)] = weight
-    values = np.ones_like(eps[0])
-    for n in range(step, max_order + 1, step):
-        values *= eps[0]
-        out[(n,)] = weight * float(np.mean(values))
-    return out
+    half = grid_points // 2
+    row_weights = np.full(half + 1, 2.0)
+    row_weights[0] = 1.0
+    if grid_points % 2 == 0:
+        row_weights[half] = 1.0
+    rows_per_slab = max(1, _SLAB_POINTS // grid_points ** (spec.dimension - 1))
+    sums = np.zeros(max_order + 1)
+    for start in range(0, half + 1, rows_per_slab):
+        rows = np.arange(start, min(start + rows_per_slab, half + 1))
+        weights = row_weights[rows]
+        eps = _term_on_grid(spec.dispersion_terms[0], table, spec.dimension, rows)
+        values = np.ones_like(eps)
+        for n in range(step, max_order + 1, step):
+            values *= eps
+            sums[n] += weights @ values.reshape(len(rows), -1).sum(axis=1)
+    means = weight * sums / size
+    means[0] = weight
+    return {(n,): float(mean) for n, mean in enumerate(means)}
 
 
 # ---------------------------------------------------------------------------
@@ -153,11 +200,13 @@ def finite_chain_momenta(pbc_size: int) -> np.ndarray:
 def _ring_mean(scale: float, harmonic: np.ndarray) -> np.ndarray:
     """mean of exp(scale * harmonic) over the momenta (the last axis).
 
-    A sum that leaves the float range is an ``OverflowError``, raised
-    before any ``inf`` or ``nan`` reaches a caller or a warning is shown.
+    Each term is divided by the momentum count before the sum, so the
+    sum stays in the float range whenever its terms do.  A sum that
+    leaves the float range is an ``OverflowError``, raised before any
+    ``inf`` or ``nan`` reaches a caller or a warning is shown.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = np.exp(scale * harmonic).mean(axis=-1)
+        vals = (np.exp(scale * harmonic) / harmonic.shape[-1]).sum(axis=-1)
     if not np.all(np.isfinite(vals)):
         raise OverflowError("ring sum is not finite")
     return vals

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import math
+import time
 import warnings
 from fractions import Fraction
 
@@ -258,12 +259,14 @@ def test_outdir_env_redirects_relative_paths(tmp_outdir, capsys, monkeypatch):
         ["verify", "--lattice", "chain-nn", "--max-order", "4", "--tol-rel", "nan"],
         ["verify", "--lattice", "chain-nn", "--max-order", "171"],
         ["appendix-b", "--pbc", "6", "--rho", "1e308"],
-        # a 100000**3 grid is larger than any address space: refused at once
+        # a 100000**3 grid is past the work bound: refused before any allocation
         ["verify", "--lattice", "bcc", "--max-order", "2", "--grid", "100000"],
     ],
 )
 def test_non_finite_and_overflowing_inputs_are_usage_errors(capsys, argv):
+    start = time.perf_counter()
     code, _, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
     assert code == 2
     assert "error" in err and "Traceback" not in err
 
@@ -352,6 +355,16 @@ def test_appendix_b_passes_up_to_the_float_edge(capsys, pbc, rho, fmt):
     assert (code, err) == (0, "")
     if fmt == "json":
         assert all(r["pass"] for r in json.loads(out, parse_constant=_reject_constant)["records"])
+
+
+@pytest.mark.parametrize("pbc", [64, 100])
+def test_appendix_b_large_rings_pass_at_the_float_edge(capsys, pbc):
+    # N terms near the float maximum: each is divided by N before the sum
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "appendix-b", "--pbc", str(pbc), "--rho", "354.88")
+    assert (code, err) == (0, "")
+    assert all(r["pass"] for r in json.loads(out, parse_constant=_reject_constant)["records"])
 
 
 @pytest.mark.parametrize("pbc", [3, 4, 6, 7])

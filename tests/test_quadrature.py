@@ -1,8 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latticewalks import (
@@ -18,7 +19,7 @@ from latticewalks import (
     moments,
 )
 from latticewalks.cli import build_parser, cmd_appendix_b
-from latticewalks.quadrature import _cos_table, ring_harmonics
+from latticewalks.quadrature import MAX_GRID_WORK, _cos_table, ring_harmonics
 
 
 def make(name, pbc=None):
@@ -144,6 +145,63 @@ def test_auto_grid_policy():
     assert auto_grid_size(make("honeycomb"), 8) == 5
     assert auto_grid_size(make("diamond"), 0) == 1
     assert auto_grid_size(make("bcc"), 100) == 101
+
+
+def _full_grid_means(spec, order, n):
+    """Every moment as np.mean over all n**D points, with the cosines from np.cos."""
+    k = np.meshgrid(*[2.0 * np.pi * np.arange(n) / n] * spec.dimension, indexing="ij")
+    eps = [
+        sum(amp * np.cos(sum(f * kp for f, kp in zip(freq, k))) for freq, amp in term.harmonics)
+        for term in spec.dispersion_terms
+    ]
+    scales = [float(np.max(np.abs(e))) for e in eps]
+    out = {}
+    for total in range(order + 1):
+        for index in _indices(spec.hopping_count, total):
+            if spec.basis_size == 2:
+                # both subbands: 2 kernel**(n/2) at even n, cancelled at odd n
+                mean = 0.0 if total % 2 else 2.0 * np.mean(eps[0] ** (total // 2))
+                scale = 2.0 * scales[0] ** (total // 2)
+            else:
+                mean = np.mean(math.prod(e**m for e, m in zip(eps, index)))
+                scale = math.prod(s**m for s, m in zip(scales, index))
+            out[index] = (float(mean), scale)
+    return out
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 9), order=st.integers(0, 10))
+@example(n=3, order=10)  # aliased, as verify --grid 3 is
+@example(n=8, order=10)  # even: row N/2 is its own mirror
+@example(n=9, order=10)
+def test_halved_slab_sums_match_the_full_grid_mean(name, n, order):
+    spec = make(name, max(n, 3) if name == "chain-nn-finite" else None)
+    values = moments(spec, order, n)
+    reference = _full_grid_means(spec, order, n)
+    assert sorted(values) == sorted(reference)
+    for index, (mean, scale) in reference.items():
+        assert values[index] == pytest.approx(mean, rel=0.0, abs=1e-13 * max(scale, 1.0)), index
+
+
+def test_moments_memory_stays_in_slabs():
+    # the whole 171**3 grid is 38 MiB, and one power of it as much again
+    tracemalloc.start()
+    try:
+        moments(make("bcc"), 170, 171)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+def test_grid_work_bound():
+    bcc = make("bcc")
+    assert 100 * auto_grid_size(bcc, 170) ** 3 * 170 <= MAX_GRID_WORK
+    with pytest.raises(ValueError, match="bound"):
+        moments(bcc, 2, 100000)
+    with pytest.raises(ValueError, match="bound"):
+        moments(make("chain-nn"), 0, MAX_GRID_WORK + 1)
 
 
 def test_ring_grid_reproduces_winding_counts():
