@@ -24,17 +24,7 @@ from .quadrature import (
     finite_chain_momenta,
     moments,
 )
-from .series import (
-    Series,
-    bcc,
-    chain_finite,
-    chain_infinite,
-    chain_nnn,
-    diamond,
-    expand,
-    honeycomb,
-    triangular,
-)
+from .series import Series, expand
 from .verify import (
     CoefficientRecord,
     RecurrenceReport,
@@ -64,24 +54,17 @@ __all__ = [
     "WalkTally",
     "appendix_b_report",
     "auto_grid_size",
-    "bcc",
     "bessel_i",
     "builtin",
-    "chain_finite",
-    "chain_infinite",
-    "chain_nnn",
     "check_square_conjecture",
     "complex_chain_z",
     "complex_fourier_a",
-    "diamond",
     "dispersion_value",
     "enumerate_walks",
     "expand",
     "finite_chain_momenta",
     "finite_chain_trace",
-    "honeycomb",
     "moments",
-    "triangular",
     "verify_identity",
     "verify_recurrence",
 ]

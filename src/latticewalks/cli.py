@@ -8,9 +8,11 @@ the complex-hopping checks.  Exit codes: 0 all checks pass, 1 a
 verification failed, 2 usage error (a request too large for memory
 included).  Diagnostics go to stderr.
 
-Each handler computes its result, builds one JSON document and one list
-of table rows from it, and hands both to ``_render``, which writes the
-document for ``--format json`` and the rows for ``csv`` or ``pretty``.
+Each handler computes its result, builds one JSON document and takes
+the table rows from it: the document's entry list (``coefficients``,
+``counts`` or ``steps``) behind a leading ``lattice`` column, or its
+``records``, which are rows already.  ``_render`` writes the document
+for ``--format json`` and the rows for ``csv`` or ``pretty``.
 The pretty table joins each ``num``/``den`` pair into one
 ``coefficient`` column and each ``root_num``/``root_den`` pair into one
 ``root`` column, printed as ``num/den`` (the numerator alone when the
@@ -90,6 +92,16 @@ def _pretty_text(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _entry_rows(doc: dict, entries: str) -> list[dict]:
+    """``doc[entries]`` as rows behind a ``lattice`` column, list cells joined by spaces."""
+    lattice = doc["lattice"] if "lattice" in doc else doc["name"]
+    return [
+        {"lattice": lattice}
+        | {k: " ".join(map(str, v)) if isinstance(v, list) else v for k, v in entry.items()}
+        for entry in doc[entries]
+    ]
+
+
 def _render(args, doc, rows: list[dict]) -> None:
     """Write ``doc`` (json) or ``rows`` (csv, pretty) to stdout or ``--output``."""
     if args.format == "json":
@@ -120,14 +132,14 @@ def _resolve_pbc(name: str, args) -> int | None:
 
 
 def cmd_coeffs(args) -> int:
-    table = expand(args.lattice, args.max_order, _resolve_pbc(args.lattice, args))
-    _render(args, table.to_json_dict(), table.rows())
+    doc = expand(args.lattice, args.max_order, _resolve_pbc(args.lattice, args)).to_json_dict()
+    _render(args, doc, _entry_rows(doc, "coefficients"))
     return 0
 
 
 def cmd_lattice(args) -> int:
-    spec = builtin(args.lattice, _resolve_pbc(args.lattice, args))
-    _render(args, spec.to_json_dict(), spec.rows())
+    doc = builtin(args.lattice, _resolve_pbc(args.lattice, args)).to_json_dict()
+    _render(args, doc, _entry_rows(doc, "steps"))
     return 0
 
 
@@ -175,7 +187,8 @@ def cmd_conjecture(args) -> int:
 def cmd_oracle(args) -> int:
     spec = builtin(args.lattice, _resolve_pbc(args.lattice, args))
     tally = enumerate_walks(spec, args.n)
-    _render(args, tally.to_json_dict(), tally.rows())
+    doc = tally.to_json_dict()
+    _render(args, doc, _entry_rows(doc, "counts"))
     print(f"{tally.lattice}: length {tally.length}, total {tally.total}", file=sys.stderr)
     return 0
 

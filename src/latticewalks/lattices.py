@@ -127,17 +127,6 @@ class LatticeSpec:
         }
         return doc
 
-    def rows(self) -> list[dict]:
-        return [
-            {
-                "lattice": self.name,
-                "displacement": " ".join(str(c) for c in s.displacement),
-                "label": s.label,
-                "sublattice": s.sublattice,
-            }
-            for s in self.steps
-        ]
-
 
 def _pm_pairs(
     *vectors: tuple[tuple[Fraction, ...], int], sublattice: Optional[Sublattice] = None

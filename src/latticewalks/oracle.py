@@ -64,16 +64,6 @@ class WalkTally:
             ],
         }
 
-    def rows(self) -> list[dict]:
-        return [
-            {
-                "lattice": self.lattice,
-                "index": " ".join(str(m) for m in index),
-                "count": str(count),
-            }
-            for index, count in sorted(self.counts.items())
-        ]
-
 
 def closed_walks(spec: LatticeSpec, max_length: int) -> list[WalkTally]:
     """Closed-walk tallies from the origin of every length ``0..max_length``.

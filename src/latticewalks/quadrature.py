@@ -20,11 +20,11 @@ from one table per ``N``, whose angles are folded in integer arithmetic
 into the first quadrant, so the table is exactly symmetric and its
 rational values (0, +-1/2, +-1) are exact.
 
-The grid is streamed, never held whole: the power chain runs over slabs
-of axis-0 rows of about ``_SLAB_POINTS`` points, small enough to stay in
-cache, and adds each slab's row sums of every power to one vector of
-``max_order + 1`` sums.  The dispersion is even, ``eps(k) = eps(-k)``,
-and ``k -> -k`` maps every uniform grid onto itself, aliased or not, so
+For a single-term dispersion the grid is streamed, never held whole:
+the power chain runs over slabs of axis-0 rows of about
+``_SLAB_POINTS`` points, small enough to stay in cache, and adds each
+slab's row sums of every power to one vector of ``max_order + 1``
+sums.  The dispersion is even, ``eps(k) = eps(-k)``, and ``k -> -k`` maps every uniform grid onto itself, aliased or not, so
 the trapezoid rule on the inversion-reduced cell (Monkhorst & Pack,
 Phys. Rev. B 13 (1976) 5188) gives the same sums from rows ``0..N//2``:
 each row but 0 and (for even ``N``) ``N/2`` stands for its mirror too
@@ -51,6 +51,8 @@ harmonic the grid folds onto ``d`` has ``|m| >= M - d > H``.
 from __future__ import annotations
 
 import math
+from typing import Sequence
+
 import numpy as np
 
 from .lattices import DispersionTerm, LatticeSpec
@@ -62,6 +64,8 @@ _SLAB_POINTS = 1 << 16
 # grid points times orders one moments() call may take on, 100x bcc's
 # auto grid at order 170 (171**3 * 170, about 8.5e8)
 MAX_GRID_WORK = 10**11
+# phases times ring sites of one appendix-b phase grid (about 240 MB of ring sums)
+MAX_PHASE_CELLS = 10**7
 
 
 def _cos_table(grid_points: int) -> np.ndarray:
@@ -223,23 +227,27 @@ def complex_chain_z(pbc_size: int, rho: float, phi) -> np.ndarray | float:
     return float(vals) if np.ndim(phi) == 0 else vals
 
 
-def complex_fourier_a(pbc_size: int, rho: float, d: int, phi_points: int) -> float:
-    """Cosine-Fourier coefficient a_d of the ring sum, from ``phi_points`` phases.
+def complex_fourier_a(
+    pbc_size: int, rho: float, d_values: Sequence[int], phi_points: int
+) -> list[float]:
+    """Cosine-Fourier coefficients a_d of the ring sum, one per d, from ``phi_points`` phases.
 
     Only harmonics at multiples of the ring size survive (each walk's
-    phase is its winding displacement), so the value is ~0 unless
+    phase is its winding displacement), so a value is ~0 unless
     ``pbc_size`` divides ``d``.  d = 0 carries the mean normalisation,
-    d > 0 the doubled cosine normalisation.  The 1/M of the mean sits in
-    the weights, so the sum never leaves the ring sum's own range.
+    d > 0 the doubled cosine normalisation.  The ring sum is evaluated
+    once on the phase grid and every a_d is taken from it; the 1/M of
+    the mean sits in the weights, so the sum never leaves the ring sum's
+    own range.
     """
-    if d < 0:
+    if any(d < 0 for d in d_values):
         raise ValueError("d must be >= 0")
     if phi_points < 1:
         raise ValueError("phi_points must be >= 1")
     phis = -math.pi + 2.0 * math.pi * np.arange(phi_points) / phi_points
     z = complex_chain_z(pbc_size, rho, phis)
-    mean = float(np.sum(z * (np.cos(d * phis) / phi_points)))
-    return mean if d == 0 else 2.0 * mean
+    means = [float(np.sum(z * (np.cos(d * phis) / phi_points))) for d in d_values]
+    return [mean if d == 0 else 2.0 * mean for d, mean in zip(d_values, means)]
 
 
 def bessel_i(m: int, x: float) -> float:

@@ -104,17 +104,6 @@ class Series:
             doc["pbc_size"] = self.pbc_size
         return doc
 
-    def rows(self) -> list[dict]:
-        return [
-            {
-                "lattice": self.lattice,
-                "index": " ".join(str(m) for m in index),
-                "num": str(c.numerator),
-                "den": str(c.denominator),
-            }
-            for index, c in self.items()
-        ]
-
 
 # ---------------------------------------------------------------------------
 # per-lattice walk counts (exact integers)
@@ -151,10 +140,6 @@ def _nnn_count(n1: int, n2: int) -> int:
     return math.comb(n1 + n2, n1) * inner
 
 
-def _triangular_count(n: int, franel: list[int]) -> int:
-    return sum(math.comb(n, k) * (-2) ** (n - k) * franel[k] for k in range(n + 1))
-
-
 def _bcc_count(n: int) -> int:
     return 0 if n % 2 else math.comb(n, n // 2) ** 3
 
@@ -176,77 +161,51 @@ def _diamond_count(n: int) -> int:
     )
 
 
-# ---------------------------------------------------------------------------
-# series constructors
-# ---------------------------------------------------------------------------
+def _ring_counter(max_order: int, pbc_size: Optional[int]):
+    if pbc_size is None:
+        raise ValueError("chain-nn-finite requires pbc_size")
+    if pbc_size < 3:
+        raise ValueError(f"pbc_size must be >= 3, got {pbc_size}")
+    return lambda n: _finite_chain_count(n, pbc_size)
 
 
-def _univariate(lattice: str, max_order: int, count, pbc_size: Optional[int] = None) -> Series:
-    if max_order < 0:
-        raise ValueError("max_order must be >= 0")
+def _triangular_counter(max_order: int, pbc_size: Optional[int]):
+    franel = [sum(math.comb(k, j) ** 3 for j in range(k + 1)) for k in range(max_order + 1)]
+    return lambda n: sum(math.comb(n, k) * (-2) ** (n - k) * franel[k] for k in range(n + 1))
+
+
+# lattice name -> counter(max_order, pbc_size): the walk count of each order n
+_COUNTERS = {
+    "chain-nn": lambda max_order, pbc_size: _chain_count,
+    "chain-nn-finite": _ring_counter,
+    "triangular": _triangular_counter,
+    "bcc": lambda max_order, pbc_size: _bcc_count,
+    "honeycomb": lambda max_order, pbc_size: _honeycomb_count,
+    "diamond": lambda max_order, pbc_size: _diamond_count,
+}
+
+
+def expand(name: str, max_order: int, pbc_size: Optional[int] = None) -> Series:
+    """Series of any built-in lattice up to total order ``max_order``.
+
+    ``pbc_size`` is the ring size of ``chain-nn-finite`` (winding walks
+    included); other lattices ignore it.  ``chain-nnn`` is bivariate.
+    """
     coeffs = {}
+    # a negative max_order leaves every loop empty, and Series refuses it
+    if name == "chain-nnn":
+        for n1 in range(0, max_order + 1, 2):
+            for n2 in range(max_order - n1 + 1):
+                c = _nnn_count(n1, n2)
+                if c:
+                    coeffs[(n1, n2)] = Fraction(c, math.factorial(n1 + n2))
+        return Series(name, max_order, 2, coeffs)
+    if name not in _COUNTERS:
+        raise ValueError(f"unknown lattice {name!r}")
+    count = _COUNTERS[name](max_order, pbc_size)
     for n in range(max_order + 1):
         c = count(n)
         if c:
             coeffs[(n,)] = Fraction(c, math.factorial(n))
-    return Series(lattice, max_order, 1, coeffs, pbc_size=pbc_size)
-
-
-def chain_infinite(max_order: int) -> Series:
-    """Infinite nearest-neighbour chain: coefficient 1/(v! v!) at order 2v."""
-    return _univariate("chain-nn", max_order, _chain_count)
-
-
-def chain_finite(pbc_size: int, max_order: int) -> Series:
-    """Nearest-neighbour ring of ``pbc_size`` sites, winding walks included."""
-    if pbc_size < 3:
-        raise ValueError(f"pbc_size must be >= 3, got {pbc_size}")
-    return _univariate(
-        "chain-nn-finite", max_order, lambda n: _finite_chain_count(n, pbc_size), pbc_size
-    )
-
-
-def chain_nnn(max_total_order: int) -> Series:
-    """Chain with unit and double steps; bivariate in the two labels."""
-    if max_total_order < 0:
-        raise ValueError("max_total_order must be >= 0")
-    coeffs = {}
-    for n1 in range(0, max_total_order + 1, 2):
-        for n2 in range(max_total_order - n1 + 1):
-            c = _nnn_count(n1, n2)
-            if c:
-                coeffs[(n1, n2)] = Fraction(c, math.factorial(n1 + n2))
-    return Series("chain-nnn", max_total_order, 2, coeffs)
-
-
-def triangular(max_order: int) -> Series:
-    franel = [sum(math.comb(k, j) ** 3 for j in range(k + 1)) for k in range(max_order + 1)]
-    return _univariate("triangular", max_order, lambda n: _triangular_count(n, franel))
-
-
-def bcc(max_order: int) -> Series:
-    return _univariate("bcc", max_order, _bcc_count)
-
-
-def honeycomb(max_order: int) -> Series:
-    return _univariate("honeycomb", max_order, _honeycomb_count)
-
-
-def diamond(max_order: int) -> Series:
-    return _univariate("diamond", max_order, _diamond_count)
-
-
-def expand(name: str, max_order: int, pbc_size: Optional[int] = None) -> Series:
-    """Series for any built-in lattice name."""
-    if name == "chain-nn":
-        return chain_infinite(max_order)
-    if name == "chain-nn-finite":
-        if pbc_size is None:
-            raise ValueError("chain-nn-finite requires pbc_size")
-        return chain_finite(pbc_size, max_order)
-    if name == "chain-nnn":
-        return chain_nnn(max_order)
-    simple = {"triangular": triangular, "bcc": bcc, "honeycomb": honeycomb, "diamond": diamond}
-    if name in simple:
-        return simple[name](max_order)
-    raise ValueError(f"unknown lattice {name!r}")
+    ring = pbc_size if name == "chain-nn-finite" else None
+    return Series(name, max_order, 1, coeffs, pbc_size=ring)

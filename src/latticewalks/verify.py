@@ -92,9 +92,6 @@ class VerificationReport:
     def worst_rel_error(self) -> Optional[float]:
         return max((r.rel_error for r in self.records if r.rel_error is not None), default=None)
 
-    def rows(self) -> list[dict]:
-        return [r.to_row(self.lattice) for r in self.records]
-
     def to_json_dict(self) -> dict:
         return {
             "lattice": self.lattice,
@@ -112,7 +109,7 @@ class VerificationReport:
                 "oracle_max_order": self.oracle_max_order,
                 "worst_rel_error": self.worst_rel_error,
             },
-            "records": self.rows(),
+            "records": [r.to_row(self.lattice) for r in self.records],
         }
 
 
@@ -203,7 +200,7 @@ def verify_recurrence(max_total_order: int) -> RecurrenceReport:
     """
     if max_total_order < 2:
         raise ValueError("max_total_order must be >= 2")
-    table = series.chain_nnn(max_total_order + 2)
+    table = series.expand("chain-nnn", max_total_order + 2)
     checked = 0
     violations = []
     for n1 in range(max_total_order + 1):
@@ -257,7 +254,7 @@ def check_square_conjecture(n_max: int) -> list[SquareTestRecord]:
     """Square-test every even-order bcc coefficient up to ``n_max``."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    table = series.bcc(n_max)
+    table = series.expand("bcc", n_max)
     records = []
     for n in range(0, n_max + 1, 2):
         value = table.coefficient((n,))
@@ -292,7 +289,9 @@ def appendix_b_report(
     taken on the ring sum's own scale: divided by e^{2|rho|}, which
     bounds |Z(rho, phi)| and so every value and reference.  Each record
     passes when its residual is within ``tol_selection``
-    (selection-rule records) or ``tol_match`` (all others).
+    (selection-rule records) or ``tol_match`` (all others).  A run whose
+    ``max(d) + 1`` phases times ``pbc_size`` pass ``MAX_PHASE_CELLS`` is
+    a ``ValueError`` before any harmonic or ring sum is computed.
     """
     if pbc_size < 3:
         raise ValueError(f"pbc_size must be >= 3, got {pbc_size}")
@@ -304,13 +303,19 @@ def appendix_b_report(
         scale = math.exp(2.0 * abs(rho))
     except OverflowError:
         raise OverflowError("ring sum is not finite") from None
+    top = 2 * pbc_size if d_values is None else max(d_values, default=0)
+    if (top + 1) * pbc_size > quadrature.MAX_PHASE_CELLS:
+        raise ValueError(
+            f"a phase grid of over {top} points on a ring of {pbc_size} sites is past "
+            f"the bound of {quadrature.MAX_PHASE_CELLS:.0e} phases times sites"
+        )
     if d_values is None:
-        d_values = range(2 * pbc_size + 1)
+        d_values = range(top + 1)
     harmonics = quadrature.ring_harmonics(pbc_size, rho)
-    phi_points = max(d_values, default=0) + max(harmonics) + 1
+    phi_points = top + max(harmonics) + 1
+    values = quadrature.complex_fourier_a(pbc_size, rho, d_values, phi_points)
     records = []
-    for d in d_values:
-        value = quadrature.complex_fourier_a(pbc_size, rho, d, phi_points)
+    for d, value in zip(d_values, values):
         reference = harmonics.get(d, 0.0)
         kind = "fourier_a" if d % pbc_size == 0 else "fourier_a_selection"
         records.append({"kind": kind, "d": int(d), "value": value, "reference": reference})

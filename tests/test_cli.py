@@ -218,6 +218,10 @@ def test_usage_errors(capsys):
     assert run(capsys, "coeffs", "--lattice", "chain-nn-finite", "--pbc", "2", "--max-order", "3")[0] == 2
     assert run(capsys, "coeffs", "--lattice", "chain-nn", "--max-order", "-1")[0] == 2
     assert run(capsys, "nonsense")[0] == 2
+    # the message names the --max-order flag on every lattice, chain-nnn too
+    for command in ("coeffs", "verify"):
+        code, _, err = run(capsys, command, "--lattice", "chain-nnn", "--max-order", "-1")
+        assert (code, err) == (2, "error: max_order must be >= 0\n")
     for grid in ("abc", "1e3", "0"):
         code, _, err = run(capsys, "verify", "--lattice", "chain-nn", "--max-order", "4", "--grid", grid)
         assert code == 2
@@ -346,6 +350,17 @@ def test_appendix_b_large_d_is_alias_free(capsys, pbc, rho, d):
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+@pytest.mark.parametrize("size", [["--pbc", "6", "--d", "1000000000"], ["--pbc", "1000000000"]], ids=["d", "pbc"])
+def test_appendix_b_refuses_phase_grids_past_the_bound(capsys, size, fmt):
+    began = time.perf_counter()
+    code, out, err = run(capsys, "appendix-b", "--rho", "0.5", *size, "--format", fmt)
+    assert time.perf_counter() - began < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"bound of {quadrature.MAX_PHASE_CELLS:.0e} phases times sites" in err
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
 @pytest.mark.parametrize("pbc", [3, 4, 6, 7])
 @pytest.mark.parametrize("rho", ["354.3", "-354.3", "354.88", "-354.88"])
 def test_appendix_b_passes_up_to_the_float_edge(capsys, pbc, rho, fmt):
@@ -416,6 +431,12 @@ _GOLDEN_STDOUT = {
     ("oracle --lattice chain-nnn --n 8", "json"): "b5bc63dc1cd962ddea940aaa25c7795150b6cec32beb957ea0ca913604accab8",
     ("oracle --lattice chain-nnn --n 8", "csv"): "1785efa7b2514a749c4e1729b75f2d99a6147c9819f7d88839a48dc231f352ea",
     ("oracle --lattice chain-nnn --n 8", "pretty"): "5c520bb071fc2d7d320bce9ad93601932951250f522259e9709e41a834279385",
+    ("oracle --lattice honeycomb --n 6", "json"): "9aa2515cf2ee53294cfbcc6beeb395c9db0fcbe2cc844f616d7ed39a8a366dc8",
+    ("oracle --lattice honeycomb --n 6", "csv"): "01908f6afcf3b30e67e924fc5312882f823122bfc9a64101f251719ab8473db7",
+    ("oracle --lattice honeycomb --n 6", "pretty"): "380238c1a5e06479975f0341f4a181d964edb50b0807bf47c2816929e7b4d9b1",
+    # the lattice json carries floats, so only its tables are pinned
+    ("lattice --lattice diamond", "csv"): "a6d62cddd94a373a701053c1b95e9c096c39bd53ff2003d75002a8fafb72d98c",
+    ("lattice --lattice diamond", "pretty"): "267f8fa1988356ca0d68c3827c30516735b5c18cfa14bcf622c480384e71b455",
 }
 
 

@@ -7,7 +7,6 @@ from latticewalks import (
     BUILTIN_NAMES,
     ORACLE_BOUNDS,
     builtin,
-    chain_finite,
     enumerate_walks,
     expand,
     finite_chain_trace,
@@ -160,7 +159,7 @@ def test_finite_chain_trace_examples():
 
 def test_trace_agrees_with_series_and_dp():
     for lam in range(3, 13):
-        table = chain_finite(lam, 12)
+        table = expand("chain-nn-finite", 12, lam)
         spec = make("chain-nn-finite", lam)
         for n in range(13):
             per_site = finite_chain_trace(lam, n)
@@ -171,7 +170,7 @@ def test_trace_agrees_with_series_and_dp():
 def test_trace_exact_on_both_sides_of_int64():
     # an entry of A**n is at most 2**n, so the trace switches to Python ints at n = 63
     for lam in range(3, 10):
-        table = chain_finite(lam, 70)
+        table = expand("chain-nn-finite", 70, lam)
         for n in range(71):
             assert finite_chain_trace(lam, n) == table.coefficient((n,)) * math.factorial(n)
     # the entries fit int64 here, but their sum, 64 * C(62, 31), does not

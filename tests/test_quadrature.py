@@ -11,7 +11,6 @@ from latticewalks import (
     auto_grid_size,
     bessel_i,
     builtin,
-    chain_finite,
     complex_chain_z,
     complex_fourier_a,
     expand,
@@ -208,7 +207,7 @@ def test_ring_grid_reproduces_winding_counts():
     # on the ring's own grid the aliased mean equals the winding tally
     for lam in (3, 4, 6):
         spec = make("chain-nn-finite", lam)
-        table = chain_finite(lam, 8)
+        table = expand("chain-nn-finite", 8, lam)
         for n in range(9):
             expected = float(table.coefficient((n,)) * math.factorial(n))
             assert moments(spec, 8, lam)[(n,)] == pytest.approx(expected, rel=1e-12, abs=1e-12)
@@ -250,7 +249,7 @@ def test_ksum_even_in_xi_for_even_rings(xi):
 
 def test_ksum_matches_series_evaluation():
     for lam in range(3, 13):
-        table = chain_finite(lam, 30)
+        table = expand("chain-nn-finite", 30, lam)
         for xi in (-1.0, -0.4, 0.1, 0.6, 1.0):
             assert abs(complex_chain_z(lam, xi, math.pi) - float(table.evaluate(xi))) <= 1e-10
 
@@ -262,7 +261,7 @@ def test_ksum_matches_series_evaluation():
 
 def _fourier_a(lam, rho, d):
     # the alias-free phase grid of appendix_b_report: d + bandwidth + 1
-    return complex_fourier_a(lam, rho, d, d + max(ring_harmonics(lam, rho)) + 1)
+    return complex_fourier_a(lam, rho, [d], d + max(ring_harmonics(lam, rho)) + 1)[0]
 
 
 def _winding_form(lam, rho, phi):
@@ -277,8 +276,8 @@ def test_fourier_selection_rule():
 
 
 def test_fourier_trivial_values():
-    assert complex_fourier_a(3, 0.0, 0, 1) == pytest.approx(1.0, abs=1e-14)
-    assert complex_fourier_a(4, 0.0, 4, 5) == pytest.approx(0.0, abs=1e-14)
+    assert complex_fourier_a(3, 0.0, [0], 1) == pytest.approx([1.0], abs=1e-14)
+    assert complex_fourier_a(4, 0.0, [4], 5) == pytest.approx([0.0], abs=1e-14)
 
 
 def test_fourier_matches_series_on_winding_multiples():
@@ -297,9 +296,9 @@ def test_fourier_matches_series_on_winding_multiples():
 
 def test_fourier_validation():
     with pytest.raises(ValueError):
-        complex_fourier_a(4, 0.5, -1, 256)
+        complex_fourier_a(4, 0.5, [0, -1], 256)
     with pytest.raises(ValueError):
-        complex_fourier_a(4, 0.5, 0, phi_points=0)
+        complex_fourier_a(4, 0.5, [0], phi_points=0)
     with pytest.raises(ValueError):
         bessel_i(-2, 0.5)
     with pytest.raises(OverflowError):

@@ -6,16 +6,9 @@ import pytest
 from conftest import brute_tally, brute_total
 from latticewalks import (
     Series,
-    bcc,
     builtin,
-    chain_finite,
-    chain_infinite,
-    chain_nnn,
-    diamond,
     enumerate_walks,
     expand,
-    honeycomb,
-    triangular,
 )
 
 
@@ -25,7 +18,7 @@ from latticewalks import (
 
 
 def test_chain_infinite_small_orders():
-    s = chain_infinite(6)
+    s = expand("chain-nn", 6)
     assert s.coefficient((0,)) == 1
     assert s.coefficient((1,)) == 0
     assert s.coefficient((2,)) == 1
@@ -35,7 +28,7 @@ def test_chain_infinite_small_orders():
 
 
 def test_chain_infinite_is_squared_factorial_series():
-    s = chain_infinite(40)
+    s = expand("chain-nn", 40)
     for v in range(21):
         assert s.coefficient((2 * v,)) == Fraction(1, math.factorial(v) ** 2)
         if 2 * v + 1 <= 40:
@@ -44,7 +37,7 @@ def test_chain_infinite_is_squared_factorial_series():
 
 def test_chain_infinite_validates():
     with pytest.raises(ValueError):
-        chain_infinite(-1)
+        expand("chain-nn", -1)
 
 
 # ---------------------------------------------------------------------------
@@ -55,18 +48,19 @@ def test_chain_infinite_validates():
 def test_chain_finite_examples():
     # ring of three: the two orientations of the 3-cycle (brute-frozen)
     assert brute_total("chain-nn", 3, ring=3) == 2
-    assert chain_finite(3, 6).coefficient((3,)) == Fraction(1, 3)
+    assert expand("chain-nn-finite", 6, 3).coefficient((3,)) == Fraction(1, 3)
     # even rings have even-only series
-    assert chain_finite(4, 6).coefficient((3,)) == 0
+    assert expand("chain-nn-finite", 6, 4).coefficient((3,)) == 0
     # ring of six at order six: 20 non-winding plus 2 winding walks
     assert brute_total("chain-nn", 6, ring=6) == 22
-    assert chain_finite(6, 6).coefficient((6,)) == Fraction(22, 720) == Fraction(11, 360)
+    ring = expand("chain-nn-finite", 6, 6)
+    assert ring.coefficient((6,)) == Fraction(22, 720) == Fraction(11, 360)
 
 
 def test_chain_finite_matches_infinite_below_ring_size():
-    inf = chain_infinite(12)
+    inf = expand("chain-nn", 12)
     for lam in range(3, 13):
-        fin = chain_finite(lam, 12)
+        fin = expand("chain-nn-finite", 12, lam)
         for n in range(lam):
             assert fin.coefficient((n,)) == inf.coefficient((n,))
         # at order lam the single-winding walks enter and the two diverge
@@ -75,7 +69,7 @@ def test_chain_finite_matches_infinite_below_ring_size():
 
 def test_chain_finite_even_ring_parity():
     for lam in (4, 6, 8):
-        s = chain_finite(lam, 11)
+        s = expand("chain-nn-finite", 11, lam)
         for n in range(1, 12, 2):
             assert s.coefficient((n,)) == 0
 
@@ -83,7 +77,7 @@ def test_chain_finite_even_ring_parity():
 def test_chain_finite_rejects_degenerate_rings():
     for lam in (-1, 0, 1, 2):
         with pytest.raises(ValueError):
-            chain_finite(lam, 4)
+            expand("chain-nn-finite", 4, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +86,7 @@ def test_chain_finite_rejects_degenerate_rings():
 
 
 def test_nnn_examples_against_brute_force():
-    s = chain_nnn(6)
+    s = expand("chain-nnn", 6)
     assert s.coefficient((0, 0)) == 1
     # three-step walks mixing one double step (brute-frozen: 6 of them)
     assert brute_tally("chain-nnn", 3).get((2, 1)) == 6
@@ -104,7 +98,7 @@ def test_nnn_examples_against_brute_force():
 
 
 def test_nnn_parity_constraints():
-    s = chain_nnn(9)
+    s = expand("chain-nnn", 9)
     for (n1, n2), coeff in s.items():
         assert n1 % 2 == 0
         assert coeff > 0
@@ -114,7 +108,7 @@ def test_nnn_parity_constraints():
 
 
 def test_nnn_full_table_against_brute_force():
-    s = chain_nnn(6)
+    s = expand("chain-nnn", 6)
     for n in range(7):
         tally = brute_tally("chain-nnn", n)
         for n1 in range(n + 1):
@@ -129,20 +123,20 @@ def test_nnn_full_table_against_brute_force():
 
 
 def test_triangular_printed_expansion():
-    s = triangular(6)
+    s = expand("triangular", 6)
     expected = {0: 1, 2: 3, 3: 2, 4: Fraction(15, 4), 5: 3, 6: Fraction(17, 6)}
     for n in range(7):
         assert s.coefficient((n,)) == expected.get(n, 0)
 
 
 def test_triangular_against_brute_force():
-    s = triangular(5)
+    s = expand("triangular", 5)
     for n in range(6):
         assert s.coefficient((n,)) * math.factorial(n) == brute_total("triangular", n)
 
 
 def test_bcc_printed_expansion():
-    s = bcc(12)
+    s = expand("bcc", 12)
     expected = {
         0: 1,
         2: 4,
@@ -157,7 +151,7 @@ def test_bcc_printed_expansion():
 
 
 def test_bcc_against_brute_force():
-    s = bcc(4)
+    s = expand("bcc", 4)
     for n in range(5):
         assert s.coefficient((n,)) * math.factorial(n) == brute_total("bcc", n)
 
@@ -168,29 +162,29 @@ def test_bcc_against_brute_force():
 
 
 def test_honeycomb_printed_expansion():
-    s = honeycomb(6)
+    s = expand("honeycomb", 6)
     expected = {0: 2, 2: 3, 4: Fraction(5, 4), 6: Fraction(31, 120)}
     for n in range(7):
         assert s.coefficient((n,)) == expected.get(n, 0)
 
 
 def test_diamond_printed_expansion():
-    s = diamond(8)
+    s = expand("diamond", 8)
     expected = {0: 2, 2: 4, 4: Fraction(7, 3), 6: Fraction(32, 45), 8: Fraction(97, 720)}
     for n in range(9):
         assert s.coefficient((n,)) == expected.get(n, 0)
 
 
-@pytest.mark.parametrize("name,fn", [("honeycomb", honeycomb), ("diamond", diamond)])
-def test_bipartite_against_brute_force(name, fn):
-    s = fn(6)
+@pytest.mark.parametrize("name", ["honeycomb", "diamond"], ids="{0}-{0}".format)
+def test_bipartite_against_brute_force(name):
+    s = expand(name, 6)
     for n in range(7):
         assert s.coefficient((n,)) * math.factorial(n) == brute_total(name, n)
 
 
 def test_bipartite_counts_are_even_integers():
-    for fn in (honeycomb, diamond):
-        s = fn(10)
+    for name in ("honeycomb", "diamond"):
+        s = expand(name, 10)
         for n in range(0, 11, 2):
             count = s.coefficient((n,)) * math.factorial(n)
             assert count.denominator == 1
@@ -224,23 +218,23 @@ def test_closed_forms_match_oracle_at_higher_order(name, n):
 
 
 def test_constant_terms():
-    assert chain_infinite(0).coefficient((0,)) == 1
-    assert triangular(0).coefficient((0,)) == 1
-    assert bcc(0).coefficient((0,)) == 1
-    assert honeycomb(0).coefficient((0,)) == 2
-    assert diamond(0).coefficient((0,)) == 2
-    assert chain_nnn(0).coefficient((0, 0)) == 1
+    assert expand("chain-nn", 0).coefficient((0,)) == 1
+    assert expand("triangular", 0).coefficient((0,)) == 1
+    assert expand("bcc", 0).coefficient((0,)) == 1
+    assert expand("honeycomb", 0).coefficient((0,)) == 2
+    assert expand("diamond", 0).coefficient((0,)) == 2
+    assert expand("chain-nnn", 0).coefficient((0, 0)) == 1
 
 
 def test_all_coefficients_nonnegative():
     tables = [
-        chain_infinite(12),
-        chain_finite(5, 12),
-        chain_nnn(10),
-        triangular(10),
-        bcc(12),
-        honeycomb(10),
-        diamond(10),
+        expand("chain-nn", 12),
+        expand("chain-nn-finite", 12, 5),
+        expand("chain-nnn", 10),
+        expand("triangular", 10),
+        expand("bcc", 12),
+        expand("honeycomb", 10),
+        expand("diamond", 10),
     ]
     for table in tables:
         for _, coeff in table.items():
@@ -248,13 +242,14 @@ def test_all_coefficients_nonnegative():
 
 
 def test_parity_vanishing():
-    for table in (chain_infinite(11), bcc(11), honeycomb(11), diamond(11)):
+    for name in ("chain-nn", "bcc", "honeycomb", "diamond"):
+        table = expand(name, 11)
         for n in range(1, 12, 2):
             assert table.coefficient((n,)) == 0
 
 
 def test_walk_count_accessor():
-    s = triangular(6)
+    s = expand("triangular", 6)
     assert s.walk_count((6,)) == 2040
     assert s.walk_count((1,)) == 0
 
@@ -286,7 +281,7 @@ def test_series_validation():
 
 
 def test_series_evaluate():
-    s = chain_infinite(20)
+    s = expand("chain-nn", 20)
     # exact arithmetic is preserved for Fraction arguments
     val = s.evaluate(Fraction(1, 2))
     assert isinstance(val, Fraction)
@@ -297,7 +292,7 @@ def test_series_evaluate():
 
 
 def test_series_json_round_trip():
-    for table in (chain_finite(4, 8), chain_nnn(5), diamond(6)):
+    for table in (expand("chain-nn-finite", 8, 4), expand("chain-nnn", 5), expand("diamond", 6)):
         doc = table.to_json_dict()
         assert (doc["lattice"], doc["max_order"], doc.get("pbc_size")) == (
             table.lattice,

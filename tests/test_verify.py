@@ -9,8 +9,8 @@ from latticewalks import (
     ORACLE_BOUNDS,
     Tolerances,
     appendix_b_report,
-    chain_nnn,
     check_square_conjecture,
+    expand,
     verify_identity,
     verify_recurrence,
 )
@@ -102,7 +102,7 @@ def test_verify_summary_reports_oracle_coverage():
 
 def test_verify_recurrence_base_cases():
     # hand-checked instances of the coefficient recurrence
-    table = chain_nnn(6)
+    table = expand("chain-nnn", 6)
     l = table.coefficient
     assert 2 * 1 * l((2, 0)) - 1 * l((0, 1)) - 2 * l((0, 0)) == 0
     assert 12 * l((4, 1)) - 2 * l((2, 2)) - 2 * l((2, 1)) == 0
