@@ -7,14 +7,7 @@ and reproduces them a third time from dispersion moments over the
 reciprocal primitive cell.
 """
 
-from .lattices import (
-    BUILTIN_NAMES,
-    DispersionTerm,
-    LatticeSpec,
-    StepVector,
-    builtin,
-    dispersion_value,
-)
+from .lattices import BUILTIN_NAMES, LatticeSpec, StepVector, builtin
 from .oracle import ORACLE_BOUNDS, WalkTally, enumerate_walks, finite_chain_trace
 from .quadrature import (
     auto_grid_size,
@@ -42,7 +35,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BUILTIN_NAMES",
     "CoefficientRecord",
-    "DispersionTerm",
     "LatticeSpec",
     "ORACLE_BOUNDS",
     "RecurrenceReport",
@@ -59,7 +51,6 @@ __all__ = [
     "check_square_conjecture",
     "complex_chain_z",
     "complex_fourier_a",
-    "dispersion_value",
     "enumerate_walks",
     "expand",
     "finite_chain_momenta",

@@ -21,8 +21,9 @@ denominator is 1), and prints an empty or ``None`` cell as blank.
 Everything is deterministic: there is no randomness anywhere, so a
 repeated invocation produces byte-identical output.  The environment
 variable ``LATTICEWALKS_OUTDIR`` sets the base directory for relative
-output paths.  Numeric options must be finite, and JSON output never
-contains ``NaN`` or ``Infinity``.
+output paths.  Numeric options must be finite and tolerances positive,
+a usage error names the flag at fault, and JSON output never contains
+``NaN`` or ``Infinity``.
 """
 
 from __future__ import annotations
@@ -152,6 +153,9 @@ def cmd_verify(args) -> int:
         for name in names
     ]
 
+    # refused where verify_recurrence would refuse it, after the reports' own checks
+    if args.recurrence and args.max_order < 2:
+        raise ValueError("--recurrence requires --max-order >= 2")
     recurrence = verify_recurrence(args.max_order) if args.recurrence else None
     failed = sum(r.failed for r in reports) + (recurrence.failed if recurrence else 0)
 
@@ -178,6 +182,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_conjecture(args) -> int:
+    if args.n_max < 0:
+        raise ValueError("--n-max must be >= 0")
     records = check_square_conjecture(args.n_max)
     rows = [r.to_row() for r in records]
     _render(args, {"n_max": args.n_max, "records": rows}, rows)
@@ -221,6 +227,13 @@ def _finite_float(text: str) -> float:
         raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = _finite_float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not positive")
     return value
 
 
@@ -277,8 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--grid", type=_grid_size, default="auto", help='grid points per axis, or "auto"'
     )
-    verify.add_argument("--tol-rel", type=_finite_float, default=1e-9)
-    verify.add_argument("--tol-abs", type=_finite_float, default=1e-12)
+    verify.add_argument("--tol-rel", type=_positive_float, default=1e-9)
+    verify.add_argument("--tol-abs", type=_positive_float, default=1e-12)
     verify.add_argument("--recurrence", action="store_true", help="also check the chain-nnn recurrence")
     _add_output_options(verify)
     verify.set_defaults(handler=cmd_verify)
@@ -300,8 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
     appendix.add_argument("--rho", type=_finite_float, required=True)
     appendix.add_argument("--d", type=int, help="check a single Fourier index")
     appendix.add_argument("--phi-half", action="store_true", help="include the phase pi/2 identity")
-    appendix.add_argument("--tol-match", type=_finite_float, default=1e-9)
-    appendix.add_argument("--tol-selection", type=_finite_float, default=1e-10)
+    appendix.add_argument("--tol-match", type=_positive_float, default=1e-9)
+    appendix.add_argument("--tol-selection", type=_positive_float, default=1e-10)
     _add_output_options(appendix)
     appendix.set_defaults(handler=cmd_appendix_b)
 

@@ -27,12 +27,8 @@ parallelepiped spanned by ``reciprocal_basis`` (rows ``b_i`` with
 ``b_i . a_j = 2*pi*delta_ij``).  Every integrand we need is periodic
 under the reciprocal basis, so means over this cell equal means over any
 other primitive cell, including the Wigner-Seitz one; the Wigner-Seitz
-polytopes are never meshed.  Each hopping label carries a
-:class:`DispersionTerm`, a finite cosine polynomial with *integer*
-frequency vectors in fractional cell coordinates, so a uniform grid
-finer than the bandwidth integrates it without aliasing.  For the
-bipartite lattices the stored term is the squared-band kernel
-``|sum_i exp(i k.e_i)|**2``, again a plain cosine polynomial.
+polytopes are never meshed.  This module holds geometry only: each
+route derives what it needs from ``steps``.
 """
 
 from __future__ import annotations
@@ -75,23 +71,6 @@ class StepVector:
 
 
 @dataclass(frozen=True)
-class DispersionTerm:
-    """Cosine-harmonic form of one hopping label's band contribution.
-
-    ``harmonics`` is a list of ``(frequency, amplitude)`` pairs; the
-    frequency vector is integer-valued in fractional coordinates of the
-    reciprocal cell.  ``bandwidth`` is the largest per-axis |frequency|
-    and controls the alias-free grid size.  For one-sublattice lattices
-    the term evaluates to ``sum_v cos(k.v)`` over the label's steps; for
-    two-sublattice lattices it is the squared-band kernel.
-    """
-
-    label: int
-    harmonics: tuple[tuple[tuple[int, ...], int], ...]
-    bandwidth: int
-
-
-@dataclass(frozen=True)
 class LatticeSpec:
     """Immutable description of one lattice configuration."""
 
@@ -103,7 +82,6 @@ class LatticeSpec:
     direct_basis: tuple[tuple[float, ...], ...]
     reciprocal_basis: tuple[tuple[float, ...], ...]
     cell_volume: float
-    dispersion_terms: tuple[DispersionTerm, ...]
     pbc_size: Optional[int] = None
 
     def to_json_dict(self) -> dict:
@@ -199,34 +177,6 @@ def _integer_coords(coords: tuple[Fraction, ...]) -> tuple[int, ...]:
     return tuple(int(c) for c in coords)
 
 
-def _dispersion_terms(
-    dimension: int,
-    basis_size: int,
-    steps: tuple[StepVector, ...],
-    hopping_count: int,
-) -> tuple[DispersionTerm, ...]:
-    terms = []
-    if basis_size == 1:
-        for label in range(1, hopping_count + 1):
-            harmonics = tuple(
-                (_integer_coords(s.displacement), 1) for s in steps if s.label == label
-            )
-            bandwidth = max(abs(c) for freq, _ in harmonics for c in freq)
-            terms.append(DispersionTerm(label, harmonics, bandwidth))
-        return tuple(terms)
-    # two sublattices: single squared-band kernel |sum_i exp(i k.e_i)|^2,
-    # whose harmonics are the pairwise A->B step differences (integral vectors)
-    forward = [s.displacement for s in steps if s.sublattice == "AtoB"]
-    harmonics = [((0,) * dimension, len(forward))]
-    for i, ei in enumerate(forward):
-        for j, ej in enumerate(forward):
-            if i != j:
-                diff = tuple(a - b for a, b in zip(ei, ej))
-                harmonics.append((_integer_coords(diff), 1))
-    bandwidth = max(abs(c) for freq, _ in harmonics for c in freq)
-    return (DispersionTerm(1, tuple(harmonics), bandwidth),)
-
-
 def _reciprocal_basis(basis: tuple[tuple[float, ...], ...]) -> tuple[tuple[float, ...], ...]:
     a = np.asarray(basis, dtype=float)
     b = _TWO_PI * np.linalg.inv(a).T
@@ -250,44 +200,17 @@ def builtin(name: str, pbc_size: Optional[int] = None) -> LatticeSpec:
     elif pbc_size is not None:
         raise ValueError(f"pbc_size is only meaningful for chain-nn-finite, not {name}")
 
-    geo = _GEOMETRY[name]
-    basis, steps = geo["basis"], geo["steps"]
-    dimension = len(basis)
-    basis_size = 2 if steps[0].sublattice else 1
-    hopping_count = max(s.label for s in steps)
+    basis, steps = _GEOMETRY[name]["basis"], _GEOMETRY[name]["steps"]
     recip = _reciprocal_basis(basis)
-    volume = abs(float(np.linalg.det(np.asarray(recip))))
     return LatticeSpec(
         name=name,
-        dimension=dimension,
-        basis_size=basis_size,
+        dimension=len(basis),
+        basis_size=2 if steps[0].sublattice else 1,
         steps=steps,
-        hopping_count=hopping_count,
+        hopping_count=max(s.label for s in steps),
         direct_basis=basis,
         reciprocal_basis=recip,
-        cell_volume=volume,
-        dispersion_terms=_dispersion_terms(dimension, basis_size, steps, hopping_count),
+        cell_volume=abs(float(np.linalg.det(np.asarray(recip)))),
         pbc_size=pbc_size,
     )
 
-
-def dispersion_value(spec: LatticeSpec, label: int, k) -> float:
-    """Evaluate the label's dispersion at Cartesian quasimomentum ``k``.
-
-    One-sublattice lattices give ``sum_v cos(k.v)`` over the steps with
-    that label (unit hopping amplitude).  Two-sublattice lattices give
-    the squared-band kernel ``|sum_i exp(i k.e_i)|**2``, the quantity
-    whose powers determine all even-order coefficients.
-    """
-    if not 1 <= label <= spec.hopping_count:
-        raise ValueError(f"label {label} out of range 1..{spec.hopping_count}")
-    kv = np.asarray(k, dtype=float)
-    if kv.shape != (spec.dimension,):
-        raise ValueError(f"k must have {spec.dimension} components")
-    a = np.asarray(spec.direct_basis)
-    term = spec.dispersion_terms[label - 1]
-    total = 0.0
-    for freq, amp in term.harmonics:
-        cart = np.asarray(freq, dtype=float) @ a
-        total += amp * math.cos(float(kv @ cart))
-    return total

@@ -8,12 +8,23 @@ every non-constant harmonic averages to zero unless the grid aliases it
 to a reciprocal-lattice multiple of N.  The coefficient routes live in
 :mod:`latticewalks.verify`; this module only produces raw moments.
 
+The dispersion is derived here from the lattice's steps alone, by
+:func:`_band`, as one tuple of ``(frequency, amplitude)`` cosine
+harmonics per hopping label.  On a one-sublattice lattice a label's band
+is ``sum_v cos(k.v)`` over its steps, so each step is a harmonic whose
+*integer* frequency vector, in fractional coordinates of the reciprocal
+cell, is its displacement in primitive-basis coordinates.  The bipartite
+steps are fractional, so there the one term
+is the squared-band kernel ``|sum_i exp(i k.e_i)|**2 = z + sum_{i != j}
+cos(k.(e_i - e_j))`` over the ``z`` A->B steps ``e_i``, again a plain
+cosine polynomial, with the integral step differences as frequencies.
+
 :func:`moments` returns every moment of a run up to order ``n`` from one
 grid, taking each order from the last by one more factor of the
 dispersion.  One grid rule, :func:`auto_grid_size`, decides that grid
-by default: ``N = n*h + 1`` points per axis, with ``h`` the largest
-bandwidth of any dispersion term (``n//2`` kernel powers on the
-two-sublattice lattices).  A grid that is alias-free at the top order
+by default: ``N = n*h + 1`` points per axis, with ``h`` the bandwidth,
+the largest frequency component of any harmonic (``n//2`` kernel powers
+on the two-sublattice lattices).  A grid that is alias-free at the top order
 is alias-free at every lower one (Trefethen & Weideman, SIAM Rev. 56
 (2014) 385), so one grid serves the whole run.  The grid's cosines come
 from one table per ``N``, whose angles are folded in integer arithmetic
@@ -55,9 +66,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .lattices import DispersionTerm, LatticeSpec
+from .lattices import LatticeSpec, _integer_coords
 
 MultiIndex = tuple[int, ...]
+# one label's band: its (frequency, amplitude) cosine harmonics
+Harmonics = tuple[tuple[tuple[int, ...], int], ...]
 
 # points in one slab of the moment stream: a few of its float arrays fit in cache
 _SLAB_POINTS = 1 << 16
@@ -88,10 +101,33 @@ def _cos_table(grid_points: int) -> np.ndarray:
     return np.where(flip, -value, value)
 
 
+def _band(spec: LatticeSpec) -> tuple[Harmonics, ...]:
+    """The dispersion's cosine harmonics, one tuple per hopping label.
+
+    One-sublattice lattices: each step of the label, amplitude 1.
+    Two-sublattice lattices: the one squared-band kernel, ``((0, ..., 0), z)`` and
+    then every A->B difference ``e_i - e_j`` with ``i != j``.
+    """
+    if spec.basis_size == 1:
+        return tuple(
+            tuple((_integer_coords(s.displacement), 1) for s in spec.steps if s.label == label)
+            for label in range(1, spec.hopping_count + 1)
+        )
+    forward = [s.displacement for s in spec.steps if s.sublattice == "AtoB"]
+    kernel = [((0,) * spec.dimension, len(forward))]
+    kernel += [
+        (_integer_coords(tuple(a - b for a, b in zip(ei, ej))), 1)
+        for i, ei in enumerate(forward)
+        for j, ej in enumerate(forward)
+        if i != j
+    ]
+    return (tuple(kernel),)
+
+
 def _term_on_grid(
-    term: DispersionTerm, table: np.ndarray, dimension: int, rows: np.ndarray
+    harmonics: Harmonics, table: np.ndarray, dimension: int, rows: np.ndarray
 ) -> np.ndarray:
-    """Evaluate a cosine-harmonic term on the axis-0 ``rows`` of the fractional grid.
+    """Evaluate one label's harmonics on the axis-0 ``rows`` of the fractional grid.
 
     ``table`` is the grid's :func:`_cos_table`, so its length is the
     number of points per axis.
@@ -103,7 +139,7 @@ def _term_on_grid(
         view[p] = -1
         axes.append((rows if p == 0 else np.arange(grid_points)).reshape(view))
     out = np.zeros((len(rows),) + (grid_points,) * (dimension - 1))
-    for freq, amp in term.harmonics:
+    for freq, amp in harmonics:
         phase = sum(axes[p] * freq[p] for p in range(dimension) if freq[p])
         out += amp * table[np.mod(phase, grid_points)]
     return out
@@ -112,7 +148,7 @@ def _term_on_grid(
 def auto_grid_size(spec: LatticeSpec, max_order: int) -> int:
     """The grid rule: n*h+1 points per axis for a run up to order n.
 
-    ``h`` is the largest bandwidth of any term; ``n`` counts kernel
+    ``h`` is the largest frequency component of any harmonic; ``n`` counts kernel
     powers (``max_order // 2``) on the two-sublattice lattices.  The
     finite ring resolves to its own site count instead, since the
     target there is the discrete quasimomentum sum itself.
@@ -120,7 +156,7 @@ def auto_grid_size(spec: LatticeSpec, max_order: int) -> int:
     if spec.pbc_size is not None:
         return spec.pbc_size
     n = max_order // 2 if spec.basis_size == 2 else max_order
-    return n * max(term.bandwidth for term in spec.dispersion_terms) + 1
+    return n * max(abs(c) for band in _band(spec) for freq, _ in band for c in freq) + 1
 
 
 def moments(spec: LatticeSpec, max_order: int, grid_points: int) -> dict[MultiIndex, float]:
@@ -152,10 +188,11 @@ def moments(spec: LatticeSpec, max_order: int, grid_points: int) -> dict[MultiIn
             f"the bound of {MAX_GRID_WORK:.0e} grid points times orders"
         )
     table = _cos_table(grid_points)
+    band = _band(spec)
 
     if spec.hopping_count == 2:
         rows = np.arange(grid_points)
-        eps = [_term_on_grid(term, table, spec.dimension, rows) for term in spec.dispersion_terms]
+        eps = [_term_on_grid(harmonics, table, spec.dimension, rows) for harmonics in band]
         p1, p2 = (np.cumprod([np.ones_like(e)] + [e] * max_order, axis=0) for e in eps)
         out = {}
         for m1 in range(max_order + 1):
@@ -174,7 +211,7 @@ def moments(spec: LatticeSpec, max_order: int, grid_points: int) -> dict[MultiIn
     for start in range(0, half + 1, rows_per_slab):
         rows = np.arange(start, min(start + rows_per_slab, half + 1))
         weights = row_weights[rows]
-        eps = _term_on_grid(spec.dispersion_terms[0], table, spec.dimension, rows)
+        eps = _term_on_grid(band[0], table, spec.dimension, rows)
         values = np.ones_like(eps)
         for n in range(step, max_order + 1, step):
             values *= eps

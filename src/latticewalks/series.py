@@ -79,18 +79,6 @@ class Series:
         """Coefficients in lexicographic index order (deterministic output)."""
         return sorted(self.coefficients.items())
 
-    def evaluate(self, *values):
-        """Evaluate the truncated series at the given per-label arguments."""
-        if len(values) != self.label_count:
-            raise ValueError(f"expected {self.label_count} argument(s)")
-        total = 0
-        for index, coeff in self.items():
-            term = coeff
-            for x, e in zip(values, index):
-                term = term * x**e
-            total = total + term
-        return total
-
     def to_json_dict(self) -> dict:
         doc = {
             "lattice": self.lattice,

@@ -1,16 +1,22 @@
-"""Shared test fixtures: an independent brute-force walk counter.
+"""Shared test fixtures: an independent brute-force walk counter and references.
 
 The enumerator below is deliberately naive (it iterates every step
 sequence with itertools.product) and restates the step geometry inline,
 in integer-scaled primitive coordinates, so it shares nothing with the
 library's dynamic-programming oracle or the closed-form series.  It is
 the ground truth the fast paths are checked against at small lengths.
+
+:func:`dispersion_value` evaluates the band at Cartesian ``k`` from a
+spec's ``steps`` and ``direct_basis`` alone, never from the quadrature's
+harmonics, and :func:`series_value` sums a truncated series.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
+import numpy as np
 import pytest
 
 # integer-scaled step tables: (moves, label) for single-sublattice
@@ -76,6 +82,33 @@ def brute_tally(name: str, n: int, ring: int | None = None) -> dict[tuple[int, .
 
 def brute_total(name: str, n: int, ring: int | None = None) -> int:
     return sum(brute_tally(name, n, ring).values())
+
+
+def dispersion_value(spec, label: int, k) -> float:
+    """One label's band at Cartesian quasimomentum ``k``, built from the steps.
+
+    One-sublattice lattices give ``sum_v cos(k.v)`` over the label's
+    steps; two-sublattice lattices give the squared-band kernel
+    ``|sum_i exp(i k.e_i)|**2`` over the A->B steps ``e_i``.
+    """
+    if not 1 <= label <= spec.hopping_count:
+        raise ValueError(f"label {label} out of range 1..{spec.hopping_count}")
+    kv = np.asarray(k, dtype=float)
+    if kv.shape != (spec.dimension,):
+        raise ValueError(f"k must have {spec.dimension} components")
+    a = np.asarray(spec.direct_basis)
+
+    def phase(step):
+        return float(kv @ (np.array([float(c) for c in step.displacement]) @ a))
+
+    if spec.basis_size == 2:
+        return abs(sum(np.exp(1j * phase(s)) for s in spec.steps if s.sublattice == "AtoB")) ** 2
+    return sum(math.cos(phase(s)) for s in spec.steps if s.label == label)
+
+
+def series_value(table, x):
+    """The truncated univariate series ``table`` at ``x``, summed in index order."""
+    return sum(c * x**n for (n,), c in table.items())
 
 
 @pytest.fixture

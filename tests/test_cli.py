@@ -226,6 +226,14 @@ def test_usage_errors(capsys):
         code, _, err = run(capsys, "verify", "--lattice", "chain-nn", "--max-order", "4", "--grid", grid)
         assert code == 2
         assert "usage:" in err and "--grid" in err
+    # and each of these names the flag the user typed
+    for argv, message in [
+        (("verify", "--lattice", "bcc", "--max-order", "1", "--recurrence"), "error: --recurrence requires --max-order >= 2\n"),
+        (("conjecture", "--n-max", "-1"), "error: --n-max must be >= 0\n"),
+        (("verify", "--lattice", "bcc", "--max-order", "4", "--tol-abs", "0"), "error: argument --tol-abs: '0' is not positive\n"),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and err.endswith(message) and err.count("error:") == 1
 
 
 def test_output_files_idempotent(tmp_outdir, capsys):
@@ -300,10 +308,17 @@ def test_orders_past_float_range_fail_before_any_grid(capsys, monkeypatch):
         pytest.param(
             ["--rho", "1", "--series-n-max", "30"], "unrecognized arguments: --series-n-max", id="argv5-series_n_max"
         ),
-        (["--rho", "0.5", "--tol-match", "0"], "tol_match"),
-        (["--rho", "0.5", "--tol-selection", "-1"], "tol_selection"),
-        (["--rho", "0.5", "--tol-match", "-0.5", "--phi-half"], "tol_match"),
-        (["--rho", "0.5", "--tol-match", "-1e-9"], "tol_match must be positive"),
+        # a tolerance that is not positive is refused by the parser, naming the flag
+        pytest.param(["--rho", "0.5", "--tol-match", "0"], "argument --tol-match", id="argv6-tol_match"),
+        pytest.param(["--rho", "0.5", "--tol-selection", "-1"], "argument --tol-selection", id="argv7-tol_selection"),
+        pytest.param(
+            ["--rho", "0.5", "--tol-match", "-0.5", "--phi-half"], "argument --tol-match", id="argv8-tol_match"
+        ),
+        pytest.param(
+            ["--rho", "0.5", "--tol-match", "-1e-9"],
+            "argument --tol-match: '-1e-9' is not positive",
+            id="argv9-tol_match must be positive",
+        ),
         # e^{2|rho|} bounds the ring sum: past the float range every run stops here
         (["--rho", "354.95"], "ring sum is not finite"),
         (["--rho", "-354.95", "--phi-half"], "ring sum is not finite"),
@@ -410,7 +425,7 @@ def test_negative_numbers_in_exponent_form_are_values(capsys, fmt):
     assert code == 0 and "error" not in err
     assert (code, out, err) == run(capsys, "appendix-b", "--pbc", "6", "--rho=-1e-3", "--format", fmt)
     code, _, err = run(capsys, "verify", "--lattice", "chain-nn", "--max-order", "4", "--tol-rel", "-1e-9")
-    assert code == 2 and err == "error: tolerances must be positive\n"
+    assert code == 2 and err.endswith("error: argument --tol-rel: '-1e-9' is not positive\n")
 
 
 # SHA-256 of stdout for the commands whose output is ints and strings only, so

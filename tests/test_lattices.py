@@ -6,11 +6,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latticewalks import BUILTIN_NAMES, builtin, dispersion_value
+from conftest import dispersion_value
+from latticewalks import BUILTIN_NAMES, auto_grid_size, builtin
+from latticewalks.quadrature import _band
 
 
 def make(name):
     return builtin(name, 6 if name == "chain-nn-finite" else None)
+
+
+def band_value(spec, label, k):
+    """The quadrature's harmonics of one label, evaluated at Cartesian ``k``."""
+    a = np.asarray(spec.direct_basis)
+    return sum(
+        amp * math.cos(float(np.asarray(k, dtype=float) @ (np.asarray(freq, dtype=float) @ a)))
+        for freq, amp in _band(spec)[label - 1]
+    )
+
+
+def assert_band(spec, label, k, expected):
+    value = band_value(spec, label, k)
+    assert value == pytest.approx(expected, abs=1e-12)
+    assert dispersion_value(spec, label, k) == pytest.approx(value, abs=1e-12)
 
 
 ALL_SPECS = [make(name) for name in BUILTIN_NAMES]
@@ -47,7 +64,7 @@ def test_builtin_shape(name, dim, basis, labels, n_steps):
     assert spec.hopping_count == labels
     assert {s.label for s in spec.steps} == set(range(1, labels + 1))
     assert len(spec.steps) == n_steps
-    assert len(spec.dispersion_terms) == labels
+    assert len(_band(spec)) == labels
 
 
 def test_builtin_errors():
@@ -122,27 +139,23 @@ def test_translations_compatible_with_reciprocal_cell():
 
 
 def test_dispersion_examples():
-    assert dispersion_value(make("chain-nn"), 1, (0.0,)) == pytest.approx(2.0)
-    assert dispersion_value(make("triangular"), 1, (0.0, 0.0)) == pytest.approx(6.0)
-    assert dispersion_value(make("bcc"), 1, (2 * math.pi, 0.0, 0.0)) == pytest.approx(-8.0)
+    assert_band(make("chain-nn"), 1, (0.0,), 2.0)
+    assert_band(make("triangular"), 1, (0.0, 0.0), 6.0)
+    assert_band(make("bcc"), 1, (2 * math.pi, 0.0, 0.0), -8.0)
     # double-step label of the nnn chain oscillates twice as fast
     spec = make("chain-nnn")
     for k in (0.3, 1.2):
-        assert dispersion_value(spec, 1, (k,)) == pytest.approx(2 * math.cos(k))
-        assert dispersion_value(spec, 2, (k,)) == pytest.approx(2 * math.cos(2 * k))
+        assert_band(spec, 1, (k,), 2 * math.cos(k))
+        assert_band(spec, 2, (k,), 2 * math.cos(2 * k))
 
 
 def test_two_band_kernel_matches_step_sum():
-    # the stored kernel must equal |sum_i exp(i k.e_i)|^2 built from the steps
+    # the quadrature's kernel must equal |sum_i exp(i k.e_i)|^2 built from the steps
     rng = [(0.0, 0.0), (0.7, -1.3), (2.1, 0.4)]
     for name in ("honeycomb", "diamond"):
         spec = make(name)
-        a = np.asarray(spec.direct_basis)
-        fwd = [np.array([float(c) for c in s.displacement]) @ a
-               for s in spec.steps if s.sublattice == "AtoB"]
         for k in [np.array(k + (0.9,))[: spec.dimension] for k in rng]:
-            amp = sum(np.exp(1j * float(k @ e)) for e in fwd)
-            assert dispersion_value(spec, 1, k) == pytest.approx(abs(amp) ** 2, abs=1e-12)
+            assert band_value(spec, 1, k) == pytest.approx(dispersion_value(spec, 1, k), abs=1e-12)
 
 
 def _cartesian_steps(spec, forward_only=False):
@@ -182,12 +195,14 @@ def test_cartesian_step_positions():
 
 
 def test_kernel_values_at_zone_centre():
-    assert dispersion_value(make("honeycomb"), 1, (0.0, 0.0)) == pytest.approx(9.0)
-    assert dispersion_value(make("diamond"), 1, (0.0, 0.0, 0.0)) == pytest.approx(16.0)
+    assert_band(make("honeycomb"), 1, (0.0, 0.0), 9.0)
+    assert_band(make("diamond"), 1, (0.0, 0.0, 0.0), 16.0)
 
 
 def test_dispersion_label_errors():
     spec = make("triangular")
+    # one harmonic tuple per label, each frequency with one component per axis
+    assert [len(freq) for harmonics in _band(spec) for freq, _ in harmonics] == [2] * 6
     with pytest.raises(ValueError):
         dispersion_value(spec, 0, (0.0, 0.0))
     with pytest.raises(ValueError):
@@ -211,20 +226,25 @@ def test_dispersion_even_and_periodic(data):
         )
     )
     for label in range(1, spec.hopping_count + 1):
-        val = dispersion_value(spec, label, k)
-        assert dispersion_value(spec, label, -k) == pytest.approx(val, abs=1e-9)
+        val = band_value(spec, label, k)
+        assert dispersion_value(spec, label, k) == pytest.approx(val, abs=1e-9)
+        assert band_value(spec, label, -k) == pytest.approx(val, abs=1e-9)
         for b in np.asarray(spec.reciprocal_basis):
-            assert dispersion_value(spec, label, k + b) == pytest.approx(val, abs=1e-8)
+            assert band_value(spec, label, k + b) == pytest.approx(val, abs=1e-8)
+
+
+def _bandwidth(harmonics):
+    return max(abs(c) for freq, _ in harmonics for c in freq)
 
 
 def test_bandwidths():
+    # the grid rule's h is the largest frequency component of any harmonic
     for spec in ALL_SPECS:
-        for term in spec.dispersion_terms:
-            width = max(abs(c) for freq, _ in term.harmonics for c in freq)
-            assert term.bandwidth == width
-    assert make("chain-nnn").dispersion_terms[1].bandwidth == 2
-    assert make("honeycomb").dispersion_terms[0].bandwidth == 1
-    assert make("bcc").dispersion_terms[0].bandwidth == 1
+        if spec.pbc_size is None and spec.basis_size == 1:
+            assert auto_grid_size(spec, 1) == max(map(_bandwidth, _band(spec))) + 1
+    assert _bandwidth(_band(make("chain-nnn"))[1]) == 2
+    assert _bandwidth(_band(make("honeycomb"))[0]) == 1
+    assert _bandwidth(_band(make("bcc"))[0]) == 1
 
 
 def test_spec_json_document():

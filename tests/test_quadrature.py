@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import series_value
 from latticewalks import (
     BUILTIN_NAMES,
     auto_grid_size,
@@ -18,7 +19,7 @@ from latticewalks import (
     moments,
 )
 from latticewalks.cli import build_parser, cmd_appendix_b
-from latticewalks.quadrature import MAX_GRID_WORK, _cos_table, ring_harmonics
+from latticewalks.quadrature import MAX_GRID_WORK, _band, _cos_table, ring_harmonics
 
 
 def make(name, pbc=None):
@@ -83,7 +84,7 @@ def test_refinement_stability():
     # alias-free grids: doubling the bandwidth-sized grid changes nothing
     for name in ("chain-nn", "chain-nn-finite", "chain-nnn", "triangular", "bcc"):
         spec = make(name, 6 if name == "chain-nn-finite" else None)
-        h = max(term.bandwidth for term in spec.dispersion_terms)
+        h = max(abs(c) for harmonics in _band(spec) for freq, _ in harmonics for c in freq)
         for total in (2, 3, 4):
             coarse = moments(spec, total, total * h + 1)
             fine = moments(spec, total, 2 * (total * h + 1))
@@ -147,12 +148,24 @@ def test_auto_grid_policy():
 
 
 def _full_grid_means(spec, order, n):
-    """Every moment as np.mean over all n**D points, with the cosines from np.cos."""
+    """Every moment as np.mean over all n**D points, the band built from the steps.
+
+    A step d has the phase 2*pi*m.d/n at grid point m; a label's band is
+    the sum of its steps' cosines, and the bipartite kernel is
+    |sum exp(i*phase)|**2 over the A->B steps.
+    """
     k = np.meshgrid(*[2.0 * np.pi * np.arange(n) / n] * spec.dimension, indexing="ij")
-    eps = [
-        sum(amp * np.cos(sum(f * kp for f, kp in zip(freq, k))) for freq, amp in term.harmonics)
-        for term in spec.dispersion_terms
-    ]
+
+    def phase(step):
+        return sum(float(d) * kp for d, kp in zip(step.displacement, k))
+
+    if spec.basis_size == 2:
+        eps = [np.abs(sum(np.exp(1j * phase(s)) for s in spec.steps if s.sublattice == "AtoB")) ** 2]
+    else:
+        eps = [
+            sum(np.cos(phase(s)) for s in spec.steps if s.label == label)
+            for label in range(1, spec.hopping_count + 1)
+        ]
     scales = [float(np.max(np.abs(e))) for e in eps]
     out = {}
     for total in range(order + 1):
@@ -251,7 +264,7 @@ def test_ksum_matches_series_evaluation():
     for lam in range(3, 13):
         table = expand("chain-nn-finite", 30, lam)
         for xi in (-1.0, -0.4, 0.1, 0.6, 1.0):
-            assert abs(complex_chain_z(lam, xi, math.pi) - float(table.evaluate(xi))) <= 1e-10
+            assert abs(complex_chain_z(lam, xi, math.pi) - float(series_value(table, xi))) <= 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -280,17 +280,6 @@ def test_series_validation():
         Series("x", 2, 1, {(1,): 0.5})
 
 
-def test_series_evaluate():
-    s = expand("chain-nn", 20)
-    # exact arithmetic is preserved for Fraction arguments
-    val = s.evaluate(Fraction(1, 2))
-    assert isinstance(val, Fraction)
-    partial = sum(Fraction(1, math.factorial(v) ** 2) * Fraction(1, 2) ** (2 * v) for v in range(11))
-    assert val == partial
-    with pytest.raises(ValueError):
-        s.evaluate(1.0, 2.0)
-
-
 def test_series_json_round_trip():
     for table in (expand("chain-nn-finite", 8, 4), expand("chain-nnn", 5), expand("diamond", 6)):
         doc = table.to_json_dict()
