@@ -21,9 +21,9 @@ denominator is 1), and prints an empty or ``None`` cell as blank.
 Everything is deterministic: there is no randomness anywhere, so a
 repeated invocation produces byte-identical output.  The environment
 variable ``LATTICEWALKS_OUTDIR`` sets the base directory for relative
-output paths.  Numeric options must be finite and tolerances positive,
-a usage error names the flag at fault, and JSON output never contains
-``NaN`` or ``Infinity``.
+output paths.  Numeric options must be finite, tolerances positive,
+counts at least 0 and ring sizes at least 3; a usage error names the
+flag at fault, and JSON output never contains ``NaN`` or ``Infinity``.
 """
 
 from __future__ import annotations
@@ -182,8 +182,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_conjecture(args) -> int:
-    if args.n_max < 0:
-        raise ValueError("--n-max must be >= 0")
     records = check_square_conjecture(args.n_max)
     rows = [r.to_row() for r in records]
     _render(args, {"n_max": args.n_max, "records": rows}, rows)
@@ -237,16 +235,27 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer of at least ``low``, named ``int`` in argparse's errors."""
+
+    def parse(text: str) -> int:
+        if int(text) < low:  # a ValueError reads "invalid int value", as with type=int
+            raise argparse.ArgumentTypeError(f"{text!r} is not >= {low}")
+        return int(text)
+
+    parse.__name__ = "int"
+    return parse
+
+
+_nonnegative_int = _int_at_least(0)
+_ring_size = _int_at_least(3)
+
+
 def _grid_size(text: str) -> int | str:
-    if text == "auto":
-        return text
     try:
-        value = int(text)
+        return text if text == "auto" else _int_at_least(1)(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f'{text!r} is not "auto" or an integer') from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} is not >= 1")
-    return value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -270,14 +279,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     coeffs = sub.add_parser("coeffs", help="exact series coefficients")
     coeffs.add_argument("--lattice", required=True, choices=BUILTIN_NAMES)
-    coeffs.add_argument("--pbc", type=int, default=6, help="ring size for chain-nn-finite")
-    coeffs.add_argument("--max-order", type=int, required=True)
+    coeffs.add_argument("--pbc", type=_ring_size, default=6, help="ring size for chain-nn-finite")
+    coeffs.add_argument("--max-order", type=_nonnegative_int, required=True)
     _add_output_options(coeffs)
     coeffs.set_defaults(handler=cmd_coeffs)
 
     lattice = sub.add_parser("lattice", help="emit one lattice description")
     lattice.add_argument("--lattice", required=True, choices=BUILTIN_NAMES)
-    lattice.add_argument("--pbc", type=int, default=6)
+    lattice.add_argument("--pbc", type=_ring_size, default=6)
     _add_output_options(lattice)
     lattice.set_defaults(handler=cmd_lattice)
 
@@ -285,8 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     which = verify.add_mutually_exclusive_group(required=True)
     which.add_argument("--lattice", choices=BUILTIN_NAMES)
     which.add_argument("--all", action="store_true", help="verify every built-in lattice")
-    verify.add_argument("--pbc", type=int, default=6)
-    verify.add_argument("--max-order", type=int, required=True)
+    verify.add_argument("--pbc", type=_ring_size, default=6)
+    verify.add_argument("--max-order", type=_nonnegative_int, required=True)
     verify.add_argument(
         "--grid", type=_grid_size, default="auto", help='grid points per axis, or "auto"'
     )
@@ -297,21 +306,21 @@ def build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(handler=cmd_verify)
 
     conjecture = sub.add_parser("conjecture", help="bcc perfect-square scan")
-    conjecture.add_argument("--n-max", type=int, default=30)
+    conjecture.add_argument("--n-max", type=_nonnegative_int, default=30)
     _add_output_options(conjecture)
     conjecture.set_defaults(handler=cmd_conjecture)
 
     oracle_cmd = sub.add_parser("oracle", help="walk-enumeration tally")
     oracle_cmd.add_argument("--lattice", required=True, choices=BUILTIN_NAMES)
-    oracle_cmd.add_argument("--pbc", type=int, default=6)
-    oracle_cmd.add_argument("--n", type=int, required=True)
+    oracle_cmd.add_argument("--pbc", type=_ring_size, default=6)
+    oracle_cmd.add_argument("--n", type=_nonnegative_int, required=True)
     _add_output_options(oracle_cmd)
     oracle_cmd.set_defaults(handler=cmd_oracle)
 
     appendix = sub.add_parser("appendix-b", help="complex-hopping ring checks")
-    appendix.add_argument("--pbc", type=int, required=True)
+    appendix.add_argument("--pbc", type=_ring_size, required=True)
     appendix.add_argument("--rho", type=_finite_float, required=True)
-    appendix.add_argument("--d", type=int, help="check a single Fourier index")
+    appendix.add_argument("--d", type=_nonnegative_int, help="check a single Fourier index")
     appendix.add_argument("--phi-half", action="store_true", help="include the phase pi/2 identity")
     appendix.add_argument("--tol-match", type=_positive_float, default=1e-9)
     appendix.add_argument("--tol-selection", type=_positive_float, default=1e-10)

@@ -82,6 +82,7 @@ class LatticeSpec:
     direct_basis: tuple[tuple[float, ...], ...]
     reciprocal_basis: tuple[tuple[float, ...], ...]
     cell_volume: float
+    # the torus side of the lattice axes; builtin sets it only for the ring
     pbc_size: Optional[int] = None
 
     def to_json_dict(self) -> dict:

@@ -6,14 +6,14 @@ A step is an integer move: a lattice translation plus one axis per
 hopping label except the last, counting that label's steps.  On the
 two-sublattice lattices hops are measured from the first A->B
 displacement ``e0`` (``d - e0`` for A->B, ``d + e0`` for B->A), so every
-move is a lattice translation.  The torus is the ring itself on the
-finite ring and wider than any walk of length ``L`` elsewhere.  A cell
+move is a lattice translation.  The lattice axes wrap at ``pbc_size``
+cells when the spec carries one (a torus; the ring is its 1-D case)
+and are wider than any walk of length ``L`` otherwise; a label axis
+has ``L + 1`` cells, as no label count passes the length.  A cell
 never exceeds the ``z**t`` walks of its length (``z`` moves a step), so
 cells are int64 while ``z**L < 2**63`` and exact Python ints past it.
-
-The ring also has an adjacency route: the trace of ``A**n``, built by
-``n`` shift steps from the identity, over the site count (exact, by
-vertex transitivity) is the per-site tally.
+Every ring site is alike, so the ring's adjacency trace ``Tr A**n`` over
+the site count is the count from one site: ``finite_chain_trace``.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .lattices import LatticeSpec, _integer_coords
+from .lattices import LatticeSpec, _integer_coords, builtin
 
 MultiIndex = tuple[int, ...]
 
@@ -85,14 +85,15 @@ def closed_walks(spec: LatticeSpec, max_length: int) -> list[WalkTally]:
         moves.setdefault(s.sublattice, []).append(_integer_coords(hop) + label_part)
     cycle = [moves["AtoB"], moves["BtoA"]] if doubled else [moves[None]]
 
-    # off the ring a walk's displacement is smaller than the side, so
-    # wrapping never closes a walk that is not closed
-    reach = max(abs(c) for group in cycle for move in group for c in move)
+    # without a torus the side passes any walk's displacement, and no label
+    # count passes the length, so wrapping never closes an open walk
+    reach = max(abs(c) for group in cycle for move in group for c in move[: spec.dimension])
     side = spec.pbc_size or max_length * reach + 1
-    axes = tuple(range(len(cycle[0][0])))
+    shape = (side,) * spec.dimension + (max_length + 1,) * (spec.hopping_count - 1)
+    axes = tuple(range(len(shape)))
     # no cell exceeds the z**t walks of its length t, z the largest move set
     dtype = np.int64 if max(map(len, cycle)) ** max_length < 2**63 else object
-    ways = np.zeros((side,) * len(axes), dtype=dtype)
+    ways = np.zeros(shape, dtype=dtype)
     ways.flat[0] = 1
     factor = 2 if doubled else 1
     tallies = []
@@ -111,25 +112,11 @@ def closed_walks(spec: LatticeSpec, max_length: int) -> list[WalkTally]:
 def enumerate_walks(spec: LatticeSpec, n: int, bound: Optional[int] = None) -> WalkTally:
     """The length-``n`` tally of ``closed_walks``; ``n`` may not pass ``bound``."""
     limit = ORACLE_BOUNDS[spec.dimension] if bound is None else bound
-    if n < 0:
-        raise ValueError("walk length must be >= 0")
     if n > limit:
         raise ValueError(f"walk length {n} exceeds enumeration bound {limit}")
     return closed_walks(spec, n)[-1]
 
 
 def finite_chain_trace(pbc_size: int, n: int) -> int:
-    """Per-site closed-walk count on the ring, via the exact trace of A**n."""
-    if pbc_size < 3:
-        raise ValueError(f"pbc_size must be >= 3, got {pbc_size}")
-    if n < 0:
-        raise ValueError("walk length must be >= 0")
-    # an entry of A**n counts some of the 2**n walks from its row's site;
-    # the trace, up to pbc_size times that, is summed in Python ints
-    ways = np.identity(pbc_size, dtype=np.int64 if 2**n < 2**63 else object)
-    for _ in range(n):
-        ways = np.roll(ways, 1, axis=1) + np.roll(ways, -1, axis=1)
-    trace = sum(map(int, ways.diagonal()))
-    if trace % pbc_size:
-        raise AssertionError("ring trace not divisible by site count")
-    return trace // pbc_size
+    """Per-site closed-walk count on the ring: ``Tr A**n`` over the site count."""
+    return closed_walks(builtin("chain-nn-finite", pbc_size), n)[-1].total

@@ -221,7 +221,7 @@ def test_usage_errors(capsys):
     # the message names the --max-order flag on every lattice, chain-nnn too
     for command in ("coeffs", "verify"):
         code, _, err = run(capsys, command, "--lattice", "chain-nnn", "--max-order", "-1")
-        assert (code, err) == (2, "error: max_order must be >= 0\n")
+        assert code == 2 and err.endswith("error: argument --max-order: '-1' is not >= 0\n")
     for grid in ("abc", "1e3", "0"):
         code, _, err = run(capsys, "verify", "--lattice", "chain-nn", "--max-order", "4", "--grid", grid)
         assert code == 2
@@ -229,7 +229,15 @@ def test_usage_errors(capsys):
     # and each of these names the flag the user typed
     for argv, message in [
         (("verify", "--lattice", "bcc", "--max-order", "1", "--recurrence"), "error: --recurrence requires --max-order >= 2\n"),
-        (("conjecture", "--n-max", "-1"), "error: --n-max must be >= 0\n"),
+        (("conjecture", "--n-max", "-1"), "error: argument --n-max: '-1' is not >= 0\n"),
+        (("oracle", "--lattice", "bcc", "--n", "-1"), "error: argument --n: '-1' is not >= 0\n"),
+        (("appendix-b", "--pbc", "5", "--rho", "1", "--d", "-1"), "error: argument --d: '-1' is not >= 0\n"),
+        (("appendix-b", "--pbc", "2", "--rho", "1"), "error: argument --pbc: '2' is not >= 3\n"),
+        (("coeffs", "--lattice", "chain-nn-finite", "--pbc", "2", "--max-order", "3"), "error: argument --pbc: '2' is not >= 3\n"),
+        # the ring size is refused on every lattice, though only the ring reads it
+        (("coeffs", "--lattice", "bcc", "--pbc", "2", "--max-order", "3"), "error: argument --pbc: '2' is not >= 3\n"),
+        # a value that is not an integer reads as it does with argparse's own int
+        (("coeffs", "--lattice", "bcc", "--max-order", "abc"), "error: argument --max-order: invalid int value: 'abc'\n"),
         (("verify", "--lattice", "bcc", "--max-order", "4", "--tol-abs", "0"), "error: argument --tol-abs: '0' is not positive\n"),
     ]:
         code, out, err = run(capsys, *argv)

@@ -168,12 +168,14 @@ def test_trace_agrees_with_series_and_dp():
 
 
 def test_trace_exact_on_both_sides_of_int64():
-    # an entry of A**n is at most 2**n, so the trace switches to Python ints at n = 63
+    # a cell of the ring's stencil is at most the 2**n walks of its length,
+    # so the trace switches to Python ints at n = 63
     for lam in range(3, 10):
         table = expand("chain-nn-finite", 70, lam)
         for n in range(71):
             assert finite_chain_trace(lam, n) == table.coefficient((n,)) * math.factorial(n)
-    # the entries fit int64 here, but their sum, 64 * C(62, 31), does not
+    # the one-site count fits int64 here, but the trace it stands for,
+    # 64 * C(62, 31) over all 64 sites, does not
     assert finite_chain_trace(64, 62) == math.comb(62, 31)
     assert 64 * math.comb(62, 31) > 2**63
 

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from latticewalks import (
     moments,
 )
 from latticewalks.cli import build_parser, cmd_appendix_b
+from latticewalks.oracle import closed_walks
 from latticewalks.quadrature import MAX_GRID_WORK, _band, _cos_table, ring_harmonics
 
 
@@ -194,6 +197,30 @@ def test_halved_slab_sums_match_the_full_grid_mean(name, n, order):
     assert sorted(values) == sorted(reference)
     for index, (mean, scale) in reference.items():
         assert values[index] == pytest.approx(mean, rel=0.0, abs=1e-13 * max(scale, 1.0)), index
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 9), length=st.integers(0, 10))
+@example(n=3, length=10)  # aliased: the chain-nnn label count passes the side
+@example(n=4, length=10)  # the cosine table's exact 0 and -1
+@example(n=6, length=10)  # the cosine table's exact 1/2
+def test_grid_means_count_closed_walks_on_the_torus(name, n, length):
+    # an n-point-per-axis grid is the reciprocal lattice of the torus of
+    # n**D cells, so every grid mean, aliased or not, counts its closed walks
+    spec = dataclasses.replace(make(name, 3 if name == "chain-nn-finite" else None), pbc_size=n)
+    values = moments(spec, length, n)
+    sups = [sum(abs(amp) for _, amp in harmonics) for harmonics in _band(spec)]
+    for tally in closed_walks(spec, length):
+        order = tally.length
+        for index in _indices(spec.hopping_count, order):
+            orderings = math.factorial(order) // math.prod(map(math.factorial, index))
+            if spec.basis_size == 2:
+                scale = sups[0] ** (order / 2)  # kernel**(n/2)
+            else:
+                scale = math.prod(sup**m for sup, m in zip(sups, index))
+            error = abs(values[index] - float(Fraction(tally.count(index), orderings)))
+            assert error <= 1e-13 * scale, (index, error / scale)
 
 
 def test_moments_memory_stays_in_slabs():
