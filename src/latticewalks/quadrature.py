@@ -31,16 +31,18 @@ from one table per ``N``, whose angles are folded in integer arithmetic
 into the first quadrant, so the table is exactly symmetric and its
 rational values (0, +-1/2, +-1) are exact.
 
-For a single-term dispersion the grid is streamed, never held whole:
-the power chain runs over slabs of axis-0 rows of about
-``_SLAB_POINTS`` points, small enough to stay in cache, and adds each
-slab's row sums of every power to one vector of ``max_order + 1``
-sums.  The dispersion is even, ``eps(k) = eps(-k)``, and ``k -> -k`` maps every uniform grid onto itself, aliased or not, so
-the trapezoid rule on the inversion-reduced cell (Monkhorst & Pack,
-Phys. Rev. B 13 (1976) 5188) gives the same sums from rows ``0..N//2``:
-each row but 0 and (for even ``N``) ``N/2`` stands for its mirror too
-and has weight 2.  Memory is then one slab, whatever the order or grid;
-the work, grid points times orders, is bounded by ``MAX_GRID_WORK``.
+Every dispersion is streamed, never held whole: the power chain of the
+first label runs over slabs of axis-0 rows of about ``_SLAB_POINTS``
+points, small enough to stay in cache, and adds each slab's row sums of
+every power to one table of sums.  On the two-label chain a slab also
+holds every power of the second label, so it has fewer rows.  The
+dispersion is even, ``eps(k) = eps(-k)``, and ``k -> -k`` maps every
+uniform grid onto itself, aliased or not, so the trapezoid rule on the
+inversion-reduced cell (Monkhorst & Pack, Phys. Rev. B 13 (1976) 5188)
+gives the same sums from rows ``0..N//2``: each row but 0 and (for even
+``N``) ``N/2`` stands for its mirror too and has weight 2.  Memory is
+then one slab, whatever the order or grid; the work, grid points times
+moments, is bounded by ``MAX_GRID_WORK``.
 
 For the finite ring the physically meaningful grid is the ring's own
 ``pbc_size`` quasimomenta: on that grid the deliberate aliasing of the
@@ -74,7 +76,7 @@ Harmonics = tuple[tuple[tuple[int, ...], int], ...]
 
 # points in one slab of the moment stream: a few of its float arrays fit in cache
 _SLAB_POINTS = 1 << 16
-# grid points times orders one moments() call may take on, 100x bcc's
+# grid points times moments one moments() call may take on, 100x bcc's
 # auto grid at order 170 (171**3 * 170, about 8.5e8)
 MAX_GRID_WORK = 10**11
 # phases times ring sites of one appendix-b phase grid (about 240 MB of ring sums)
@@ -171,34 +173,24 @@ def moments(spec: LatticeSpec, max_order: int, grid_points: int) -> dict[MultiIn
     by the sigma = -1/+1 cancellation, so the band square root is never
     taken.
 
-    A single-term dispersion is streamed in slabs over rows ``0..N//2``
-    with inversion weights (see the module docstring); the two-label
-    chain is one-dimensional and keeps its two power tables whole.  A
-    run past ``MAX_GRID_WORK`` grid points times orders is a
-    ``ValueError`` before anything is allocated.
+    The grid is streamed in slabs over rows ``0..N//2`` with inversion
+    weights (see the module docstring).  A run past ``MAX_GRID_WORK``
+    grid points times moments is a ``ValueError`` before anything is
+    allocated.
     """
     if grid_points < 1:
         raise ValueError("grid_points must be >= 1")
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
     size = grid_points**spec.dimension
-    if size * max(max_order, 1) > MAX_GRID_WORK:
+    monomials = math.comb(max_order + spec.hopping_count, spec.hopping_count)
+    if size * max(monomials - 1, 1) > MAX_GRID_WORK:
         raise ValueError(
             f"a grid of {grid_points}**{spec.dimension} points to order {max_order} is past "
-            f"the bound of {MAX_GRID_WORK:.0e} grid points times orders"
+            f"the bound of {MAX_GRID_WORK:.0e} grid points times moments"
         )
     table = _cos_table(grid_points)
     band = _band(spec)
-
-    if spec.hopping_count == 2:
-        rows = np.arange(grid_points)
-        eps = [_term_on_grid(harmonics, table, spec.dimension, rows) for harmonics in band]
-        p1, p2 = (np.cumprod([np.ones_like(e)] + [e] * max_order, axis=0) for e in eps)
-        out = {}
-        for m1 in range(max_order + 1):
-            means = np.mean(p1[m1] * p2[: max_order + 1 - m1], axis=1)
-            out.update(((m1, m2), float(mean)) for m2, mean in enumerate(means))
-        return out
 
     weight, step = (2.0, 2) if spec.basis_size == 2 else (1.0, 1)
     half = grid_points // 2
@@ -206,19 +198,27 @@ def moments(spec: LatticeSpec, max_order: int, grid_points: int) -> dict[MultiIn
     row_weights[0] = 1.0
     if grid_points % 2 == 0:
         row_weights[half] = 1.0
-    rows_per_slab = max(1, _SLAB_POINTS // grid_points ** (spec.dimension - 1))
-    sums = np.zeros(max_order + 1)
+    # a two-label slab also holds every power of the second label
+    height = max_order + 1 if len(band) == 2 else 1
+    rows_per_slab = max(1, _SLAB_POINTS // (height * grid_points ** (spec.dimension - 1)))
+    sums = np.zeros((max_order + 1,) * len(band))
     for start in range(0, half + 1, rows_per_slab):
         rows = np.arange(start, min(start + rows_per_slab, half + 1))
         weights = row_weights[rows]
-        eps = _term_on_grid(band[0], table, spec.dimension, rows)
+        eps, *second = (_term_on_grid(harmonics, table, spec.dimension, rows) for harmonics in band)
+        inner = np.cumprod([np.ones_like(eps)] + second * max_order, axis=0) if second else None
         values = np.ones_like(eps)
-        for n in range(step, max_order + 1, step):
-            values *= eps
-            sums[n] += weights @ values.reshape(len(rows), -1).sum(axis=1)
+        for n in range(0, max_order + 1, step):
+            if n:
+                values *= eps
+            if second:
+                k = max_order + 1 - n
+                sums[n, :k] += (inner[:k] * values).reshape(k, len(rows), -1).sum(axis=2) @ weights
+            else:
+                sums[n] += weights @ values.reshape(len(rows), -1).sum(axis=1)
     means = weight * sums / size
-    means[0] = weight
-    return {(n,): float(mean) for n, mean in enumerate(means)}
+    indices = np.ndindex(means.shape)
+    return {m: v for m, v in zip(indices, means.ravel().tolist()) if sum(m) <= max_order}
 
 
 # ---------------------------------------------------------------------------

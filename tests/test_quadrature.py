@@ -22,7 +22,7 @@ from latticewalks import (
 )
 from latticewalks.cli import build_parser, cmd_appendix_b
 from latticewalks.oracle import closed_walks
-from latticewalks.quadrature import MAX_GRID_WORK, _band, _cos_table, ring_harmonics
+from latticewalks.quadrature import _SLAB_POINTS, MAX_GRID_WORK, _band, _cos_table, ring_harmonics
 
 
 def make(name, pbc=None):
@@ -104,6 +104,13 @@ def test_refinement_stability():
             for index in _indices(spec.hopping_count, n):
                 scale = math.prod(map(math.factorial, index))
                 assert wide[index] == pytest.approx(own[index], rel=1e-12, abs=1e-12 * scale)
+    # the two-label stream over two slabs matches the alias-free grid
+    nnn = make("chain-nnn")
+    exact = moments(nnn, 40, auto_grid_size(nnn, 40))
+    for n in (4001, 4002):
+        assert math.ceil((n // 2 + 1) / (_SLAB_POINTS // 41)) == 2  # rows 0..N//2, 41 powers
+        for index, value in moments(nnn, 40, n).items():
+            assert value == pytest.approx(exact[index], rel=0.0, abs=1e-13 * 2.0 ** sum(index))
 
 
 def _indices(labels, total):
@@ -224,14 +231,16 @@ def test_grid_means_count_closed_walks_on_the_torus(name, n, length):
 
 
 def test_moments_memory_stays_in_slabs():
-    # the whole 171**3 grid is 38 MiB, and one power of it as much again
-    tracemalloc.start()
-    try:
-        moments(make("bcc"), 170, 171)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * 2**20
+    # the whole 171**3 grid is 38 MiB, and one power of it as much again;
+    # chain-nnn's 171 powers of each label on 20000 points would be 52 MiB
+    for name, order, n in (("bcc", 170, 171), ("chain-nnn", 170, 20000)):
+        tracemalloc.start()
+        try:
+            moments(make(name), order, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, name
 
 
 def test_grid_work_bound():
@@ -241,6 +250,9 @@ def test_grid_work_bound():
         moments(bcc, 2, 100000)
     with pytest.raises(ValueError, match="bound"):
         moments(make("chain-nn"), 0, MAX_GRID_WORK + 1)
+    # the bound counts moments: chain-nnn has comb(172, 2) of them at order 170
+    with pytest.raises(ValueError, match="bound"):
+        moments(make("chain-nnn"), 170, 10**7)
 
 
 def test_ring_grid_reproduces_winding_counts():
