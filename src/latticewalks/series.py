@@ -1,12 +1,12 @@
-"""Exact Taylor coefficients of the walk generating functions.
+"""Exact closed-walk counts, and the Taylor coefficients they define.
 
 Each built-in lattice has a closed combinatorial form for the number of
 closed walks of length ``n`` (split by hopping label where there is more
-than one label).  The walk counts are plain integers built from
-binomials, and the series coefficient at a multi-index of total order
-``n`` is ``count / n!``.  Everything in this module is exact: walk
-counts are arbitrary-precision ints and coefficients are
-:class:`fractions.Fraction`; no floating point enters at any stage.
+than one label).  A :class:`Series` holds these walk counts as plain
+arbitrary-precision ints; the series coefficient at a multi-index of
+total order ``n`` is derived from them as ``Fraction(count, n!)``.
+Everything in this module is exact: no floating point enters at any
+stage.
 
 The four symmetric lattices use single-sum closed forms (Guttmann,
 "Lattice Green's functions in all dimensions", J. Phys. A 43 (2010)
@@ -25,7 +25,7 @@ walk's start.  In particular the bcc coefficient at order ``2m`` is
 ``((2m)! / (m!)**3)**2``, an exact rational square at every order.
 
 Multi-indices are ordinary tuples of non-negative ints, one entry per
-hopping label, stored only where the coefficient is non-zero.
+hopping label, stored only where the walk count is non-zero.
 """
 
 from __future__ import annotations
@@ -40,40 +40,44 @@ MultiIndex = tuple[int, ...]
 
 @dataclass(frozen=True)
 class Series:
-    """Truncated Taylor expansion: multi-index -> exact coefficient.
+    """Truncated expansion: multi-index -> exact closed-walk count (an int).
 
-    Absent indices mean a zero coefficient.  ``label_count`` is the
-    arity of every index; ``max_order`` bounds the stored total degree.
+    A count is ``n!`` times the Taylor coefficient at total order ``n``;
+    the coefficients are derived from the counts.  Absent indices mean a
+    zero count.  ``label_count`` is the arity of every index;
+    ``max_order`` bounds the stored total degree.
     """
 
     lattice: str
     max_order: int
     label_count: int
-    coefficients: Mapping[MultiIndex, Fraction] = field(default_factory=dict)
+    counts: Mapping[MultiIndex, int] = field(default_factory=dict)
     pbc_size: Optional[int] = None
 
     def __post_init__(self):
         if self.max_order < 0:
             raise ValueError("max_order must be >= 0")
-        for index, value in self.coefficients.items():
+        for index, value in self.counts.items():
             if len(index) != self.label_count or any(e < 0 for e in index):
                 raise ValueError(f"bad multi-index {index}")
             if sum(index) > self.max_order:
                 raise ValueError(f"index {index} exceeds max_order {self.max_order}")
-            if not isinstance(value, Fraction):
-                raise ValueError(f"coefficient at {index} is not a Fraction")
+            if not isinstance(value, int):
+                raise ValueError(f"walk count at {index} is not an int")
 
-    def coefficient(self, index: MultiIndex) -> Fraction:
-        if len(index) != self.label_count:
-            raise ValueError(f"index arity {len(index)} != {self.label_count}")
-        return self.coefficients.get(tuple(index), Fraction(0))
+    @property
+    def coefficients(self) -> Mapping[MultiIndex, Fraction]:
+        """The exact Taylor coefficients, derived from ``counts``, with its keys."""
+        return {index: Fraction(c, math.factorial(sum(index))) for index, c in self.counts.items()}
 
     def walk_count(self, index: MultiIndex) -> int:
-        """n! * coefficient, the exact closed-walk count at this index."""
-        count = self.coefficient(index) * math.factorial(sum(index))
-        if count.denominator != 1:
-            raise ValueError(f"coefficient at {index} is not of walk-count form")
-        return count.numerator
+        """The exact closed-walk count at this index, n! times its coefficient."""
+        if len(index) != self.label_count:
+            raise ValueError(f"index arity {len(index)} != {self.label_count}")
+        return self.counts.get(tuple(index), 0)
+
+    def coefficient(self, index: MultiIndex) -> Fraction:
+        return Fraction(self.walk_count(index), math.factorial(sum(index)))
 
     def items(self) -> list[tuple[MultiIndex, Fraction]]:
         """Coefficients in lexicographic index order (deterministic output)."""
@@ -116,15 +120,19 @@ def _finite_chain_count(n: int, pbc_size: int) -> int:
 
 def _nnn_count(n1: int, n2: int) -> int:
     # the double steps' net displacement d2 has the parity of n2 and
-    # |d2| <= min(n1/2, n2), so the unit steps can cancel it
-    if n1 % 2:
+    # |d2| <= min(n1/2, n2), so the unit steps can cancel it; the summand
+    # C(n1, n1/2 - d2) C(n2, (n2 - d2)/2) is even in d2, so sum d2 >= 0,
+    # doubling d2 > 0, and take each binomial from the last d2's
+    d2, cap = n2 % 2, min(n1 // 2, n2)
+    if n1 % 2 or d2 > cap:
         return 0
-    cap = min(n1 // 2, n2)
-    inner = sum(
-        math.comb(n1, (n1 - 2 * d2) // 2) * math.comb(n2, (n2 - d2) // 2)
-        for d2 in range(-cap, cap + 1)
-        if (n2 - d2) % 2 == 0
-    )
+    a, b = n1 // 2 - d2, (n2 - d2) // 2
+    c1, c2, inner = math.comb(n1, a), math.comb(n2, b), 0
+    while d2 <= cap:
+        inner += (2 if d2 else 1) * c1 * c2
+        c1 = c1 * a * (a - 1) // ((n1 - a + 1) * (n1 - a + 2))
+        c2 = c2 * b // (n2 - b + 1)
+        a, b, d2 = a - 2, b - 1, d2 + 2
     return math.comb(n1 + n2, n1) * inner
 
 
@@ -179,21 +187,21 @@ def expand(name: str, max_order: int, pbc_size: Optional[int] = None) -> Series:
     ``pbc_size`` is the ring size of ``chain-nn-finite`` (winding walks
     included); other lattices ignore it.  ``chain-nnn`` is bivariate.
     """
-    coeffs = {}
+    counts = {}
     # a negative max_order leaves every loop empty, and Series refuses it
     if name == "chain-nnn":
         for n1 in range(0, max_order + 1, 2):
             for n2 in range(max_order - n1 + 1):
                 c = _nnn_count(n1, n2)
                 if c:
-                    coeffs[(n1, n2)] = Fraction(c, math.factorial(n1 + n2))
-        return Series(name, max_order, 2, coeffs)
+                    counts[(n1, n2)] = c
+        return Series(name, max_order, 2, counts)
     if name not in _COUNTERS:
         raise ValueError(f"unknown lattice {name!r}")
     count = _COUNTERS[name](max_order, pbc_size)
     for n in range(max_order + 1):
         c = count(n)
         if c:
-            coeffs[(n,)] = Fraction(c, math.factorial(n))
+            counts[(n,)] = c
     ring = pbc_size if name == "chain-nn-finite" else None
-    return Series(name, max_order, 1, coeffs, pbc_size=ring)
+    return Series(name, max_order, 1, counts, pbc_size=ring)

@@ -130,24 +130,26 @@ def verify_identity(
     grid_points = quadrature.auto_grid_size(spec, max_order) if grid == "auto" else int(grid)
     table = quadrature.moments(spec, max_order, grid_points)
 
+    fact = [math.factorial(n) for n in range(max_order + 1)]
     records = []
     for index in sorted(table):
         n = sum(index)
-        coeff = exact.coefficient(index)
+        walks = exact.walk_count(index)
         count = tallies[n].count(index) if n < len(tallies) else None
         numeric = table[index] / math.prod(map(math.factorial, index))
 
-        approx = float(coeff)
+        # int / int is correctly rounded, so this is float(Fraction(walks, n!))
+        approx = walks / fact[n]
         abs_error = abs(numeric - approx)
-        rel_error = abs_error / abs(approx) if coeff != 0 else None
+        rel_error = abs_error / abs(approx) if walks != 0 else None
         numeric_ok = (
-            abs_error <= tolerances.zero_abs if coeff == 0 else rel_error <= tolerances.relative
+            abs_error <= tolerances.zero_abs if walks == 0 else rel_error <= tolerances.relative
         )
-        oracle_ok = count is None or coeff * math.factorial(n) == count
+        oracle_ok = count is None or walks == count
         records.append(
             CoefficientRecord(
                 index=index,
-                exact=coeff,
+                exact=Fraction(walks, fact[n]),
                 oracle_count=count,
                 grid_points=grid_points,
                 numeric=numeric,
@@ -196,23 +198,27 @@ def verify_recurrence(max_total_order: int) -> RecurrenceReport:
     """Exact check of the two-label chain coefficient recurrence.
 
     (n1+2)(n1+1) L[n1+2, n2] - (n2+1) L[n1, n2+1] - 2 L[n1, n2] = 0
-    for every n1 + n2 <= max_total_order, in rational arithmetic.
+    for every n1 + n2 <= max_total_order, checked in integer arithmetic on
+    the walk counts (n1+n2)! L[n1, n2], multiplied through by (n1+n2+2)!.
+    A violation's residual is the exact left-hand side above, on the
+    coefficient scale.
     """
     if max_total_order < 2:
         raise ValueError("max_total_order must be >= 2")
-    table = series.expand("chain-nnn", max_total_order + 2)
+    count = series.expand("chain-nnn", max_total_order + 2).walk_count
     checked = 0
     violations = []
     for n1 in range(max_total_order + 1):
         for n2 in range(max_total_order - n1 + 1):
+            n = n1 + n2
             residual = (
-                (n1 + 2) * (n1 + 1) * table.coefficient((n1 + 2, n2))
-                - (n2 + 1) * table.coefficient((n1, n2 + 1))
-                - 2 * table.coefficient((n1, n2))
+                (n1 + 2) * (n1 + 1) * count((n1 + 2, n2))
+                - (n2 + 1) * (n + 2) * count((n1, n2 + 1))
+                - 2 * (n + 2) * (n + 1) * count((n1, n2))
             )
             checked += 1
             if residual != 0:
-                violations.append((n1, n2, str(residual)))
+                violations.append((n1, n2, str(Fraction(residual, math.factorial(n + 2)))))
     return RecurrenceReport(max_total_order, checked, tuple(violations))
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import brute_tally, brute_total
 from latticewalks import (
+    BUILTIN_NAMES,
     Series,
     builtin,
     enumerate_walks,
@@ -105,6 +106,28 @@ def test_nnn_parity_constraints():
     assert s.coefficient((1, 0)) == 0
     assert s.coefficient((3, 2)) == 0
     assert s.coefficient((0, 5)) == 0  # no unit steps means even double-step count
+
+
+def _nnn_closed_form(n1, n2):
+    # the full binomial sum over the double steps' net displacement d2
+    if n1 % 2:
+        return 0
+    cap = min(n1 // 2, n2)
+    inner = sum(
+        math.comb(n1, (n1 - 2 * d2) // 2) * math.comb(n2, (n2 - d2) // 2)
+        for d2 in range(-cap, cap + 1)
+        if (n2 - d2) % 2 == 0
+    )
+    return math.comb(n1 + n2, n1) * inner
+
+
+def test_nnn_counts_match_full_binomial_sum():
+    # the series halves the even sum and steps each binomial from its
+    # neighbour; the full closed form is the reference
+    s = expand("chain-nnn", 120)
+    for n1 in range(121):
+        for n2 in range(121 - n1):
+            assert s.walk_count((n1, n2)) == _nnn_closed_form(n1, n2), (n1, n2)
 
 
 def test_nnn_full_table_against_brute_force():
@@ -254,6 +277,15 @@ def test_walk_count_accessor():
     assert s.walk_count((1,)) == 0
 
 
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_coefficients_derive_from_walk_counts(name):
+    s = expand(name, 60, 6 if name == "chain-nn-finite" else None)
+    assert s.coefficients.keys() == s.counts.keys()
+    for index in s.counts:
+        assert s.walk_count(index) == s.coefficient(index) * math.factorial(sum(index))
+        assert isinstance(s.walk_count(index), int)
+
+
 def test_expand_dispatch():
     assert expand("chain-nn", 4).lattice == "chain-nn"
     assert expand("chain-nn-finite", 4, 5).pbc_size == 5
@@ -273,11 +305,13 @@ def test_series_validation():
     with pytest.raises(ValueError):
         Series("x", -1, 1, {})
     with pytest.raises(ValueError):
-        Series("x", 2, 1, {(1, 2): Fraction(1)})
+        Series("x", 2, 1, {(1, 2): 1})
     with pytest.raises(ValueError):
-        Series("x", 2, 1, {(3,): Fraction(1)})
+        Series("x", 2, 1, {(3,): 1})
     with pytest.raises(ValueError):
         Series("x", 2, 1, {(1,): 0.5})
+    with pytest.raises(ValueError):
+        Series("x", 2, 1, {(1,): Fraction(1, 2)})
 
 
 def test_series_json_round_trip():

@@ -4,12 +4,15 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latticewalks import (
     ORACLE_BOUNDS,
     Tolerances,
     appendix_b_report,
     check_square_conjecture,
+    Series,
     expand,
     verify_identity,
     verify_recurrence,
@@ -114,6 +117,41 @@ def test_verify_recurrence_full():
     assert report.checked == sum(n + 1 for n in range(13))
     with pytest.raises(ValueError):
         verify_recurrence(1)
+
+
+def test_recurrence_violations_on_the_coefficient_scale(monkeypatch):
+    # one bumped walk count breaks exactly the three recurrences it enters,
+    # and each residual is the rational one of the coefficient recurrence
+    true = expand("chain-nnn", 18)
+    bumped = Series("chain-nnn", 18, 2, {**true.counts, (4, 3): true.walk_count((4, 3)) + 1})
+
+    def fake_expand(name, max_order, pbc_size=None):
+        assert (name, max_order) == ("chain-nnn", 18)
+        return bumped
+
+    monkeypatch.setattr("latticewalks.series.expand", fake_expand)
+    l = bumped.coefficient
+    expected = []
+    for n1 in range(17):
+        for n2 in range(17 - n1):
+            residual = (
+                (n1 + 2) * (n1 + 1) * l((n1 + 2, n2)) - (n2 + 1) * l((n1, n2 + 1)) - 2 * l((n1, n2))
+            )
+            if residual:
+                expected.append((n1, n2, str(residual)))
+    assert [(n1, n2) for n1, n2, _ in expected] == [(2, 3), (4, 2), (4, 3)]
+    report = verify_recurrence(16)
+    assert report.violations == tuple(expected)
+    assert report.failed == 3
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 170).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, 8**n))))
+def test_int_quotient_is_the_fraction_float(case):
+    # verify_identity's approx is walks / n!: both sides are the correctly
+    # rounded float of the same rational
+    n, c = case
+    assert c / math.factorial(n) == float(Fraction(c, math.factorial(n)))
 
 
 def test_square_conjecture_examples():
