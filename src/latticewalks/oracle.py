@@ -1,4 +1,4 @@
-"""Ground-truth walk enumeration, independent of the closed-form series.
+"""Ground-truth walk enumeration, independent of the exact series.
 
 ``closed_walks`` counts closed walks of every length up to ``L`` in one
 pass of a shift stencil on a torus, reading the origin after each step.
@@ -6,18 +6,20 @@ A step is an integer move: a lattice translation plus one axis per
 hopping label except the last, counting that label's steps.  On the
 two-sublattice lattices hops are measured from the first A->B
 displacement ``e0`` (``d - e0`` for A->B, ``d + e0`` for B->A), so every
-move is a lattice translation.  The lattice axes wrap at ``pbc_size``
-cells when the spec carries one (a torus; the ring is its 1-D case)
-and are wider than any walk of length ``L`` otherwise; a label axis
-has ``L + 1`` cells, as no label count passes the length.  A cell
-never exceeds the ``z**t`` walks of its length (``z`` moves a step), so
-cells are int64 while ``z**L < 2**63`` and exact Python ints past it.
+move is a lattice translation.  The lattice axes are wider than any
+walk of length ``L``, unless the spec carries a torus narrower than
+that: then they wrap at ``pbc_size`` cells (the ring is the 1-D case).
+A label axis has ``L + 1`` cells, as no label count passes the length.
+A cell never exceeds the ``z**t`` walks of its length (``z`` moves a
+step), so cells are int64 while ``z**L < 2**63`` and exact Python ints
+past it.
 Every ring site is alike, so the ring's adjacency trace ``Tr A**n`` over
 the site count is the count from one site: ``finite_chain_trace``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -85,10 +87,11 @@ def closed_walks(spec: LatticeSpec, max_length: int) -> list[WalkTally]:
         moves.setdefault(s.sublattice, []).append(_integer_coords(hop) + label_part)
     cycle = [moves["AtoB"], moves["BtoA"]] if doubled else [moves[None]]
 
-    # without a torus the side passes any walk's displacement, and no label
-    # count passes the length, so wrapping never closes an open walk
+    # a side past any walk's displacement never closes an open walk, and no
+    # label count passes the length; a torus wider than that side cannot be
+    # wrapped by any walk, so the narrower side gives the same counts
     reach = max(abs(c) for group in cycle for move in group for c in move[: spec.dimension])
-    side = spec.pbc_size or max_length * reach + 1
+    side = min(spec.pbc_size or math.inf, max_length * reach + 1)
     shape = (side,) * spec.dimension + (max_length + 1,) * (spec.hopping_count - 1)
     axes = tuple(range(len(shape)))
     # no cell exceeds the z**t walks of its length t, z the largest move set

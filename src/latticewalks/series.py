@@ -1,28 +1,37 @@
 """Exact closed-walk counts, and the Taylor coefficients they define.
 
-Each built-in lattice has a closed combinatorial form for the number of
-closed walks of length ``n`` (split by hopping label where there is more
-than one label).  A :class:`Series` holds these walk counts as plain
+A :class:`Series` holds the number of closed walks of each length ``n``
+(split by hopping label where there is more than one label) as plain
 arbitrary-precision ints; the series coefficient at a multi-index of
 total order ``n`` is derived from them as ``Fraction(count, n!)``.
 Everything in this module is exact: no floating point enters at any
 stage.
 
-The four symmetric lattices use single-sum closed forms (Guttmann,
-"Lattice Green's functions in all dimensions", J. Phys. A 43 (2010)
-305205; Domb, Adv. Phys. 9 (1960) 149), with ``p = n/2`` and odd
-orders zero where the lattice is bipartite or bcc:
+The lattice Green functions are D-finite (Guttmann, "Lattice Green's
+functions in all dimensions", J. Phys. A 43 (2010) 305205), so each
+single-label walk-count sequence obeys a short recurrence with
+polynomial coefficients, run in one integer loop.  The count at order
+``n = stride * p`` is ``factor * a(p)``, zero at the other orders:
 
-* bcc (OEIS A002897): ``C(n, p)**3``;
-* triangular (A002898): ``sum_k C(n,k) (-2)**(n-k) F(k)``, where
-  ``F(k) = sum_j C(k,j)**3`` are the Franel numbers (A000172);
-* honeycomb: ``2 sum_k C(p,k)**2 C(2k,k)`` (twice A002893);
-* diamond: ``2 sum_k C(p,k)**2 C(2k,k) C(2p-2k,p-k)`` (twice the Domb
-  numbers, A002895).
+* chain-nn, ``a(p) = C(2p, p)``: ``p a(p) = 2(2p-1) a(p-1)``;
+* bcc (OEIS A002897), ``C(2p, p)**3``: ``p**3 a(p) = 8(2p-1)**3 a(p-1)``;
+* honeycomb, twice A002893:
+  ``p**2 a(p) = (10p**2 - 10p + 3) a(p-1) - 9(p-1)**2 a(p-2)``;
+* diamond, twice the Domb numbers (A002895):
+  ``p**3 a(p) = 2(2p-1)(5p**2 - 5p + 2) a(p-1) - 64(p-1)**3 a(p-2)``;
+* triangular (A002898), stride 1:
+  ``n**2 a(n) = n(n-1) a(n-1) + 24(n-1)**2 a(n-2) + 36(n-1)(n-2) a(n-3)``.
 
-The factor 2 on the two-site lattices counts both sublattices as the
-walk's start.  In particular the bcc coefficient at order ``2m`` is
-``((2m)! / (m!)**3)**2``, an exact rational square at every order.
+Every step divides exactly; a remainder raises ``ArithmeticError``, so a
+wrong recurrence fails loudly and never rounds.  The factor 2 on the
+two-site lattices counts both sublattices as the walk's start.  The bcc
+coefficient at order ``2m`` is ``((2m)! / (m!)**3)**2``, an exact
+rational square at every order.  The ring ``chain-nn-finite`` sums its
+winding numbers, and the bivariate ``chain-nnn`` sums the double steps'
+net displacement, so ``verify --recurrence`` checks the paper's
+recurrence against counts not built from it.  The binomial closed forms
+of the five recurrences (Domb, Adv. Phys. 9 (1960) 149) are kept as the
+test reference.
 
 Multi-indices are ordinary tuples of non-negative ints, one entry per
 hopping label, stored only where the walk count is non-zero.
@@ -102,10 +111,6 @@ class Series:
 # ---------------------------------------------------------------------------
 
 
-def _chain_count(n: int) -> int:
-    return 0 if n % 2 else math.comb(n, n // 2)
-
-
 def _finite_chain_count(n: int, pbc_size: int) -> int:
     # net displacement of a closed ring walk is a multiple of the ring size,
     # and the winding number is capped by n // pbc_size
@@ -136,49 +141,36 @@ def _nnn_count(n1: int, n2: int) -> int:
     return math.comb(n1 + n2, n1) * inner
 
 
-def _bcc_count(n: int) -> int:
-    return 0 if n % 2 else math.comb(n, n // 2) ** 3
-
-
-def _honeycomb_count(n: int) -> int:
-    if n % 2:
-        return 0
-    p = n // 2
-    return 2 * sum(math.comb(p, k) ** 2 * math.comb(2 * k, k) for k in range(p + 1))
-
-
-def _diamond_count(n: int) -> int:
-    if n % 2:
-        return 0
-    p = n // 2
-    return 2 * sum(
-        math.comb(p, k) ** 2 * math.comb(2 * k, k) * math.comb(2 * p - 2 * k, p - k)
-        for k in range(p + 1)
-    )
-
-
-def _ring_counter(max_order: int, pbc_size: Optional[int]):
-    if pbc_size is None:
-        raise ValueError("chain-nn-finite requires pbc_size")
-    if pbc_size < 3:
-        raise ValueError(f"pbc_size must be >= 3, got {pbc_size}")
-    return lambda n: _finite_chain_count(n, pbc_size)
-
-
-def _triangular_counter(max_order: int, pbc_size: Optional[int]):
-    franel = [sum(math.comb(k, j) ** 3 for j in range(k + 1)) for k in range(max_order + 1)]
-    return lambda n: sum(math.comb(n, k) * (-2) ** (n - k) * franel[k] for k in range(n + 1))
-
-
-# lattice name -> counter(max_order, pbc_size): the walk count of each order n
-_COUNTERS = {
-    "chain-nn": lambda max_order, pbc_size: _chain_count,
-    "chain-nn-finite": _ring_counter,
-    "triangular": _triangular_counter,
-    "bcc": lambda max_order, pbc_size: _bcc_count,
-    "honeycomb": lambda max_order, pbc_size: _honeycomb_count,
-    "diamond": lambda max_order, pbc_size: _diamond_count,
+# lattice -> (stride, factor, first terms a(0..), steps): the walk count at
+# order stride*p is factor*a(p), zero at other orders, and past the first
+# terms P0(p) a(p) = sum_j Pj(p) a(p-j) with (P0, P1, ...) = steps(p)
+_RECURRENCES = {
+    "chain-nn": (2, 1, (1,), lambda p: (p, 2 * (2 * p - 1))),
+    "bcc": (2, 1, (1,), lambda p: (p**3, 8 * (2 * p - 1) ** 3)),
+    "honeycomb": (2, 2, (1, 3), lambda p: (p**2, 10 * p**2 - 10 * p + 3, -9 * (p - 1) ** 2)),
+    "diamond": (
+        2, 2, (1, 4),
+        lambda p: (p**3, 2 * (2 * p - 1) * (5 * p**2 - 5 * p + 2), -64 * (p - 1) ** 3),
+    ),
+    "triangular": (
+        1, 1, (1, 0, 6),
+        lambda p: (p**2, p * (p - 1), 24 * (p - 1) ** 2, 36 * (p - 1) * (p - 2)),
+    ),
 }
+
+
+def _recurrence_counts(name: str, max_order: int) -> dict[MultiIndex, int]:
+    stride, factor, first, steps = _RECURRENCES[name]
+    last = max_order // stride
+    a = list(first[: max(last + 1, 0)])
+    for p in range(len(a), last + 1):
+        lead, *rest = steps(p)
+        term, remainder = divmod(sum(c * a[p - j] for j, c in enumerate(rest, 1)), lead)
+        # every step divides exactly; a remainder means a wrong recurrence
+        if remainder:
+            raise ArithmeticError(f"{name} recurrence leaves a remainder at p = {p}")
+        a.append(term)
+    return {(stride * p,): factor * t for p, t in enumerate(a) if t}
 
 
 def expand(name: str, max_order: int, pbc_size: Optional[int] = None) -> Series:
@@ -187,21 +179,22 @@ def expand(name: str, max_order: int, pbc_size: Optional[int] = None) -> Series:
     ``pbc_size`` is the ring size of ``chain-nn-finite`` (winding walks
     included); other lattices ignore it.  ``chain-nnn`` is bivariate.
     """
-    counts = {}
     # a negative max_order leaves every loop empty, and Series refuses it
     if name == "chain-nnn":
+        counts = {}
         for n1 in range(0, max_order + 1, 2):
             for n2 in range(max_order - n1 + 1):
                 c = _nnn_count(n1, n2)
                 if c:
                     counts[(n1, n2)] = c
         return Series(name, max_order, 2, counts)
-    if name not in _COUNTERS:
+    if name == "chain-nn-finite":
+        if pbc_size is None:
+            raise ValueError("chain-nn-finite requires pbc_size")
+        if pbc_size < 3:
+            raise ValueError(f"pbc_size must be >= 3, got {pbc_size}")
+        counts = {(n,): c for n in range(max_order + 1) if (c := _finite_chain_count(n, pbc_size))}
+        return Series(name, max_order, 1, counts, pbc_size)
+    if name not in _RECURRENCES:
         raise ValueError(f"unknown lattice {name!r}")
-    count = _COUNTERS[name](max_order, pbc_size)
-    for n in range(max_order + 1):
-        c = count(n)
-        if c:
-            counts[(n,)] = c
-    ring = pbc_size if name == "chain-nn-finite" else None
-    return Series(name, max_order, 1, counts, pbc_size=ring)
+    return Series(name, max_order, 1, _recurrence_counts(name, max_order))

@@ -2,7 +2,7 @@
 
 For every multi-index up to a requested order this module compares
 
-* the exact closed-form coefficient (:mod:`latticewalks.series`),
+* the exact series coefficient (:mod:`latticewalks.series`),
 * the walk-enumeration count (:mod:`latticewalks.oracle`), compared as
   exact integers against n! times the coefficient, and
 * the quadrature moment (:mod:`latticewalks.quadrature`), compared as a

@@ -9,10 +9,15 @@ the ground truth the fast paths are checked against at small lengths.
 :func:`dispersion_value` evaluates the band at Cartesian ``k`` from a
 spec's ``steps`` and ``direct_basis`` alone, never from the quadrature's
 harmonics, and :func:`series_value` sums a truncated series.
+
+``CLOSED_FORMS`` holds the single-label walk counts as binomial sums,
+the reference the series' recurrences are checked against (Guttmann,
+J. Phys. A 43 (2010) 305205; Domb, Adv. Phys. 9 (1960) 149).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -82,6 +87,41 @@ def brute_tally(name: str, n: int, ring: int | None = None) -> dict[tuple[int, .
 
 def brute_total(name: str, n: int, ring: int | None = None) -> int:
     return sum(brute_tally(name, n, ring).values())
+
+
+@functools.lru_cache(maxsize=None)
+def franel(k: int) -> int:
+    """The Franel number ``sum_j C(k,j)**3`` (OEIS A000172)."""
+    return sum(math.comb(k, j) ** 3 for j in range(k + 1))
+
+
+def _even(count):
+    # a count that vanishes at odd n and is count(n // 2) at even n
+    return lambda n: 0 if n % 2 else count(n // 2)
+
+
+# order n -> closed-walk count; p = n/2 on the lattices with even counts only
+CLOSED_FORMS = {
+    "chain-nn": _even(lambda p: math.comb(2 * p, p)),
+    # A002897
+    "bcc": _even(lambda p: math.comb(2 * p, p) ** 3),
+    # A002898
+    "triangular": lambda n: sum(
+        math.comb(n, k) * (-2) ** (n - k) * franel(k) for k in range(n + 1)
+    ),
+    # twice A002893: the factor 2 counts both sublattices as the start
+    "honeycomb": _even(
+        lambda p: 2 * sum(math.comb(p, k) ** 2 * math.comb(2 * k, k) for k in range(p + 1))
+    ),
+    # twice the Domb numbers, A002895
+    "diamond": _even(
+        lambda p: 2
+        * sum(
+            math.comb(p, k) ** 2 * math.comb(2 * k, k) * math.comb(2 * p - 2 * k, p - k)
+            for k in range(p + 1)
+        )
+    ),
+}
 
 
 def dispersion_value(spec, label: int, k) -> float:

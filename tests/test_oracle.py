@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from conftest import brute_tally
+from conftest import brute_tally, brute_total
 from latticewalks import (
     BUILTIN_NAMES,
     ORACLE_BOUNDS,
@@ -68,6 +68,23 @@ def test_ring_reduces_to_infinite_chain_when_large():
         ring = make("chain-nn-finite", lam)
         for n in range(lam):
             assert enumerate_walks(ring, n).counts == enumerate_walks(free, n).counts
+
+
+def test_ring_tallies_straddle_the_wrapping_length():
+    # a walk of L unit steps wraps a ring of N sites only if L >= N; the
+    # oracle's side is L + 1 below that and N from L = N - 1 on
+    for lam in range(3, 9):
+        for top in range(lam - 2, lam + 2):
+            tallies = closed_walks(make("chain-nn-finite", lam), top)
+            assert [t.total for t in tallies] == [
+                brute_total("chain-nn", n, ring=lam) for n in range(top + 1)
+            ]
+
+
+def test_huge_ring_costs_no_more_than_the_chain():
+    free = closed_walks(make("chain-nn"), 12)
+    ring = closed_walks(make("chain-nn-finite", 10**12), 12)
+    assert [t.counts for t in ring] == [t.counts for t in free]
 
 
 def test_bipartite_counts_even():

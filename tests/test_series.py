@@ -3,13 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import brute_tally, brute_total
+from conftest import CLOSED_FORMS, brute_tally, brute_total
 from latticewalks import (
     BUILTIN_NAMES,
     Series,
     builtin,
     enumerate_walks,
     expand,
+    series,
 )
 
 
@@ -215,6 +216,45 @@ def test_bipartite_counts_are_even_integers():
 
 
 # ---------------------------------------------------------------------------
+# recurrences against the closed forms
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+def test_recurrence_matches_closed_form_to_order_300(name):
+    s = expand(name, 300)
+    for n in range(301):
+        assert s.walk_count((n,)) == CLOSED_FORMS[name](n), n
+
+
+@pytest.mark.parametrize("name", ["honeycomb", "diamond"])
+def test_two_site_recurrence_matches_closed_form_at_order_400(name):
+    assert expand(name, 400).walk_count((400,)) == CLOSED_FORMS[name](400)
+
+
+def test_wrong_recurrence_fails_loudly(monkeypatch):
+    # Domb's recurrence with 63 in place of 64 leaves a remainder at p = 2
+    def wrong(p):
+        return p**3, 2 * (2 * p - 1) * (5 * p**2 - 5 * p + 2), -63 * (p - 1) ** 3
+
+    monkeypatch.setitem(series._RECURRENCES, "diamond", (2, 2, (1, 4), wrong))
+    assert expand("diamond", 2).walk_count((2,)) == 8
+    with pytest.raises(ArithmeticError, match="diamond recurrence"):
+        expand("diamond", 4)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_truncation_and_negative_order(name):
+    ring = 6 if name == "chain-nn-finite" else None
+    full = expand(name, 60, ring).counts
+    for n in range(10):
+        low = {index: c for index, c in full.items() if sum(index) <= n}
+        assert expand(name, n, ring).counts == low, n
+    with pytest.raises(ValueError):
+        expand(name, -1, ring)
+
+
+# ---------------------------------------------------------------------------
 # shared properties
 # ---------------------------------------------------------------------------
 
@@ -232,7 +272,7 @@ def test_bipartite_counts_are_even_integers():
     ],
 )
 def test_closed_forms_match_oracle_at_higher_order(name, n):
-    # the oracle's stencil shares nothing with the closed forms
+    # the oracle's stencil shares nothing with the recurrences or the sums
     tally = enumerate_walks(builtin(name), n, bound=n)
     table = expand(name, n)
     expected = {index: table.walk_count(index) for index, _ in table.items() if sum(index) == n}
