@@ -12,7 +12,7 @@ Each handler computes its result, builds one JSON document and takes
 the table rows from it: the document's entry list (``coefficients``,
 ``counts`` or ``steps``) behind a leading ``lattice`` column, or its
 ``records``, which are rows already.  ``_render`` writes the document
-for ``--format json`` and the rows for ``csv`` or ``pretty``.
+(``--format json``) or the rows (``csv``, ``pretty``) as it renders them.
 The pretty table joins each ``num``/``den`` pair into one
 ``coefficient`` column and each ``root_num``/``root_den`` pair into one
 ``root`` column, printed as ``num/den`` (the numerator alone when the
@@ -29,13 +29,14 @@ flag at fault, and JSON output never contains ``NaN`` or ``Infinity``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import json
 import math
 import os
 import re
 import sys
+from itertools import chain, islice
 from pathlib import Path
 
 from .lattices import BUILTIN_NAMES, builtin
@@ -50,16 +51,6 @@ from .verify import (
 )
 
 FORMATS = ("json", "csv", "pretty")
-
-
-def _csv_text(rows: list[dict]) -> str:
-    if not rows:
-        return ""
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()), lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
-    return buf.getvalue()
 
 
 # a numerator column -> (its denominator column, the joined column's name)
@@ -78,19 +69,14 @@ def _pretty_cells(row: dict) -> dict:
     return cells
 
 
-def _pretty_text(rows: list[dict]) -> str:
-    if not rows:
-        return "(empty)\n"
+def _pretty_lines(rows: list[dict]):
+    """The pretty table line by line, after one pass over the cells for the column widths."""
     cells = [_pretty_cells(row) for row in rows]
     headers = list(cells[0].keys())
-    table = [[row[h] for h in headers] for row in cells]
-    widths = [max(len(h), *(len(r[i]) for r in table)) for i, h in enumerate(headers)]
-    lines = [
-        "  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip(),
-        "  ".join("-" * w for w in widths),
-    ]
-    lines += ["  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() for r in table]
-    return "\n".join(lines) + "\n"
+    widths = [max(len(h), *(len(c[h]) for c in cells)) for h in headers]
+    rule = ["-" * w for w in widths]
+    for values in chain([headers, rule], ([c[h] for h in headers] for c in cells)):
+        yield "  ".join(v.ljust(w) for v, w in zip(values, widths)).rstrip() + "\n"
 
 
 def _entry_rows(doc: dict, entries: str) -> list[dict]:
@@ -104,23 +90,28 @@ def _entry_rows(doc: dict, entries: str) -> list[dict]:
 
 
 def _render(args, doc, rows: list[dict]) -> None:
-    """Write ``doc`` (json) or ``rows`` (csv, pretty) to stdout or ``--output``."""
-    if args.format == "json":
-        text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
-    elif args.format == "csv":
-        text = _csv_text(rows)
-    else:
-        text = _pretty_text(rows)
-    if args.output is None:
-        sys.stdout.write(text)
-        return
-    path = Path(args.output)
-    outdir = os.environ.get("LATTICEWALKS_OUTDIR")
-    if outdir and not path.is_absolute():
-        path = Path(outdir) / path
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
-    print(f"wrote {path}", file=sys.stderr)
+    """Write ``doc`` (json) or ``rows`` (csv, pretty) to stdout or ``--output`` as they render."""
+    path = None
+    if args.output is not None:  # an absolute path discards the LATTICEWALKS_OUTDIR base
+        path = Path(os.environ.get("LATTICEWALKS_OUTDIR", ""), args.output)
+        path.parent.mkdir(parents=True, exist_ok=True)
+    with (path.open("w") if path else contextlib.nullcontext(sys.stdout)) as out:
+        if args.format == "json":
+            # in blocks of encoder chunks, not json.dump's write per token: an unbuffered
+            # stdout (python -u, PYTHONUNBUFFERED) makes each write a system call
+            chunks = chain(json.JSONEncoder(indent=2, allow_nan=False).iterencode(doc), ["\n"])
+            while block := "".join(islice(chunks, 1024)):
+                out.write(block)
+        elif not rows:  # an empty csv has no header either
+            out.write("(empty)\n" if args.format == "pretty" else "")
+        elif args.format == "csv":
+            writer = csv.DictWriter(out, fieldnames=list(rows[0].keys()), lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
+        else:
+            out.writelines(_pretty_lines(rows))
+    if path:
+        print(f"wrote {path}", file=sys.stderr)
 
 
 def _resolve_pbc(name: str, args) -> int | None:
@@ -336,7 +327,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse has already printed the message
         return int(exc.code or 0)
+    # exact coefficients outgrow Python's int-to-str digit limit (0: none) near order 1600;
+    # lift it for the handler only, so argparse still refuses a huge integer option
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     try:
+        if digit_limit:
+            sys.set_int_max_str_digits(0)
         return args.handler(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -350,6 +346,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if digit_limit:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 def entrypoint() -> None:

@@ -4,7 +4,10 @@ import hashlib
 import io
 import json
 import math
+import os
+import sys
 import time
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -12,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latticewalks import BUILTIN_NAMES, quadrature
+from latticewalks import BUILTIN_NAMES, expand, quadrature
 from latticewalks.cli import main
 
 
@@ -270,6 +273,48 @@ def test_outdir_env_redirects_relative_paths(tmp_outdir, capsys, monkeypatch):
     assert main(["conjecture", "--n-max", "8", "--output", "squares.json"]) == 0
     capsys.readouterr()
     assert (tmp_outdir / "squares.json").exists()
+
+
+def test_rendering_holds_no_output_text(capsys):
+    # about 1.1 MB of json; rendered into one string first, the render peaked at 10 MiB
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            code = main(["verify", "--lattice", "chain-nnn", "--max-order", "80"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak <= 6 * 2**20
+
+
+_has_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit on this Python"
+)
+
+
+@_has_digit_limit
+def test_exact_output_passes_the_int_str_digit_limit(capsys):
+    # the reduced denominator at order 1600 has 4425 digits, past Python's default limit of 4300
+    code, out, err = run(capsys, "coeffs", "--lattice", "honeycomb", "--max-order", "1600", "--format", "csv")
+    assert (code, err) == (0, "")
+    num, den = out.splitlines()[-1].split(",")[2:]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert len(den) > limit
+        assert Fraction(int(num), int(den)) == expand("honeycomb", 1600).coefficient((1600,))
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@_has_digit_limit
+def test_digit_limit_still_refuses_huge_options(capsys):
+    limit = sys.get_int_max_str_digits()
+    assert run(capsys, "coeffs", "--lattice", "honeycomb", "--max-order", "1600", "--format", "csv")[0] == 0
+    assert sys.get_int_max_str_digits() == limit
+    code, out, err = run(capsys, "coeffs", "--lattice", "bcc", "--max-order", "9" * 5000)
+    assert (code, out) == (2, "") and "error: argument --max-order: invalid int value" in err
 
 
 @pytest.mark.parametrize(
