@@ -10,6 +10,7 @@ reciprocal primitive cell.
 from .lattices import BUILTIN_NAMES, LatticeSpec, StepVector, builtin
 from .oracle import ORACLE_BOUNDS, WalkTally, enumerate_walks, finite_chain_trace
 from .quadrature import (
+    appendix_b_report,
     auto_grid_size,
     bessel_i,
     complex_chain_z,
@@ -24,7 +25,6 @@ from .verify import (
     SquareTestRecord,
     Tolerances,
     VerificationReport,
-    appendix_b_report,
     check_square_conjecture,
     verify_identity,
     verify_recurrence,

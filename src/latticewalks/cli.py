@@ -12,7 +12,8 @@ Each handler computes its result, builds one JSON document and takes
 the table rows from it: the document's entry list (``coefficients``,
 ``counts`` or ``steps``) behind a leading ``lattice`` column, or its
 ``records``, which are rows already.  ``_render`` writes the document
-(``--format json``) or the rows (``csv``, ``pretty``) as it renders them.
+(``--format json``) or the rows (``csv``, ``pretty``) as it renders them;
+entry rows are made only as a table reads them, so json makes none.
 The pretty table joins each ``num``/``den`` pair into one
 ``coefficient`` column and each ``root_num``/``root_den`` pair into one
 ``root`` column, printed as ``num/den`` (the numerator alone when the
@@ -41,14 +42,9 @@ from pathlib import Path
 
 from .lattices import BUILTIN_NAMES, builtin
 from .oracle import enumerate_walks
+from .quadrature import appendix_b_report
 from .series import expand
-from .verify import (
-    Tolerances,
-    appendix_b_report,
-    check_square_conjecture,
-    verify_identity,
-    verify_recurrence,
-)
+from .verify import Tolerances, check_square_conjecture, verify_identity, verify_recurrence
 
 FORMATS = ("json", "csv", "pretty")
 
@@ -69,9 +65,12 @@ def _pretty_cells(row: dict) -> dict:
     return cells
 
 
-def _pretty_lines(rows: list[dict]):
+def _pretty_lines(rows):
     """The pretty table line by line, after one pass over the cells for the column widths."""
     cells = [_pretty_cells(row) for row in rows]
+    if not cells:
+        yield "(empty)\n"
+        return
     headers = list(cells[0].keys())
     widths = [max(len(h), *(len(c[h]) for c in cells)) for h in headers]
     rule = ["-" * w for w in widths]
@@ -79,18 +78,25 @@ def _pretty_lines(rows: list[dict]):
         yield "  ".join(v.ljust(w) for v, w in zip(values, widths)).rstrip() + "\n"
 
 
-def _entry_rows(doc: dict, entries: str) -> list[dict]:
-    """``doc[entries]`` as rows behind a ``lattice`` column, list cells joined by spaces."""
+def _entry_rows(doc: dict, entries: str):
+    """``doc[entries]`` as rows behind a ``lattice`` column, list cells joined by spaces.
+
+    The rows are made as they are read, so a json run, which reads none, makes none.
+    """
     lattice = doc["lattice"] if "lattice" in doc else doc["name"]
-    return [
+    return (
         {"lattice": lattice}
         | {k: " ".join(map(str, v)) if isinstance(v, list) else v for k, v in entry.items()}
         for entry in doc[entries]
-    ]
+    )
 
 
-def _render(args, doc, rows: list[dict]) -> None:
-    """Write ``doc`` (json) or ``rows`` (csv, pretty) to stdout or ``--output`` as they render."""
+def _render(args, doc, rows) -> None:
+    """Write ``doc`` (json) or the iterable ``rows`` (csv, pretty) to stdout or ``--output``.
+
+    Each is written as it renders; csv reads the rows once, row by row, and
+    pretty once, for the column widths.
+    """
     path = None
     if args.output is not None:  # an absolute path discards the LATTICEWALKS_OUTDIR base
         path = Path(os.environ.get("LATTICEWALKS_OUTDIR", ""), args.output)
@@ -102,12 +108,13 @@ def _render(args, doc, rows: list[dict]) -> None:
             chunks = chain(json.JSONEncoder(indent=2, allow_nan=False).iterencode(doc), ["\n"])
             while block := "".join(islice(chunks, 1024)):
                 out.write(block)
-        elif not rows:  # an empty csv has no header either
-            out.write("(empty)\n" if args.format == "pretty" else "")
         elif args.format == "csv":
-            writer = csv.DictWriter(out, fieldnames=list(rows[0].keys()), lineterminator="\n")
-            writer.writeheader()
-            writer.writerows(rows)
+            rows = iter(rows)
+            first = next(rows, None)
+            if first is not None:  # an empty csv has no header either
+                writer = csv.DictWriter(out, fieldnames=list(first), lineterminator="\n")
+                writer.writeheader()
+                writer.writerows(chain([first], rows))
         else:
             out.writelines(_pretty_lines(rows))
     if path:
@@ -163,7 +170,7 @@ def cmd_verify(args) -> int:
             f"recurrence: checked {recurrence.checked}, failed {recurrence.failed}",
             file=sys.stderr,
         )
-    _render(args, doc, [row for d in docs for row in d["records"]])
+    _render(args, doc, (row for d in docs for row in d["records"]))
     for report in reports:
         print(
             f"{report.lattice}: checked {report.checked}, failed {report.failed}",

@@ -1,4 +1,4 @@
-"""k-space evaluation: dispersion moments, ring sums, Fourier checks.
+"""k-space evaluation: dispersion moments, ring sums, the appendix-B checks.
 
 Moments are means of dispersion monomials over a uniform grid in
 fractional coordinates of the primitive reciprocal cell.  A uniform
@@ -6,7 +6,7 @@ N-point-per-axis mean (the periodic trapezoid rule) integrates a cosine
 polynomial exactly as soon as N exceeds its per-axis bandwidth, because
 every non-constant harmonic averages to zero unless the grid aliases it
 to a reciprocal-lattice multiple of N.  The coefficient routes live in
-:mod:`latticewalks.verify`; this module only produces raw moments.
+:mod:`latticewalks.verify`; for them this module only produces raw moments.
 
 The dispersion is derived here from the lattice's steps alone, by
 :func:`_band`, as one tuple of ``(frequency, amplitude)`` cosine
@@ -59,6 +59,9 @@ series (DLMF 10.25.2), :func:`bessel_i`.  The table's largest harmonic
 ``H`` is the sum's bandwidth, so a uniform grid of ``M = d + H + 1``
 phases gives :func:`complex_fourier_a` an alias-free ``a_d``: every
 harmonic the grid folds onto ``d`` has ``|m| >= M - d > H``.
+:func:`appendix_b_report` sizes that grid, bounds it by
+``MAX_PHASE_CELLS`` and checks every ``a_d`` and the ring sum at fixed
+phases against the table.
 """
 
 from __future__ import annotations
@@ -222,45 +225,32 @@ def moments(spec: LatticeSpec, max_order: int, grid_points: int) -> dict[MultiIn
 
 
 # ---------------------------------------------------------------------------
-# finite ring sums and complex-hopping Fourier analysis
+# finite ring sums, complex-hopping Fourier analysis and the appendix-B checks
 # ---------------------------------------------------------------------------
 
 
 def finite_chain_momenta(pbc_size: int) -> np.ndarray:
-    """The ring's quasimomenta 2*pi*m/size over the standard integer set."""
+    """The ring's quasimomenta 2*pi*m/size for m = -((size - 1) // 2), ..., size // 2."""
     if pbc_size < 3:
         raise ValueError(f"pbc_size must be >= 3, got {pbc_size}")
-    if pbc_size % 2 == 0:
-        ms = np.arange(-pbc_size // 2 + 1, pbc_size // 2 + 1)
-    else:
-        half = (pbc_size - 1) // 2
-        ms = np.arange(-half, half + 1)
-    return 2.0 * math.pi * ms / pbc_size
-
-
-def _ring_mean(scale: float, harmonic: np.ndarray) -> np.ndarray:
-    """mean of exp(scale * harmonic) over the momenta (the last axis).
-
-    Each term is divided by the momentum count before the sum, so the
-    sum stays in the float range whenever its terms do.  A sum that
-    leaves the float range is an ``OverflowError``, raised before any
-    ``inf`` or ``nan`` reaches a caller or a warning is shown.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = (np.exp(scale * harmonic) / harmonic.shape[-1]).sum(axis=-1)
-    if not np.all(np.isfinite(vals)):
-        raise OverflowError("ring sum is not finite")
-    return vals
+    return 2.0 * math.pi * (np.arange(pbc_size) - (pbc_size - 1) // 2) / pbc_size
 
 
 def complex_chain_z(pbc_size: int, rho: float, phi) -> np.ndarray | float:
     """Ring partition sum with complex hopping: mean_k exp(-2 rho cos(k+phi)).
 
     ``phi`` may be a scalar or an array; the result matches its shape.
+    Each term is divided by the momentum count before the sum, so the
+    sum stays in the float range whenever its terms do.  A sum that
+    leaves the float range is an ``OverflowError``, raised before any
+    ``inf`` or ``nan`` reaches a caller or a warning is shown.
     """
     k = finite_chain_momenta(pbc_size)
-    phi_arr = np.asarray(phi, dtype=float)
-    vals = _ring_mean(-2.0 * rho, np.cos(k + phi_arr[..., None]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = np.exp(-2.0 * rho * np.cos(k + np.asarray(phi, dtype=float)[..., None]))
+        vals = (terms / pbc_size).sum(axis=-1)
+    if not np.all(np.isfinite(vals)):
+        raise OverflowError("ring sum is not finite")
     return float(vals) if np.ndim(phi) == 0 else vals
 
 
@@ -332,3 +322,71 @@ def ring_harmonics(pbc_size: int, rho: float) -> dict[int, float]:
         if m > abs(x) and abs(term) < math.ulp(table[0]):
             return table
         table[m] = term
+
+
+def appendix_b_report(
+    pbc_size: int,
+    rho: float,
+    d_values: Sequence[int] | None = None,
+    phi_half: bool = False,
+    tol_match: float = 1e-9,
+    tol_selection: float = 1e-10,
+) -> dict:
+    """Numeric checks of the complex-hopping ring identities.
+
+    Every reference comes from one table of the ring sum's winding
+    harmonics, :func:`ring_harmonics`.  Per ``d``: the Fourier integral
+    a_d either matches its table entry (when the ring size divides d) or
+    vanishes (selection rule), on one phase grid of ``max(d) + H + 1``
+    points, alias-free for every d since no harmonic past the table's
+    bandwidth H reaches one ulp.  Always, the ring sum at phase pi
+    against the table's cosine series there; when ``phi_half`` is set
+    and the ring is even, the same at phase pi/2.  Residuals are taken
+    on the ring sum's own scale: divided by e^{2|rho|}, which bounds
+    |Z(rho, phi)| and so every value and reference.  Each record passes
+    when its residual is within ``tol_selection`` (selection-rule
+    records) or ``tol_match`` (all others).  A run whose ``max(d) + 1``
+    phases times ``pbc_size`` pass ``MAX_PHASE_CELLS`` is a
+    ``ValueError`` before any harmonic or ring sum is computed.
+    """
+    if pbc_size < 3:
+        raise ValueError(f"pbc_size must be >= 3, got {pbc_size}")
+    if tol_match <= 0:
+        raise ValueError(f"tol_match must be positive, got {tol_match}")
+    if tol_selection <= 0:
+        raise ValueError(f"tol_selection must be positive, got {tol_selection}")
+    try:
+        scale = math.exp(2.0 * abs(rho))
+    except OverflowError:
+        raise OverflowError("ring sum is not finite") from None
+    top = 2 * pbc_size if d_values is None else max(d_values, default=0)
+    if (top + 1) * pbc_size > MAX_PHASE_CELLS:
+        raise ValueError(
+            f"a phase grid of over {top} points on a ring of {pbc_size} sites is past "
+            f"the bound of {MAX_PHASE_CELLS:.0e} phases times sites"
+        )
+    if d_values is None:
+        d_values = range(top + 1)
+    harmonics = ring_harmonics(pbc_size, rho)
+    phi_points = top + max(harmonics) + 1
+    values = complex_fourier_a(pbc_size, rho, d_values, phi_points)
+    records = []
+    for d, value in zip(d_values, values):
+        reference = harmonics.get(d, 0.0)
+        kind = "fourier_a" if d % pbc_size == 0 else "fourier_a_selection"
+        records.append({"kind": kind, "d": int(d), "value": value, "reference": reference})
+    phases = [("phi_half", math.pi / 2)] if phi_half and pbc_size % 2 == 0 else []
+    for kind, phi in phases + [("phi_pi", math.pi)]:
+        value = complex_chain_z(pbc_size, rho, phi)
+        reference = sum(a * math.cos(m * phi) for m, a in harmonics.items())
+        records.append({"kind": kind, "d": None, "value": value, "reference": reference})
+    for record in records:
+        record["residual"] = abs(record["value"] - record["reference"]) / scale
+        limit = tol_selection if record["kind"] == "fourier_a_selection" else tol_match
+        record["pass"] = record["residual"] <= limit
+    return {
+        "pbc_size": pbc_size,
+        "rho": rho,
+        "phi_points": phi_points,
+        "records": records,
+    }

@@ -40,8 +40,10 @@ hopping label, stored only where the walk count is non-zero.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Mapping, Optional
 
 MultiIndex = tuple[int, ...]
@@ -93,14 +95,15 @@ class Series:
         return sorted(self.coefficients.items())
 
     def to_json_dict(self) -> dict:
-        doc = {
-            "lattice": self.lattice,
-            "max_order": self.max_order,
-            "coefficients": [
+        # each entry straight from its count, so no table of every Fraction is held beside them
+        fact = list(accumulate(range(1, self.max_order + 1), operator.mul, initial=1))
+        entries = []
+        for index, count in sorted(self.counts.items()):
+            c = Fraction(count, fact[sum(index)])
+            entries.append(
                 {"index": list(index), "num": str(c.numerator), "den": str(c.denominator)}
-                for index, c in self.items()
-            ],
-        }
+            )
+        doc = {"lattice": self.lattice, "max_order": self.max_order, "coefficients": entries}
         if self.pbc_size is not None:
             doc["pbc_size"] = self.pbc_size
         return doc

@@ -9,8 +9,10 @@ For every multi-index up to a requested order this module compares
   float against the coefficient at a fixed tolerance,
 
 and assembles a machine-readable report.  Also here: the exact
-recurrence check for the two-label chain, the perfect-square scan of the
-bcc coefficients, and the complex-hopping appendix checks.
+recurrence check for the two-label chain and the perfect-square scan of
+the bcc coefficients.  The complex-hopping ring checks are numerics of
+the ring sum alone and live with it, in
+:func:`latticewalks.quadrature.appendix_b_report`.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from . import oracle, quadrature, series
 from .lattices import builtin
@@ -136,7 +138,7 @@ def verify_identity(
         n = sum(index)
         walks = exact.walk_count(index)
         count = tallies[n].count(index) if n < len(tallies) else None
-        numeric = table[index] / math.prod(map(math.factorial, index))
+        numeric = table[index] / math.prod(fact[m] for m in index)
 
         # int / int is correctly rounded, so this is float(Fraction(walks, n!))
         approx = walks / fact[n]
@@ -267,76 +269,3 @@ def check_square_conjecture(n_max: int) -> list[SquareTestRecord]:
         root = _rational_sqrt(value)
         records.append(SquareTestRecord(n, value, root is not None, root))
     return records
-
-
-# ---------------------------------------------------------------------------
-# complex-hopping checks (Fourier selection rule and phase identities)
-# ---------------------------------------------------------------------------
-
-
-def appendix_b_report(
-    pbc_size: int,
-    rho: float,
-    d_values: Optional[Sequence[int]] = None,
-    phi_half: bool = False,
-    tol_match: float = 1e-9,
-    tol_selection: float = 1e-10,
-) -> dict:
-    """Numeric checks of the complex-hopping ring identities.
-
-    Every reference comes from one table of the ring sum's winding
-    harmonics, :func:`quadrature.ring_harmonics`.  Per ``d``: the Fourier
-    integral a_d either matches its table entry (when the ring size
-    divides d) or vanishes (selection rule), on one phase grid of
-    ``max(d) + H + 1`` points, alias-free for every d since no harmonic
-    past the table's bandwidth H reaches one ulp.  Always, the ring sum at
-    phase pi against the table's cosine series there; when ``phi_half``
-    is set and the ring is even, the same at phase pi/2.  Residuals are
-    taken on the ring sum's own scale: divided by e^{2|rho|}, which
-    bounds |Z(rho, phi)| and so every value and reference.  Each record
-    passes when its residual is within ``tol_selection``
-    (selection-rule records) or ``tol_match`` (all others).  A run whose
-    ``max(d) + 1`` phases times ``pbc_size`` pass ``MAX_PHASE_CELLS`` is
-    a ``ValueError`` before any harmonic or ring sum is computed.
-    """
-    if pbc_size < 3:
-        raise ValueError(f"pbc_size must be >= 3, got {pbc_size}")
-    if tol_match <= 0:
-        raise ValueError(f"tol_match must be positive, got {tol_match}")
-    if tol_selection <= 0:
-        raise ValueError(f"tol_selection must be positive, got {tol_selection}")
-    try:
-        scale = math.exp(2.0 * abs(rho))
-    except OverflowError:
-        raise OverflowError("ring sum is not finite") from None
-    top = 2 * pbc_size if d_values is None else max(d_values, default=0)
-    if (top + 1) * pbc_size > quadrature.MAX_PHASE_CELLS:
-        raise ValueError(
-            f"a phase grid of over {top} points on a ring of {pbc_size} sites is past "
-            f"the bound of {quadrature.MAX_PHASE_CELLS:.0e} phases times sites"
-        )
-    if d_values is None:
-        d_values = range(top + 1)
-    harmonics = quadrature.ring_harmonics(pbc_size, rho)
-    phi_points = top + max(harmonics) + 1
-    values = quadrature.complex_fourier_a(pbc_size, rho, d_values, phi_points)
-    records = []
-    for d, value in zip(d_values, values):
-        reference = harmonics.get(d, 0.0)
-        kind = "fourier_a" if d % pbc_size == 0 else "fourier_a_selection"
-        records.append({"kind": kind, "d": int(d), "value": value, "reference": reference})
-    phases = [("phi_half", math.pi / 2)] if phi_half and pbc_size % 2 == 0 else []
-    for kind, phi in phases + [("phi_pi", math.pi)]:
-        value = quadrature.complex_chain_z(pbc_size, rho, phi)
-        reference = sum(a * math.cos(m * phi) for m, a in harmonics.items())
-        records.append({"kind": kind, "d": None, "value": value, "reference": reference})
-    for record in records:
-        record["residual"] = abs(record["value"] - record["reference"]) / scale
-        limit = tol_selection if record["kind"] == "fourier_a_selection" else tol_match
-        record["pass"] = record["residual"] <= limit
-    return {
-        "pbc_size": pbc_size,
-        "rho": rho,
-        "phi_points": phi_points,
-        "records": records,
-    }

@@ -275,17 +275,45 @@ def test_outdir_env_redirects_relative_paths(tmp_outdir, capsys, monkeypatch):
     assert (tmp_outdir / "squares.json").exists()
 
 
-def test_rendering_holds_no_output_text(capsys):
-    # about 1.1 MB of json; rendered into one string first, the render peaked at 10 MiB
+def _peak_to_devnull(*argv):
+    """Exit code and tracemalloc peak of one run written to the null device."""
     with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
         tracemalloc.start()
         try:
-            code = main(["verify", "--lattice", "chain-nnn", "--max-order", "80"])
+            code = main(list(argv))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+    return code, peak
+
+
+def test_rendering_holds_no_output_text(capsys):
+    # about 1.1 MB of json; rendered into one string first, the render peaked at 10 MiB
+    code, peak = _peak_to_devnull("verify", "--lattice", "chain-nnn", "--max-order", "80")
     assert code == 0
     assert peak <= 6 * 2**20
+
+
+def test_coeffs_json_holds_the_entries_once(capsys):
+    # the document itself peaks near 7.6 MiB; a table of every Fraction or a row per
+    # entry built beside it takes the run past 9 MiB
+    code, peak = _peak_to_devnull("coeffs", "--lattice", "chain-nnn", "--max-order", "200")
+    assert code == 0
+    assert peak <= 8.5 * 2**20
+
+
+_EMPTY_ORACLE = {
+    "json": '{\n  "lattice": "honeycomb",\n  "length": 1,\n  "sublattice_doubled": true,\n'
+    '  "total": "0",\n  "counts": []\n}\n',
+    "csv": "",  # no header either
+    "pretty": "(empty)\n",
+}
+
+
+@pytest.mark.parametrize("fmt", list(_EMPTY_ORACLE))
+def test_empty_tables(capsys, fmt):
+    code, out, err = run(capsys, "oracle", "--lattice", "honeycomb", "--n", "1", "--format", fmt)
+    assert (code, out, err) == (0, _EMPTY_ORACLE[fmt], "honeycomb: length 1, total 0\n")
 
 
 _has_digit_limit = pytest.mark.skipif(

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import series_value
 from latticewalks import (
     BUILTIN_NAMES,
+    appendix_b_report,
     auto_grid_size,
     bessel_i,
     builtin,
@@ -280,6 +281,19 @@ def test_momenta_sets():
         finite_chain_momenta(2)
 
 
+def test_momenta_match_the_set_built_per_parity():
+    for size in range(3, 257):
+        # the reference: the integer set built with one branch per parity of the ring size
+        if size % 2 == 0:
+            ms = np.arange(-size // 2 + 1, size // 2 + 1)
+        else:
+            half = (size - 1) // 2
+            ms = np.arange(-half, half + 1)
+        reference = 2.0 * math.pi * ms / size
+        momenta = finite_chain_momenta(size)
+        assert momenta.dtype == reference.dtype and momenta.tobytes() == reference.tobytes()
+
+
 def test_ksum_examples():
     assert complex_chain_z(3, 0.0, math.pi) == pytest.approx(1.0, abs=1e-15)
     expected = (math.exp(0.2) + 2 * math.exp(-0.1)) / 3
@@ -325,6 +339,21 @@ def test_fourier_selection_rule():
         for d in range(1, 2 * lam + 1):
             if d % lam:
                 assert abs(_fourier_a(lam, 0.8, d)) <= 1e-10
+
+
+def test_appendix_b_report_refuses_a_large_phase_grid_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as refused:
+            appendix_b_report(6, 1.0, d_values=[10**9])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(refused.value) == (
+        "a phase grid of over 1000000000 points on a ring of 6 sites is past "
+        "the bound of 1e+07 phases times sites"
+    )
+    assert peak < 2**20
 
 
 def test_fourier_trivial_values():
