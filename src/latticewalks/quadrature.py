@@ -26,10 +26,14 @@ by default: ``N = n*h + 1`` points per axis, with ``h`` the bandwidth,
 the largest frequency component of any harmonic (``n//2`` kernel powers
 on the two-sublattice lattices).  A grid that is alias-free at the top order
 is alias-free at every lower one (Trefethen & Weideman, SIAM Rev. 56
-(2014) 385), so one grid serves the whole run.  The grid's cosines come
-from one table per ``N``, whose angles are folded in integer arithmetic
-into the first quadrant, so the table is exactly symmetric and its
-rational values (0, +-1/2, +-1) are exact.
+(2014) 385), so one grid serves the whole run.  Every cosine on the grid
+is :func:`_cos_table`'s: its integer phase is folded in integer arithmetic
+into the first quadrant, so the values are exactly symmetric and the
+rational ones (0, +-1/2, +-1) are exact.  In 2-D and 3-D the cosines
+are gathered from one table of all ``N`` phases per run, since every
+slab holds at least one row of ``N**(D-1) >= N`` points and reads every
+entry; in 1-D a slab is a run of single points, so it folds its own
+phases and no array is as long as the grid axis.
 
 Every dispersion is streamed, never held whole: the power chain of the
 first label runs over slabs of axis-0 rows of about ``_SLAB_POINTS``
@@ -40,9 +44,11 @@ dispersion is even, ``eps(k) = eps(-k)``, and ``k -> -k`` maps every
 uniform grid onto itself, aliased or not, so the trapezoid rule on the
 inversion-reduced cell (Monkhorst & Pack, Phys. Rev. B 13 (1976) 5188)
 gives the same sums from rows ``0..N//2``: each row but 0 and (for even
-``N``) ``N/2`` stands for its mirror too and has weight 2.  Memory is
-then one slab, whatever the order or grid; the work, grid points times
-moments, is bounded by ``MAX_GRID_WORK``.
+``N``) ``N/2`` stands for its mirror too and has weight 2; each slab
+takes those weights from its own rows.  Memory is then one slab (the
+2-D and 3-D table is no longer than one of its rows), whatever the order
+or grid; the work, grid points times moments, is bounded by
+``MAX_GRID_WORK``.
 
 For the finite ring the physically meaningful grid is the ring's own
 ``pbc_size`` quasimomenta: on that grid the deliberate aliasing of the
@@ -67,7 +73,8 @@ phases against the table.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from functools import partial
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -86,18 +93,20 @@ MAX_GRID_WORK = 10**11
 MAX_PHASE_CELLS = 10**7
 
 
-def _cos_table(grid_points: int) -> np.ndarray:
-    """cos(2*pi*m/N) for m = 0..N-1, folded for exact symmetry.
+def _cos_table(phases: np.ndarray, grid_points: int) -> np.ndarray:
+    """cos(2*pi*m/N) for the integer phases m in 0..N-1, folded for exact symmetry.
 
     Angles are folded in integer units of 1/(2N) of a turn into the
-    first quadrant, so the table negates exactly under half-turn shifts
+    first quadrant, so the values negate exactly under half-turn shifts
     and the rational cosine values (0, +-1/2, +-1: the only ones a
     rational angle can take) come out exact.  Grid sums of symmetric
     integrands then cancel to zero instead of leaving rounding crumbs.
+    Each value depends on its own phase alone, so folding a slab's
+    phases gives the same floats as gathering them from the table of
+    every ``m``.
     """
     n = grid_points
-    m = np.arange(n)
-    q = 2 * np.minimum(m, n - m)
+    q = 2 * np.minimum(phases, n - phases)
     flip = 2 * q > n
     q = np.where(flip, n - q, q)
     value = np.cos(2.0 * np.pi * (q / (2 * n)))
@@ -130,23 +139,18 @@ def _band(spec: LatticeSpec) -> tuple[Harmonics, ...]:
 
 
 def _term_on_grid(
-    harmonics: Harmonics, table: np.ndarray, dimension: int, rows: np.ndarray
+    harmonics: Harmonics, cosine: Callable, grid_points: int, dimension: int, rows: np.ndarray
 ) -> np.ndarray:
     """Evaluate one label's harmonics on the axis-0 ``rows`` of the fractional grid.
 
-    ``table`` is the grid's :func:`_cos_table`, so its length is the
-    number of points per axis.
+    ``cosine`` maps integer phases in ``0..N-1`` to their folded cosines
+    (see :func:`_cos_table`); the grid has ``grid_points`` per axis.
     """
-    grid_points = len(table)
-    axes = []
-    for p in range(dimension):
-        view = [1] * dimension
-        view[p] = -1
-        axes.append((rows if p == 0 else np.arange(grid_points)).reshape(view))
+    axes = np.ix_(rows, *(np.arange(grid_points) for _ in range(dimension - 1)))
     out = np.zeros((len(rows),) + (grid_points,) * (dimension - 1))
     for freq, amp in harmonics:
         phase = sum(axes[p] * freq[p] for p in range(dimension) if freq[p])
-        out += amp * table[np.mod(phase, grid_points)]
+        out += amp * cosine(np.mod(phase, grid_points))
     return out
 
 
@@ -192,23 +196,25 @@ def moments(spec: LatticeSpec, max_order: int, grid_points: int) -> dict[MultiIn
             f"a grid of {grid_points}**{spec.dimension} points to order {max_order} is past "
             f"the bound of {MAX_GRID_WORK:.0e} grid points times moments"
         )
-    table = _cos_table(grid_points)
     band = _band(spec)
+    if spec.dimension == 1:
+        # a 1-D slab's rows are its points: it folds its own phases
+        cosine = partial(_cos_table, grid_points=grid_points)
+    else:
+        # a slab holds at least one row of N**(D-1) >= N points, so it reads all the table
+        cosine = _cos_table(np.arange(grid_points), grid_points).__getitem__
 
     weight, step = (2.0, 2) if spec.basis_size == 2 else (1.0, 1)
     half = grid_points // 2
-    row_weights = np.full(half + 1, 2.0)
-    row_weights[0] = 1.0
-    if grid_points % 2 == 0:
-        row_weights[half] = 1.0
     # a two-label slab also holds every power of the second label
     height = max_order + 1 if len(band) == 2 else 1
     rows_per_slab = max(1, _SLAB_POINTS // (height * grid_points ** (spec.dimension - 1)))
     sums = np.zeros((max_order + 1,) * len(band))
     for start in range(0, half + 1, rows_per_slab):
         rows = np.arange(start, min(start + rows_per_slab, half + 1))
-        weights = row_weights[rows]
-        eps, *second = (_term_on_grid(harmonics, table, spec.dimension, rows) for harmonics in band)
+        # rows 0 and N/2 are their own mirrors; every other row stands for two
+        weights = np.where(2 * rows % grid_points == 0, 1.0, 2.0)
+        eps, *second = (_term_on_grid(h, cosine, grid_points, spec.dimension, rows) for h in band)
         inner = np.cumprod([np.ones_like(eps)] + second * max_order, axis=0) if second else None
         values = np.ones_like(eps)
         for n in range(0, max_order + 1, step):

@@ -90,10 +90,6 @@ class Series:
     def coefficient(self, index: MultiIndex) -> Fraction:
         return Fraction(self.walk_count(index), math.factorial(sum(index)))
 
-    def items(self) -> list[tuple[MultiIndex, Fraction]]:
-        """Coefficients in lexicographic index order (deterministic output)."""
-        return sorted(self.coefficients.items())
-
     def to_json_dict(self) -> dict:
         # each entry straight from its count, so no table of every Fraction is held beside them
         fact = list(accumulate(range(1, self.max_order + 1), operator.mul, initial=1))

@@ -148,7 +148,7 @@ def dispersion_value(spec, label: int, k) -> float:
 
 def series_value(table, x):
     """The truncated univariate series ``table`` at ``x``, summed in index order."""
-    return sum(c * x**n for (n,), c in table.items())
+    return sum(c * x**n for (n,), c in sorted(table.coefficients.items()))
 
 
 @pytest.fixture

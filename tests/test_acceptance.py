@@ -57,7 +57,7 @@ def test_criterion_1_triangular_expansion():
             (5,): Fraction(3),
             (6,): Fraction(17, 6),
         }
-        assert dict(table.items()) == expected
+        assert table.coefficients == expected
 
 
 def test_criterion_2_bcc_expansion_and_square_conjecture():
@@ -72,7 +72,7 @@ def test_criterion_2_bcc_expansion_and_square_conjecture():
             (10,): Fraction(441, 100),
             (12,): Fraction(5929, 3600),
         }
-        assert dict(table.items()) == expected
+        assert table.coefficients == expected
         records = check_square_conjecture(30)
         assert [r.order for r in records] == list(range(0, 31, 2))
         for record in records:
@@ -83,7 +83,7 @@ def test_criterion_2_bcc_expansion_and_square_conjecture():
 def test_criterion_3_honeycomb_and_diamond_expansions():
     with criterion(3, "honeycomb expansion", budget=1.0):
         table = expand("honeycomb", 6)
-        assert dict(table.items()) == {
+        assert table.coefficients == {
             (0,): Fraction(2),
             (2,): Fraction(3),
             (4,): Fraction(5, 4),
@@ -91,7 +91,7 @@ def test_criterion_3_honeycomb_and_diamond_expansions():
         }
     with criterion(3, "diamond expansion", budget=1.0):
         table = expand("diamond", 8)
-        assert dict(table.items()) == {
+        assert table.coefficients == {
             (0,): Fraction(2),
             (2,): Fraction(4),
             (4,): Fraction(7, 3),

@@ -115,6 +115,14 @@ def test_verify_recurrence_flag(capsys):
     assert doc["recurrence"]["failed"] == 0
 
 
+def test_verify_recurrence_summary_on_stderr(capsys):
+    # the tables do not carry the recurrence result, so it goes to stderr
+    argv = ("verify", "--lattice", "chain-nnn", "--max-order", "16", "--recurrence")
+    code, out, err = run(capsys, *argv, "--format", "pretty")
+    assert code == 0 and "recurrence" not in out
+    assert err == "recurrence: checked 153, failed 0\nchain-nnn: checked 153, failed 0\n"
+
+
 def test_verify_csv_matches_json(capsys):
     args = ("verify", "--lattice", "chain-nn", "--max-order", "8")
     code, json_out, _ = run(capsys, *args)
@@ -372,6 +380,16 @@ def test_orders_past_float_range_fail_before_any_grid(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "--lattice", "bcc", "--max-order", "1000")
     assert code == 2 and out == ""
     assert err == "error: result out of floating-point range (int too large to convert to float)\n"
+
+
+def test_out_of_memory_is_a_usage_error(capsys, monkeypatch):
+    def no_memory(*args):
+        raise MemoryError("Unable to allocate 76.3 MiB")
+
+    monkeypatch.setattr(quadrature, "moments", no_memory)
+    code, out, err = run(capsys, "verify", "--lattice", "chain-nn", "--max-order", "3")
+    assert code == 2 and out == ""
+    assert err == "error: out of memory (Unable to allocate 76.3 MiB)\n"
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])

@@ -22,7 +22,7 @@ def series_counts(table, n):
     """n! times every nonzero order-n coefficient: the walk counts the series predicts."""
     return {
         index: coeff * math.factorial(n)
-        for index, coeff in table.items()
+        for index, coeff in table.coefficients.items()
         if sum(index) == n and coeff
     }
 
@@ -103,7 +103,7 @@ def test_total_equals_merged_label_count():
     table = expand("chain-nnn", 8)
     for n in range(9):
         tally = enumerate_walks(spec, n)
-        merged = sum(c for idx, c in table.items() if sum(idx) == n)
+        merged = sum(c for idx, c in table.coefficients.items() if sum(idx) == n)
         assert tally.total == merged * math.factorial(n)
 
 

@@ -72,8 +72,8 @@ _RATIONAL_COS = {0: 1.0, 2: 0.5, 3: 0.0, 4: -0.5, 6: -1.0, 8: -0.5, 9: 0.0, 10: 
 
 def test_cos_table_exact_symmetries():
     for n in range(1, 257):
-        table = _cos_table(n)
         m = np.arange(n)
+        table = _cos_table(m, n)
         assert np.allclose(table, np.cos(2.0 * np.pi * m / n), rtol=0.0, atol=2e-15)
         assert np.array_equal(_bits(table), _bits(table[(n - m) % n]))
         if n % 2 == 0:
@@ -233,15 +233,74 @@ def test_grid_means_count_closed_walks_on_the_torus(name, n, length):
 
 def test_moments_memory_stays_in_slabs():
     # the whole 171**3 grid is 38 MiB, and one power of it as much again;
-    # chain-nnn's 171 powers of each label on 20000 points would be 52 MiB
-    for name, order, n in (("bcc", 170, 171), ("chain-nnn", 170, 20000)):
+    # chain-nnn's 171 powers of each label on 20000 points would be 52 MiB;
+    # a cosine table and row weights along a 4e6-point axis would be 156 MiB
+    cases = (
+        ("bcc", None, 170, 171),
+        ("chain-nnn", None, 170, 20000),
+        ("chain-nn", None, 2, 4 * 10**6),
+        ("chain-nn-finite", 4 * 10**6, 3, 4 * 10**6),
+    )
+    for name, pbc, order, n in cases:
         tracemalloc.start()
         try:
-            moments(make(name), order, n)
+            moments(make(name, pbc), order, n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20, name
+
+
+def _table_gather_moments_1d(spec, max_order, n):
+    """1-D moments gathered from one table of all n cosines, with whole-axis row weights.
+
+    The slabs, power chain and sums are those of ``moments``, so the
+    floats must agree bit for bit.
+    """
+    table = _cos_table(np.arange(n), n)
+    band = _band(spec)
+    half = n // 2
+    row_weights = np.full(half + 1, 2.0)
+    row_weights[0] = 1.0
+    if n % 2 == 0:
+        row_weights[half] = 1.0
+    per_slab = max(1, _SLAB_POINTS // (max_order + 1 if len(band) == 2 else 1))
+    sums = np.zeros((max_order + 1,) * len(band))
+    for start in range(0, half + 1, per_slab):
+        rows = np.arange(start, min(start + per_slab, half + 1))
+        weights = row_weights[rows]
+        terms = []
+        for harmonics in band:
+            term = np.zeros(len(rows))
+            for (f,), amp in harmonics:
+                term += amp * table[np.mod(rows * f, n)]
+            terms.append(term)
+        eps, *second = terms
+        inner = np.cumprod([np.ones(len(rows))] + second * max_order, axis=0)
+        values = np.ones(len(rows))
+        for order in range(max_order + 1):
+            if order:
+                values *= eps
+            if second:
+                k = max_order + 1 - order
+                sums[order, :k] += (inner[:k] * values) @ weights
+            else:
+                sums[order] += weights @ values
+    means = sums / n
+    return {m: float(means[m]) for m in np.ndindex(means.shape) if sum(m) <= max_order}
+
+
+def test_one_dimensional_slabs_fold_the_table_values():
+    # a 1-D slab folds its own phases: the same floats as a gather from the whole-axis table
+    for n in (1, 2, 5, 4001, 4002, 200000):
+        cases = [("chain-nn", None, 8), ("chain-nnn", None, 6)]
+        if n >= 3:
+            cases.append(("chain-nn-finite", n, 4))
+        for name, pbc, order in cases:
+            spec = make(name, pbc)
+            got = {m: v.hex() for m, v in moments(spec, order, n).items()}
+            want = {m: v.hex() for m, v in _table_gather_moments_1d(spec, order, n).items()}
+            assert got == want, (name, n)
 
 
 def test_grid_work_bound():
@@ -354,6 +413,13 @@ def test_appendix_b_report_refuses_a_large_phase_grid_before_allocating():
         "the bound of 1e+07 phases times sites"
     )
     assert peak < 2**20
+
+
+@pytest.mark.parametrize("option", ["tol_match", "tol_selection"])
+@pytest.mark.parametrize("value", [0.0, -1e-9])
+def test_appendix_b_report_refuses_non_positive_tolerances(option, value):
+    with pytest.raises(ValueError, match=f"^{option} must be positive, got {value}$"):
+        appendix_b_report(6, 1.0, **{option: value})
 
 
 def test_fourier_trivial_values():

@@ -101,7 +101,7 @@ def test_nnn_examples_against_brute_force():
 
 def test_nnn_parity_constraints():
     s = expand("chain-nnn", 9)
-    for (n1, n2), coeff in s.items():
+    for (n1, n2), coeff in s.coefficients.items():
         assert n1 % 2 == 0
         assert coeff > 0
     assert s.coefficient((1, 0)) == 0
@@ -275,7 +275,7 @@ def test_closed_forms_match_oracle_at_higher_order(name, n):
     # the oracle's stencil shares nothing with the recurrences or the sums
     tally = enumerate_walks(builtin(name), n, bound=n)
     table = expand(name, n)
-    expected = {index: table.walk_count(index) for index, _ in table.items() if sum(index) == n}
+    expected = {index: table.walk_count(index) for index in table.counts if sum(index) == n}
     assert {index: tally.count(index) for index in expected} == expected
     assert tally.total == sum(expected.values())
 
@@ -300,7 +300,7 @@ def test_all_coefficients_nonnegative():
         expand("diamond", 10),
     ]
     for table in tables:
-        for _, coeff in table.items():
+        for coeff in table.coefficients.values():
             assert coeff >= 0
 
 

@@ -17,6 +17,7 @@ from latticewalks import (
     verify_identity,
     verify_recurrence,
 )
+from latticewalks.verify import _rational_sqrt
 
 
 def test_tolerances_validate():
@@ -167,6 +168,13 @@ def test_square_conjecture_holds_to_thirty():
     for record in records:
         assert record.is_square
         assert record.root * record.root == record.value
+
+
+def test_rational_sqrt_refuses_negatives_and_non_squares():
+    assert _rational_sqrt(Fraction(-4, 9)) is None
+    assert _rational_sqrt(Fraction(2, 9)) is None
+    assert _rational_sqrt(Fraction(4, 3)) is None
+    assert _rational_sqrt(Fraction(4, 9)) == Fraction(2, 3)
 
 
 def test_square_conjecture_validates():
