@@ -28,7 +28,9 @@ parallelepiped spanned by ``reciprocal_basis`` (rows ``b_i`` with
 under the reciprocal basis, so means over this cell equal means over any
 other primitive cell, including the Wigner-Seitz one; the Wigner-Seitz
 polytopes are never meshed.  This module holds geometry only: each
-route derives what it needs from ``steps``.
+route derives what it needs from ``steps``.  numpy, for the reciprocal
+basis and the cell volume, is imported by :func:`builtin` when it is
+called, not with the module.
 """
 
 from __future__ import annotations
@@ -37,8 +39,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Optional
-
-import numpy as np
 
 Sublattice = Literal["AtoB", "BtoA"]
 
@@ -179,6 +179,8 @@ def _integer_coords(coords: tuple[Fraction, ...]) -> tuple[int, ...]:
 
 
 def _reciprocal_basis(basis: tuple[tuple[float, ...], ...]) -> tuple[tuple[float, ...], ...]:
+    import numpy as np
+
     a = np.asarray(basis, dtype=float)
     b = _TWO_PI * np.linalg.inv(a).T
     return tuple(tuple(float(x) for x in row) for row in b)
@@ -191,6 +193,8 @@ def builtin(name: str, pbc_size: Optional[int] = None) -> LatticeSpec:
     rings do not have two distinct nearest-neighbour edges per site) and
     rejected for every other lattice.
     """
+    import numpy as np
+
     if name not in _GEOMETRY:
         raise ValueError(f"unknown lattice {name!r}; choose from {', '.join(BUILTIN_NAMES)}")
     if name == "chain-nn-finite":

@@ -15,6 +15,7 @@ step), so cells are int64 while ``z**L < 2**63`` and exact Python ints
 past it.
 Every ring site is alike, so the ring's adjacency trace ``Tr A**n`` over
 the site count is the count from one site: ``finite_chain_trace``.
+numpy is imported by ``closed_walks`` when it runs, not with the module.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Mapping, Optional
-
-import numpy as np
 
 from .lattices import LatticeSpec, _integer_coords, builtin
 
@@ -74,6 +73,8 @@ def closed_walks(spec: LatticeSpec, max_length: int) -> list[WalkTally]:
     tally is doubled, counting both equivalent terminal sublattices of
     one abstract lattice point.
     """
+    import numpy as np
+
     if max_length < 0:
         raise ValueError("walk length must be >= 0")
     doubled = spec.basis_size == 2

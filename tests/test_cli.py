@@ -5,11 +5,13 @@ import io
 import json
 import math
 import os
+import subprocess
 import sys
 import time
 import tracemalloc
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -559,6 +561,32 @@ def test_exact_outputs_match_pinned_bytes(capsys, command, fmt):
     code, out, _ = run(capsys, *command.split(), "--format", fmt)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == _GOLDEN_STDOUT[command, fmt]
+
+
+# run as ``python -m latticewalks.cli`` runs it, and report numpy's presence as the process exits
+_REPORT_NUMPY_AT_EXIT = (
+    "import atexit, runpy, sys\n"
+    "atexit.register(lambda: print('numpy' in sys.modules, file=sys.stderr))\n"
+    "runpy.run_module('latticewalks.cli', run_name='__main__', alter_sys=True)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "command, fmt",
+    [key for key in _GOLDEN_STDOUT if key[0].startswith("coeffs")]
+    + [("conjecture --n-max 30", "json")],
+)
+def test_exact_commands_start_without_numpy(command, fmt):
+    package_root = str(Path(quadrature.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _REPORT_NUMPY_AT_EXIT, *command.split(), "--format", fmt],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0
+    assert proc.stderr.decode().splitlines()[-1] == "False"
+    assert hashlib.sha256(proc.stdout).hexdigest() == _GOLDEN_STDOUT[command, fmt]
 
 
 def _reject_constant(name):

@@ -1,0 +1,91 @@
+"""What the package imports: the route-independence graph and numpy's place in it.
+
+The three routes (series, oracle, quadrature) must not import one
+another, so none can be derived from another.  numpy is imported inside
+the functions that use it, so the exact modules load without it.  Both
+are read from the source with ``ast``; the start-up test runs a fresh
+interpreter, since this one has numpy loaded already.
+"""
+
+from __future__ import annotations
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import latticewalks
+
+PACKAGE = Path(latticewalks.__file__).resolve().parent
+ROUTES = ("series", "oracle", "quadrature")
+
+
+def _imported(node: ast.AST, module_level: bool):
+    """Every module name an import under ``node`` names, relative ones as ``latticewalks.x``.
+
+    With ``module_level`` the bodies of functions, which run only when
+    called, are skipped.
+    """
+    for child in ast.iter_child_nodes(node):
+        if module_level and isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(child, ast.Import):
+            yield from (alias.name for alias in child.names)
+        elif isinstance(child, ast.ImportFrom):
+            assert child.level <= 1, "the package is one level deep"
+            base = ".".join(filter(None, ["latticewalks" if child.level else None, child.module]))
+            yield base
+            yield from (f"{base}.{alias.name}" for alias in child.names)
+        yield from _imported(child, module_level)
+
+
+def _imports(module: str, module_level: bool = False) -> set[str]:
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    return set(_imported(tree, module_level))
+
+
+def _names(imports: set[str], target: str) -> bool:
+    return any(name == target or name.startswith(target + ".") for name in imports)
+
+
+def test_the_scan_sees_verify_import_every_route():
+    imports = _imports("verify")
+    assert all(_names(imports, f"latticewalks.{route}") for route in ROUTES)
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_no_route_imports_another(route):
+    imports = _imports(route)
+    for other in ROUTES:
+        if other != route:
+            assert not _names(imports, f"latticewalks.{other}"), f"{route} imports {other}"
+
+
+@pytest.mark.parametrize("module", ["series", "verify", "cli"])
+def test_exact_modules_do_not_import_numpy_at_module_level(module):
+    assert not _names(_imports(module, module_level=True), "numpy")
+
+
+def _fresh_python(code: str) -> subprocess.CompletedProcess:
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+
+
+def test_importing_the_package_loads_every_layer_but_not_numpy():
+    # the library's first call then imports no package module, only numpy
+    proc = _fresh_python(
+        "import sys, latticewalks, latticewalks.cli\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('latticewalks.'))))\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    loaded, numpy_loaded = proc.stdout.splitlines()
+    layers = ("lattices", "series", "oracle", "quadrature", "verify", "cli")
+    assert loaded.split() == sorted(f"latticewalks.{m}" for m in layers)
+    assert numpy_loaded == "False"
+

@@ -23,7 +23,14 @@ from latticewalks import (
 )
 from latticewalks.cli import build_parser, cmd_appendix_b
 from latticewalks.oracle import closed_walks
-from latticewalks.quadrature import _SLAB_POINTS, MAX_GRID_WORK, _band, _cos_table, ring_harmonics
+from latticewalks.quadrature import (
+    _SLAB_POINTS,
+    MAX_GRID_WORK,
+    _band,
+    _cache_aligned,
+    _cos_table,
+    ring_harmonics,
+)
 
 
 def make(name, pbc=None):
@@ -82,6 +89,15 @@ def test_cos_table_exact_symmetries():
         for k, value in _RATIONAL_COS.items():
             if k * n % 12 == 0:
                 assert _bits(table[k * n // 12]) == _bits(value), (n, k)
+
+
+@pytest.mark.parametrize("shape", [(1,), (7,), (3, 5), (6, 101, 101)])
+@pytest.mark.parametrize("fill", [0.0, 1.0])
+def test_slab_arrays_start_on_a_cache_line(shape, fill):
+    out = _cache_aligned(shape, fill)
+    assert out.ctypes.data % 64 == 0
+    assert out.shape == shape and out.dtype == np.float64 and out.flags.c_contiguous
+    assert (out == fill).all()
 
 
 def test_refinement_stability():
