@@ -40,7 +40,7 @@ import sys
 from itertools import chain, islice
 from pathlib import Path
 
-from .lattices import BUILTIN_NAMES, builtin
+from .lattices import BUILTIN_NAMES, MIN_RING_SIZE, builtin
 from .oracle import enumerate_walks
 from .quadrature import appendix_b_report
 from .series import expand
@@ -246,7 +246,7 @@ def _int_at_least(low: int):
 
 
 _nonnegative_int = _int_at_least(0)
-_ring_size = _int_at_least(3)
+_ring_size = _int_at_least(MIN_RING_SIZE)
 
 
 def _grid_size(text: str) -> int | str:

@@ -27,10 +27,11 @@ parallelepiped spanned by ``reciprocal_basis`` (rows ``b_i`` with
 ``b_i . a_j = 2*pi*delta_ij``).  Every integrand we need is periodic
 under the reciprocal basis, so means over this cell equal means over any
 other primitive cell, including the Wigner-Seitz one; the Wigner-Seitz
-polytopes are never meshed.  This module holds geometry only: each
-route derives what it needs from ``steps``.  numpy, for the reciprocal
-basis and the cell volume, is imported by :func:`builtin` when it is
-called, not with the module.
+polytopes are never meshed.  This module holds geometry, and the one
+rule, shared by :func:`builtin` and the series, for which name and ring
+size make a lattice: each route derives what it needs from ``steps``.
+numpy, for the reciprocal basis and the cell volume, is imported by
+:func:`builtin` when it is called, not with the module.
 """
 
 from __future__ import annotations
@@ -53,6 +54,9 @@ BUILTIN_NAMES = (
 )
 
 _TWO_PI = 2.0 * math.pi
+
+# a smaller ring does not have two distinct nearest-neighbour edges per site
+MIN_RING_SIZE = 3
 
 
 @dataclass(frozen=True)
@@ -178,6 +182,24 @@ def _integer_coords(coords: tuple[Fraction, ...]) -> tuple[int, ...]:
     return tuple(int(c) for c in coords)
 
 
+def _check_ring_size(pbc_size: int) -> None:
+    if pbc_size < MIN_RING_SIZE:
+        raise ValueError(f"pbc_size must be >= {MIN_RING_SIZE}, got {pbc_size}")
+
+
+def _check_lattice(name: str, pbc_size: Optional[int]) -> None:
+    """Refuse a lattice input unless ``name`` is built in and ``pbc_size`` is given,
+    and at least ``MIN_RING_SIZE``, for ``chain-nn-finite`` and for no other lattice."""
+    if name not in _GEOMETRY:
+        raise ValueError(f"unknown lattice {name!r}; choose from {', '.join(BUILTIN_NAMES)}")
+    if name == "chain-nn-finite":
+        if pbc_size is None:
+            raise ValueError("chain-nn-finite requires pbc_size")
+        _check_ring_size(pbc_size)
+    elif pbc_size is not None:
+        raise ValueError(f"pbc_size is only meaningful for chain-nn-finite, not {name}")
+
+
 def _reciprocal_basis(basis: tuple[tuple[float, ...], ...]) -> tuple[tuple[float, ...], ...]:
     import numpy as np
 
@@ -189,22 +211,12 @@ def _reciprocal_basis(basis: tuple[tuple[float, ...], ...]) -> tuple[tuple[float
 def builtin(name: str, pbc_size: Optional[int] = None) -> LatticeSpec:
     """Return the built-in configuration ``name``.
 
-    ``pbc_size`` is required for ``chain-nn-finite`` (at least 3; smaller
-    rings do not have two distinct nearest-neighbour edges per site) and
-    rejected for every other lattice.
+    ``pbc_size`` is required for ``chain-nn-finite`` (at least
+    ``MIN_RING_SIZE``) and rejected for every other lattice.
     """
     import numpy as np
 
-    if name not in _GEOMETRY:
-        raise ValueError(f"unknown lattice {name!r}; choose from {', '.join(BUILTIN_NAMES)}")
-    if name == "chain-nn-finite":
-        if pbc_size is None:
-            raise ValueError("chain-nn-finite requires pbc_size")
-        if pbc_size < 3:
-            raise ValueError(f"pbc_size must be >= 3, got {pbc_size}")
-    elif pbc_size is not None:
-        raise ValueError(f"pbc_size is only meaningful for chain-nn-finite, not {name}")
-
+    _check_lattice(name, pbc_size)
     basis, steps = _GEOMETRY[name]["basis"], _GEOMETRY[name]["steps"]
     recip = _reciprocal_basis(basis)
     return LatticeSpec(

@@ -80,7 +80,7 @@ import math
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from .lattices import LatticeSpec, _integer_coords
+from .lattices import LatticeSpec, _check_ring_size, _integer_coords
 
 if TYPE_CHECKING:
     import numpy as np
@@ -268,8 +268,7 @@ def finite_chain_momenta(pbc_size: int) -> np.ndarray:
     """The ring's quasimomenta 2*pi*m/size for m = -((size - 1) // 2), ..., size // 2."""
     import numpy as np
 
-    if pbc_size < 3:
-        raise ValueError(f"pbc_size must be >= 3, got {pbc_size}")
+    _check_ring_size(pbc_size)
     return 2.0 * math.pi * (np.arange(pbc_size) - (pbc_size - 1) // 2) / pbc_size
 
 
@@ -352,8 +351,7 @@ def ring_harmonics(pbc_size: int, rho: float) -> dict[int, float]:
     table stops, like :func:`bessel_i`, at the first such term below one
     ulp of a_0; its largest key is the sum's bandwidth.
     """
-    if pbc_size < 3:
-        raise ValueError(f"pbc_size must be >= 3, got {pbc_size}")
+    _check_ring_size(pbc_size)
     x = -2.0 * rho
     table = {0: bessel_i(0, x)}
     m = 0
@@ -388,16 +386,22 @@ def appendix_b_report(
     when its residual is within ``tol_selection`` (selection-rule
     records) or ``tol_match`` (all others).  A run whose ``max(d) + 1``
     phases times ``pbc_size`` pass ``MAX_PHASE_CELLS`` is a
-    ``ValueError`` before any harmonic or ring sum is computed.
+    ``ValueError`` before any harmonic or ring sum is computed, and so is
+    a tolerance that is not positive (``nan`` included).  A ``rho`` whose
+    scale e^{2|rho|} is no finite float, ``inf`` and ``nan`` included, is
+    an ``OverflowError``, raised before any table is built.
     """
-    if pbc_size < 3:
-        raise ValueError(f"pbc_size must be >= 3, got {pbc_size}")
-    if tol_match <= 0:
+    _check_ring_size(pbc_size)
+    # "not > 0" refuses a nan too
+    if not tol_match > 0:
         raise ValueError(f"tol_match must be positive, got {tol_match}")
-    if tol_selection <= 0:
+    if not tol_selection > 0:
         raise ValueError(f"tol_selection must be positive, got {tol_selection}")
     try:
         scale = math.exp(2.0 * abs(rho))
+        # math.exp raises past the float range, but returns inf or nan at an inf or nan rho
+        if not math.isfinite(scale):
+            raise OverflowError
     except OverflowError:
         raise OverflowError("ring sum is not finite") from None
     top = 2 * pbc_size if d_values is None else max(d_values, default=0)

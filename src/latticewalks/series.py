@@ -33,6 +33,10 @@ recurrence against counts not built from it.  The binomial closed forms
 of the five recurrences (Domb, Adv. Phys. 9 (1960) 149) are kept as the
 test reference.
 
+Which name and ring size make a lattice is the rule of
+:mod:`latticewalks.lattices`: :func:`expand` refuses what ``builtin``
+refuses, a ring size on any lattice but ``chain-nn-finite`` included.
+
 Multi-indices are ordinary tuples of non-negative ints, one entry per
 hopping label, stored only where the walk count is non-zero.
 """
@@ -45,6 +49,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 from typing import Mapping, Optional
+
+from .lattices import _check_lattice
 
 MultiIndex = tuple[int, ...]
 
@@ -176,8 +182,10 @@ def expand(name: str, max_order: int, pbc_size: Optional[int] = None) -> Series:
     """Series of any built-in lattice up to total order ``max_order``.
 
     ``pbc_size`` is the ring size of ``chain-nn-finite`` (winding walks
-    included); other lattices ignore it.  ``chain-nnn`` is bivariate.
+    included), required there and refused on every other lattice, as
+    :func:`latticewalks.lattices.builtin` does.  ``chain-nnn`` is bivariate.
     """
+    _check_lattice(name, pbc_size)
     # a negative max_order leaves every loop empty, and Series refuses it
     if name == "chain-nnn":
         counts = {}
@@ -188,12 +196,6 @@ def expand(name: str, max_order: int, pbc_size: Optional[int] = None) -> Series:
                     counts[(n1, n2)] = c
         return Series(name, max_order, 2, counts)
     if name == "chain-nn-finite":
-        if pbc_size is None:
-            raise ValueError("chain-nn-finite requires pbc_size")
-        if pbc_size < 3:
-            raise ValueError(f"pbc_size must be >= 3, got {pbc_size}")
         counts = {(n,): c for n in range(max_order + 1) if (c := _finite_chain_count(n, pbc_size))}
         return Series(name, max_order, 1, counts, pbc_size)
-    if name not in _RECURRENCES:
-        raise ValueError(f"unknown lattice {name!r}")
     return Series(name, max_order, 1, _recurrence_counts(name, max_order))

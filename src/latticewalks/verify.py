@@ -33,7 +33,8 @@ class Tolerances:
     zero_abs: float = 1e-12
 
     def __post_init__(self):
-        if self.relative <= 0 or self.zero_abs <= 0:
+        # "not > 0" refuses a nan too
+        if not (self.relative > 0 and self.zero_abs > 0):
             raise ValueError("tolerances must be positive")
 
 

@@ -7,8 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import dispersion_value
-from latticewalks import BUILTIN_NAMES, auto_grid_size, builtin
-from latticewalks.quadrature import _band
+from latticewalks import (
+    BUILTIN_NAMES,
+    appendix_b_report,
+    auto_grid_size,
+    builtin,
+    expand,
+    finite_chain_momenta,
+)
+from latticewalks.quadrature import _band, ring_harmonics
 
 
 def make(name):
@@ -76,6 +83,41 @@ def test_builtin_errors():
         builtin("chain-nn-finite", 2)
     with pytest.raises(ValueError):
         builtin("triangular", 5)
+
+
+def _refusal(call):
+    """The text of the ValueError that ``call()`` raises, or None when it succeeds."""
+    try:
+        call()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@settings(deadline=None)
+@given(
+    name=st.sampled_from(BUILTIN_NAMES + ("kagome",)),
+    pbc=st.sampled_from([None, -1, 0, 2, 3, 4, 7]),
+)
+def test_one_rule_for_lattice_names_and_ring_sizes(name, pbc):
+    # builtin and expand take or refuse the same inputs, with the same text
+    refused = _refusal(lambda: builtin(name, pbc))
+    assert _refusal(lambda: expand(name, 0, pbc)) == refused
+    ring = name == "chain-nn-finite"
+    sized = pbc is None or pbc >= 3
+    valid = name in BUILTIN_NAMES and (pbc is not None) == ring and sized
+    assert (refused is None) == valid
+    if pbc is None:
+        return
+    # the ring functions refuse a ring size with the ring's text, exactly when it is below 3
+    ring_refused = _refusal(lambda: builtin("chain-nn-finite", pbc))
+    assert (ring_refused is not None) == (pbc < 3)
+    for call in (
+        lambda: finite_chain_momenta(pbc),
+        lambda: ring_harmonics(pbc, 0.5),
+        lambda: appendix_b_report(pbc, 0.5),
+    ):
+        assert _refusal(call) == ring_refused
 
 
 def test_steps_closed_under_negation():

@@ -20,6 +20,7 @@ from latticewalks import (
     expand,
     finite_chain_momenta,
     moments,
+    quadrature,
 )
 from latticewalks.cli import build_parser, cmd_appendix_b
 from latticewalks.oracle import closed_walks
@@ -432,10 +433,21 @@ def test_appendix_b_report_refuses_a_large_phase_grid_before_allocating():
 
 
 @pytest.mark.parametrize("option", ["tol_match", "tol_selection"])
-@pytest.mark.parametrize("value", [0.0, -1e-9])
+@pytest.mark.parametrize("value", [0.0, -1e-9, math.nan])
 def test_appendix_b_report_refuses_non_positive_tolerances(option, value):
     with pytest.raises(ValueError, match=f"^{option} must be positive, got {value}$"):
         appendix_b_report(6, 1.0, **{option: value})
+
+
+@pytest.mark.parametrize("rho", [math.inf, -math.inf, math.nan, 354.95])
+def test_appendix_b_report_refuses_an_unbounded_scale_before_any_table(rho, monkeypatch):
+    # e^{2|rho|} is no finite float: math.exp raises past 354.89 but returns inf or nan
+    def no_table(*args):
+        raise AssertionError("a harmonic table was built")
+
+    monkeypatch.setattr(quadrature, "ring_harmonics", no_table)
+    with pytest.raises(OverflowError, match="^ring sum is not finite$"):
+        appendix_b_report(4, rho)
 
 
 def test_fourier_trivial_values():

@@ -334,6 +334,9 @@ def test_expand_dispatch():
         expand("chain-nn-finite", 4)
     with pytest.raises(ValueError):
         expand("fcc", 4)
+    # a ring size on the infinite chain is refused, as builtin refuses it
+    with pytest.raises(ValueError, match="^pbc_size is only meaningful for chain-nn-finite"):
+        expand("chain-nn", 10, 4)
 
 
 # ---------------------------------------------------------------------------

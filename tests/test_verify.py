@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latticewalks import (
+    BUILTIN_NAMES,
     ORACLE_BOUNDS,
     Tolerances,
     appendix_b_report,
@@ -17,6 +18,8 @@ from latticewalks import (
     verify_identity,
     verify_recurrence,
 )
+from latticewalks import oracle, quadrature, series
+from latticewalks.cli import main
 from latticewalks.verify import _rational_sqrt
 
 
@@ -25,6 +28,11 @@ def test_tolerances_validate():
         Tolerances(relative=0.0)
     with pytest.raises(ValueError):
         Tolerances(zero_abs=-1e-9)
+    for field in ("relative", "zero_abs"):
+        with pytest.raises(ValueError, match="^tolerances must be positive$"):
+            Tolerances(**{field: math.nan})
+    with pytest.raises(ValueError, match="^tolerances must be positive$"):
+        verify_identity("chain-nn", 4, tolerances=Tolerances(relative=math.nan))
 
 
 @pytest.mark.parametrize(
@@ -200,3 +208,107 @@ def test_appendix_b_odd_ring_skips_phi_half():
     assert "phi_pi" in kinds
     with pytest.raises(ValueError):
         appendix_b_report(2, 0.5)
+
+
+# ---------------------------------------------------------------------------
+# route mutations: one planted defect at a time fails verify on that route only
+# ---------------------------------------------------------------------------
+
+
+def _verify_all(capsys, max_order):
+    """Exit code and {lattice: report document} of ``verify --all`` at ``max_order``."""
+    code = main(["verify", "--all", "--max-order", str(max_order)])
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    return code, {report["lattice"]: report for report in reports}
+
+
+def _oracle_agrees(record, report):
+    """The record's oracle count, where it has one, is n! times its exact coefficient."""
+    if record["oracle"] == "":
+        return True
+    exact = Fraction(int(record["exact_num"]), int(record["exact_den"]))
+    return int(record["oracle"]) == exact * math.factorial(record["order"])
+
+
+def _numeric_agrees(record, report):
+    """The record's quadrature value is within the report's tolerances of its coefficient."""
+    if record["rel_error"] == "":
+        return record["abs_error"] <= report["tolerances"]["zero_abs"]
+    return record["rel_error"] <= report["tolerances"]["relative"]
+
+
+def _assert_one_route_fails(reports, at_fault, sound):
+    """Every lattice fails; a record passes exactly where the route ``at_fault`` agrees,
+    and the ``sound`` route agrees on every record."""
+    assert list(reports) == list(BUILTIN_NAMES)
+    for name, report in reports.items():
+        records = report["records"]
+        assert report["summary"]["failed"] > 0, name
+        assert all(sound(r, report) for r in records), name
+        assert [r["pass"] for r in records] == [at_fault(r, report) for r in records], name
+
+
+def test_a_dropped_oracle_move_fails_the_oracle_only(capsys, monkeypatch):
+    closed_walks = oracle.closed_walks
+
+    def one_move_short(spec, max_length):
+        return closed_walks(dataclasses.replace(spec, steps=spec.steps[:-1]), max_length)
+
+    monkeypatch.setattr(oracle, "closed_walks", one_move_short)
+    code, reports = _verify_all(capsys, 12)
+    assert code == 1
+    _assert_one_route_fails(reports, at_fault=_oracle_agrees, sound=_numeric_agrees)
+
+
+def test_a_raised_band_amplitude_fails_the_quadrature_only(capsys, monkeypatch):
+    band = quadrature._band
+
+    def one_amplitude_up(spec):
+        (freq, amp), *rest = band(spec)[0]
+        return (((freq, amp + 1), *rest),) + band(spec)[1:]
+
+    monkeypatch.setattr(quadrature, "_band", one_amplitude_up)
+    code, reports = _verify_all(capsys, 10)
+    assert code == 1
+    _assert_one_route_fails(reports, at_fault=_numeric_agrees, sound=_oracle_agrees)
+
+
+# a grid one point short of the rule aliases a harmonic at these orders on every lattice; at
+# order 40 that harmonic weighs less than --tol-rel and the infinite lattices pass, so stay low
+@pytest.mark.parametrize("max_order", [6, 8, 12])
+def test_a_grid_below_the_rule_fails_the_quadrature_only(capsys, monkeypatch, max_order):
+    auto_grid_size = quadrature.auto_grid_size
+    monkeypatch.setattr(quadrature, "auto_grid_size", lambda spec, n: auto_grid_size(spec, n) - 1)
+    code, reports = _verify_all(capsys, max_order)
+    assert code == 1
+    _assert_one_route_fails(reports, at_fault=_numeric_agrees, sound=_oracle_agrees)
+
+
+@pytest.mark.parametrize("name", sorted(series._RECURRENCES))
+def test_a_wrong_recurrence_factor_fails_its_lattice_only(capsys, monkeypatch, name):
+    # a factor still divides exactly, so only the cross-check can catch it
+    stride, factor, first, steps = series._RECURRENCES[name]
+    monkeypatch.setitem(series._RECURRENCES, name, (stride, factor + 1, first, steps))
+    code, reports = _verify_all(capsys, 12)
+    assert code == 1
+    assert [n for n, report in reports.items() if report["summary"]["failed"]] == [name]
+    report = reports[name]
+    for record in report["records"]:
+        exact = Fraction(int(record["exact_num"]), int(record["exact_den"]))
+        # both other routes still count the true walks, factor/(factor + 1) of the series'
+        assert record["pass"] == (exact == 0)
+        assert _numeric_agrees(record, report) == (exact == 0)
+        if record["oracle"] != "":
+            walks = exact * math.factorial(record["order"])
+            assert int(record["oracle"]) * (factor + 1) == walks * factor
+
+
+def test_a_recurrence_that_stops_dividing_raises(monkeypatch):
+    # bcc's 8 raised to 9: p**3 a(p) = 9 (2p - 1)**3 a(p - 1) first fails to divide at p = 2
+    stride, factor, first, _ = series._RECURRENCES["bcc"]
+    monkeypatch.setitem(
+        series._RECURRENCES, "bcc", (stride, factor, first, lambda p: (p**3, 9 * (2 * p - 1) ** 3))
+    )
+    assert expand("bcc", 2).walk_count((2,)) == 9
+    with pytest.raises(ArithmeticError, match="^bcc recurrence leaves a remainder at p = 2$"):
+        expand("bcc", 4)
