@@ -29,11 +29,14 @@ is alias-free at every lower one (Trefethen & Weideman, SIAM Rev. 56
 (2014) 385), so one grid serves the whole run.  Every cosine on the grid
 is :func:`_cos_table`'s: its integer phase is folded in integer arithmetic
 into the first quadrant, so the values are exactly symmetric and the
-rational ones (0, +-1/2, +-1) are exact.  In 2-D and 3-D the cosines
-are gathered from one table of all ``N`` phases per run, since every
-slab holds at least one row of ``N**(D-1) >= N`` points and reads every
-entry; in 1-D a slab is a run of single points, so it folds its own
-phases and no array is as long as the grid axis.
+rational ones (0, +-1/2, +-1) are exact.  In 2-D and 3-D the ``N``
+axis phases are folded into one table per run, and a harmonic reads
+its values along the last axis as whole rows of a window over that
+table, the table repeated once more per unit of the harmonic's last
+frequency component (at most ``2N`` floats on the built-in lattices,
+never an ``N x N`` array): only the phases of the other axes, ``1/N``
+of a slab, are computed point by point.  In 1-D a slab is a run of single points,
+so it folds its own phases and no array is as long as the grid axis.
 
 Every dispersion is streamed, never held whole: the power chain of the
 first label runs over slabs of axis-0 rows of about ``_SLAB_POINTS``
@@ -46,7 +49,7 @@ inversion-reduced cell (Monkhorst & Pack, Phys. Rev. B 13 (1976) 5188)
 gives the same sums from rows ``0..N//2``: each row but 0 and (for even
 ``N``) ``N/2`` stands for its mirror too and has weight 2; each slab
 takes those weights from its own rows.  Memory is then one slab (the
-2-D and 3-D table is no longer than one of its rows), whatever the order
+2-D and 3-D table and its windows are a few of its rows), whatever the order
 or grid; the work, grid points times moments, is bounded by
 ``MAX_GRID_WORK``.
 
@@ -77,8 +80,7 @@ package costs no numpy and the exact commands (``coeffs``,
 from __future__ import annotations
 
 import math
-from functools import partial
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .lattices import LatticeSpec, _check_ring_size, _integer_coords
 
@@ -164,21 +166,42 @@ def _cache_aligned(shape: tuple[int, ...], fill: float) -> np.ndarray:
 
 
 def _term_on_grid(
-    harmonics: Harmonics, cosine: Callable, grid_points: int, dimension: int, rows: np.ndarray
+    harmonics: Harmonics, windows: dict, grid_points: int, dimension: int, rows: np.ndarray
 ) -> np.ndarray:
     """Evaluate one label's harmonics on the axis-0 ``rows`` of the fractional grid.
 
-    ``cosine`` maps integer phases in ``0..N-1`` to their folded cosines
-    (see :func:`_cos_table`); the grid has ``grid_points`` per axis.
+    In 1-D the slab folds its own phases (see :func:`_cos_table`).  In
+    2-D and 3-D a harmonic ``f`` is ``cos(2*pi*(s + c*k)/N)`` along the
+    last axis ``k``, with ``s`` the integer phase of the other axes and
+    ``c = f[-1]``, so each of its rows along that axis is row ``s mod N``
+    of ``windows[c]``.  For a negative ``c`` it reads ``-f`` instead, the
+    same values by the table's exact symmetry, and ``f`` and ``-f`` share
+    one term.  The sum grows by broadcasting, in the order of
+    ``harmonics``: terms that vary along few axes stay small, and the slab
+    array is allocated at the first term that spans the whole slab.
     """
     import numpy as np
 
-    axes = np.ix_(rows, *(np.arange(grid_points) for _ in range(dimension - 1)))
-    out = _cache_aligned((len(rows),) + (grid_points,) * (dimension - 1), 0.0)
+    if dimension == 1:
+        out = _cache_aligned((len(rows),), 0.0)
+        for (f,), amp in harmonics:
+            out += amp * _cos_table(np.mod(rows * f, grid_points), grid_points)
+        return out
+    shape = (len(rows),) + (grid_points,) * (dimension - 1)
+    axes = np.ix_(rows, *(np.arange(grid_points) for _ in range(dimension - 2)))
+    terms, total, out = {}, 0.0, None
     for freq, amp in harmonics:
-        phase = sum(axes[p] * freq[p] for p in range(dimension) if freq[p])
-        out += amp * cosine(np.mod(phase, grid_points))
-    return out
+        if freq[-1] < 0:
+            freq = tuple(-f for f in freq)
+        if (freq, amp) not in terms:
+            phase = sum(axes[p] * freq[p] for p in range(dimension - 1) if freq[p])
+            terms[freq, amp] = amp * windows[freq[-1]][np.mod(phase, grid_points)]
+        term = terms[freq, amp]
+        if out is None and np.broadcast_shapes(np.shape(total), term.shape) == shape:
+            out = _cache_aligned(shape, 0.0)
+        total = np.add(total, term, out=out)
+    # a band that is constant along some axis never spans the slab: broadcast it
+    return np.broadcast_to(total, shape)
 
 
 def auto_grid_size(spec: LatticeSpec, max_order: int) -> int:
@@ -226,12 +249,17 @@ def moments(spec: LatticeSpec, max_order: int, grid_points: int) -> dict[MultiIn
             f"the bound of {MAX_GRID_WORK:.0e} grid points times moments"
         )
     band = _band(spec)
-    if spec.dimension == 1:
-        # a 1-D slab's rows are its points: it folds its own phases
-        cosine = partial(_cos_table, grid_points=grid_points)
-    else:
-        # a slab holds at least one row of N**(D-1) >= N points, so it reads all the table
-        cosine = _cos_table(np.arange(grid_points), grid_points).__getitem__
+    windows = {}
+    if spec.dimension > 1:
+        table = _cos_table(np.arange(grid_points), grid_points)
+        for c in {abs(freq[-1]) for harmonics in band for freq, _ in harmonics}:
+            # windows[c][j, k] = table[(j + c*k) % N]: the table from j on, read with stride c
+            windows[c] = np.lib.stride_tricks.as_strided(
+                np.tile(table, c + 1),
+                (grid_points, grid_points if c else 1),
+                (table.itemsize, c * table.itemsize),
+                writeable=False,
+            )
 
     weight, step = (2.0, 2) if spec.basis_size == 2 else (1.0, 1)
     half = grid_points // 2
@@ -243,7 +271,7 @@ def moments(spec: LatticeSpec, max_order: int, grid_points: int) -> dict[MultiIn
         rows = np.arange(start, min(start + rows_per_slab, half + 1))
         # rows 0 and N/2 are their own mirrors; every other row stands for two
         weights = np.where(2 * rows % grid_points == 0, 1.0, 2.0)
-        eps, *second = (_term_on_grid(h, cosine, grid_points, spec.dimension, rows) for h in band)
+        eps, *second = (_term_on_grid(h, windows, grid_points, spec.dimension, rows) for h in band)
         inner = np.cumprod([np.ones_like(eps)] + second * max_order, axis=0) if second else None
         values = _cache_aligned(eps.shape, 1.0)
         for n in range(0, max_order + 1, step):
@@ -387,16 +415,17 @@ def appendix_b_report(
     records) or ``tol_match`` (all others).  A run whose ``max(d) + 1``
     phases times ``pbc_size`` pass ``MAX_PHASE_CELLS`` is a
     ``ValueError`` before any harmonic or ring sum is computed, and so is
-    a tolerance that is not positive (``nan`` included).  A ``rho`` whose
-    scale e^{2|rho|} is no finite float, ``inf`` and ``nan`` included, is
-    an ``OverflowError``, raised before any table is built.
+    a tolerance that is not finite and positive (``inf`` and ``nan``
+    included).  A ``rho`` whose scale e^{2|rho|} is no finite float,
+    ``inf`` and ``nan`` included, is an ``OverflowError``, raised before
+    any table is built.
     """
     _check_ring_size(pbc_size)
-    # "not > 0" refuses a nan too
-    if not tol_match > 0:
-        raise ValueError(f"tol_match must be positive, got {tol_match}")
-    if not tol_selection > 0:
-        raise ValueError(f"tol_selection must be positive, got {tol_selection}")
+    # a nan fails both comparisons; an inf tolerance would pass any residual
+    if not 0 < tol_match < math.inf:
+        raise ValueError(f"tol_match must be finite and positive, got {tol_match}")
+    if not 0 < tol_selection < math.inf:
+        raise ValueError(f"tol_selection must be finite and positive, got {tol_selection}")
     try:
         scale = math.exp(2.0 * abs(rho))
         # math.exp raises past the float range, but returns inf or nan at an inf or nan rho

@@ -33,9 +33,9 @@ class Tolerances:
     zero_abs: float = 1e-12
 
     def __post_init__(self):
-        # "not > 0" refuses a nan too
-        if not (self.relative > 0 and self.zero_abs > 0):
-            raise ValueError("tolerances must be positive")
+        # a nan fails both comparisons; an inf tolerance would pass any numeric value
+        if not (0 < self.relative < math.inf and 0 < self.zero_abs < math.inf):
+            raise ValueError("tolerances must be finite and positive")
 
 
 @dataclass(frozen=True)

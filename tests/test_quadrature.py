@@ -2,6 +2,7 @@ import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import series_value
 from latticewalks import (
     BUILTIN_NAMES,
+    StepVector,
     appendix_b_report,
     auto_grid_size,
     bessel_i,
@@ -257,6 +259,8 @@ def test_moments_memory_stays_in_slabs():
         ("chain-nnn", None, 170, 20000),
         ("chain-nn", None, 2, 4 * 10**6),
         ("chain-nn-finite", 4 * 10**6, 3, 4 * 10**6),
+        # a 5000**2 window of the cosine table would be 200 MB
+        ("triangular", None, 2, 5000),
     )
     for name, pbc, order, n in cases:
         tracemalloc.start()
@@ -305,6 +309,80 @@ def _table_gather_moments_1d(spec, max_order, n):
                 sums[order] += weights @ values
     means = sums / n
     return {m: float(means[m]) for m in np.ndindex(means.shape) if sum(m) <= max_order}
+
+
+def _phase_gather_term(harmonics, windows, grid_points, dimension, rows):
+    """One label's harmonics on the axis-0 ``rows``, gathered point by point from the phase table.
+
+    Every grid point gets its own integer phase, reduced mod N, and reads
+    its cosine from the table of all N phases, harmonic by harmonic into
+    one slab array; ``windows`` is not read.
+    """
+    table = _cos_table(np.arange(grid_points), grid_points)
+    axes = np.ix_(rows, *(np.arange(grid_points) for _ in range(dimension - 1)))
+    out = np.zeros((len(rows),) + (grid_points,) * (dimension - 1))
+    for freq, amp in harmonics:
+        phase = sum(axes[p] * freq[p] for p in range(dimension) if freq[p])
+        out += amp * table[np.mod(phase, grid_points)]
+    return out
+
+
+def _phase_gather_moments(spec, max_order, n):
+    """``moments`` with each slab's dispersion gathered point by point (``_phase_gather_term``)."""
+    with mock.patch.object(quadrature, "_term_on_grid", _phase_gather_term):
+        return moments(spec, max_order, n)
+
+
+def _hex_moments(moments_of, spec, max_order, n):
+    return {m: v.hex() for m, v in moments_of(spec, max_order, n).items()}
+
+
+def test_row_windows_match_the_phase_gather():
+    # the last axis reads rows of the table's windows: the same floats as a per-point gather
+    cases = [
+        (name, order, n)
+        for name in ("triangular", "honeycomb", "bcc", "diamond")
+        for n in range(1, 8)
+        for order in (0, 1, 2, 5, 9)
+    ]
+    cases += [
+        (name, order, auto_grid_size(make(name), order))
+        for name, order in (
+            ("bcc", 100), ("bcc", 170), ("diamond", 150), ("triangular", 60), ("honeycomb", 300)
+        )
+    ]
+    # bcc 100's rows 0..50 of 101**2 points span several slabs
+    assert _SLAB_POINTS // 101**2 < 51
+    for name, order, n in cases:
+        spec = make(name)
+        want = _hex_moments(_phase_gather_moments, spec, order, n)
+        assert _hex_moments(moments, spec, order, n) == want, (name, order, n)
+
+
+def _steps(*displacements):
+    return tuple(
+        StepVector(tuple(Fraction(sign * c) for c in d), 1)
+        for d in displacements
+        for sign in (1, -1)
+    )
+
+
+@pytest.mark.parametrize(
+    "name, displacements",
+    [
+        # last-axis frequencies -3 to 3 between them, and terms on the first axis alone
+        ("bcc", ((1, -2, 3), (0, 2, -1), (2, 0, 0), (1, 1, 1))),
+        ("triangular", ((1, 2), (3, -3), (0, 1))),
+        # no harmonic spans the last axis, so none spans the slab
+        ("triangular", ((1, 0), (2, 0))),
+        ("bcc", ((1, 0, 0), (1, -2, 0))),
+    ],
+)
+def test_row_windows_of_any_stride_match_the_phase_gather(name, displacements):
+    spec = dataclasses.replace(make(name), steps=_steps(*displacements))
+    for n in (1, 2, 5, 7, 12):
+        want = _hex_moments(_phase_gather_moments, spec, 4, n)
+        assert _hex_moments(moments, spec, 4, n) == want, n
 
 
 def test_one_dimensional_slabs_fold_the_table_values():
@@ -433,9 +511,9 @@ def test_appendix_b_report_refuses_a_large_phase_grid_before_allocating():
 
 
 @pytest.mark.parametrize("option", ["tol_match", "tol_selection"])
-@pytest.mark.parametrize("value", [0.0, -1e-9, math.nan])
+@pytest.mark.parametrize("value", [0.0, -1e-9, math.nan, math.inf])
 def test_appendix_b_report_refuses_non_positive_tolerances(option, value):
-    with pytest.raises(ValueError, match=f"^{option} must be positive, got {value}$"):
+    with pytest.raises(ValueError, match=f"^{option} must be finite and positive, got {value}$"):
         appendix_b_report(6, 1.0, **{option: value})
 
 

@@ -28,10 +28,12 @@ def test_tolerances_validate():
         Tolerances(relative=0.0)
     with pytest.raises(ValueError):
         Tolerances(zero_abs=-1e-9)
+    # an infinite tolerance would pass every record, aliased grids too
     for field in ("relative", "zero_abs"):
-        with pytest.raises(ValueError, match="^tolerances must be positive$"):
-            Tolerances(**{field: math.nan})
-    with pytest.raises(ValueError, match="^tolerances must be positive$"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="^tolerances must be finite and positive$"):
+                Tolerances(**{field: value})
+    with pytest.raises(ValueError, match="^tolerances must be finite and positive$"):
         verify_identity("chain-nn", 4, tolerances=Tolerances(relative=math.nan))
 
 
