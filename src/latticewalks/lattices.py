@@ -37,9 +37,8 @@ numpy, for the reciprocal basis and the cell volume, is imported by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal, Optional
+from typing import Literal, NamedTuple, Optional
 
 Sublattice = Literal["AtoB", "BtoA"]
 
@@ -59,9 +58,12 @@ _TWO_PI = 2.0 * math.pi
 MIN_RING_SIZE = 3
 
 
-@dataclass(frozen=True)
-class StepVector:
-    """One hopping displacement, in primitive-basis coordinates."""
+class StepVector(NamedTuple):
+    """One hopping displacement, in primitive-basis coordinates.
+
+    A NamedTuple, so it equals the plain tuple of its fields and
+    ``_replace`` makes a changed copy.
+    """
 
     displacement: tuple[Fraction, ...]
     label: int
@@ -74,9 +76,12 @@ class StepVector:
         return StepVector(tuple(-c for c in self.displacement), self.label, flipped)
 
 
-@dataclass(frozen=True)
-class LatticeSpec:
-    """Immutable description of one lattice configuration."""
+class LatticeSpec(NamedTuple):
+    """Immutable description of one lattice configuration.
+
+    A NamedTuple, so it equals the plain tuple of its fields and
+    ``_replace`` makes a changed copy.
+    """
 
     name: str
     dimension: int

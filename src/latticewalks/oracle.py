@@ -21,8 +21,7 @@ numpy is imported by ``closed_walks`` when it runs, not with the module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .lattices import LatticeSpec, _integer_coords, builtin
 
@@ -32,13 +31,14 @@ MultiIndex = tuple[int, ...]
 ORACLE_BOUNDS = {1: 12, 2: 10, 3: 8}
 
 
-@dataclass(frozen=True)
-class WalkTally:
+class WalkTally(NamedTuple):
     """Closed-walk counts of one length, split by label usage.
 
     ``sublattice_doubled`` records that the counts of a two-sublattice
     lattice include the factor 2 for the two equivalent terminal sites
-    per abstract lattice point.
+    per abstract lattice point.  A NamedTuple, so it equals the plain
+    tuple of its fields and ``_replace`` makes a changed copy; its
+    :meth:`count` replaces ``tuple.count``.
     """
 
     lattice: str

@@ -45,42 +45,64 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .lattices import _check_lattice
 
 MultiIndex = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Series:
+class _SeriesFields(NamedTuple):
+    lattice: str
+    max_order: int
+    label_count: int
+    counts: Mapping[MultiIndex, int]
+    pbc_size: Optional[int]
+
+
+class Series(_SeriesFields):
     """Truncated expansion: multi-index -> exact closed-walk count (an int).
 
     A count is ``n!`` times the Taylor coefficient at total order ``n``;
     the coefficients are derived from the counts.  Absent indices mean a
     zero count.  ``label_count`` is the arity of every index;
-    ``max_order`` bounds the stored total degree.
+    ``max_order`` bounds the stored total degree.  ``counts`` defaults to
+    a new empty dict.
+
+    A NamedTuple, so it equals the plain tuple of its fields and
+    ``_replace`` makes a changed copy.  Every way of making one checks
+    the fields: the constructor, ``_make``, ``_replace`` and unpickling
+    (pickle protocol 2 and up, the default).
     """
 
-    lattice: str
-    max_order: int
-    label_count: int
-    counts: Mapping[MultiIndex, int] = field(default_factory=dict)
-    pbc_size: Optional[int] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.max_order < 0:
+    def __new__(
+        cls,
+        lattice: str,
+        max_order: int,
+        label_count: int,
+        counts: Optional[Mapping[MultiIndex, int]] = None,
+        pbc_size: Optional[int] = None,
+    ):
+        counts = {} if counts is None else counts
+        if max_order < 0:
             raise ValueError("max_order must be >= 0")
-        for index, value in self.counts.items():
-            if len(index) != self.label_count or any(e < 0 for e in index):
+        for index, value in counts.items():
+            if len(index) != label_count or any(e < 0 for e in index):
                 raise ValueError(f"bad multi-index {index}")
-            if sum(index) > self.max_order:
-                raise ValueError(f"index {index} exceeds max_order {self.max_order}")
+            if sum(index) > max_order:
+                raise ValueError(f"index {index} exceeds max_order {max_order}")
             if not isinstance(value, int):
                 raise ValueError(f"walk count at {index} is not an int")
+        return super().__new__(cls, lattice, max_order, label_count, counts, pbc_size)
+
+    @classmethod
+    def _make(cls, iterable):
+        # the NamedTuple _make, which _replace calls, builds with tuple.__new__ unchecked
+        return cls(*iterable)
 
     @property
     def coefficients(self) -> Mapping[MultiIndex, Fraction]:

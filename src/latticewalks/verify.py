@@ -18,28 +18,50 @@ the ring sum alone and live with it, in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import oracle, quadrature, series
 from .lattices import builtin
 from .series import MultiIndex
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    relative: float = 1e-9
-    zero_abs: float = 1e-12
+class _ToleranceFields(NamedTuple):
+    relative: float
+    zero_abs: float
 
-    def __post_init__(self):
+
+class Tolerances(_ToleranceFields):
+    """Pass bounds of the float route: ``relative``, or ``zero_abs`` where the exact value is 0.
+
+    A NamedTuple, so it equals the plain tuple of its fields and
+    ``_replace`` makes a changed copy.  Every way of making one checks
+    the fields: the constructor, ``_make``, ``_replace`` and unpickling
+    (pickle protocol 2 and up, the default).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, relative: float = 1e-9, zero_abs: float = 1e-12):
         # a nan fails both comparisons; an inf tolerance would pass any numeric value
-        if not (0 < self.relative < math.inf and 0 < self.zero_abs < math.inf):
+        if not (0 < relative < math.inf and 0 < zero_abs < math.inf):
             raise ValueError("tolerances must be finite and positive")
+        return super().__new__(cls, relative, zero_abs)
+
+    @classmethod
+    def _make(cls, iterable):
+        # the NamedTuple _make, which _replace calls, builds with tuple.__new__ unchecked
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class CoefficientRecord:
+class CoefficientRecord(NamedTuple):
+    """One multi-index's three routes and whether they agree.
+
+    A NamedTuple, so it equals the plain tuple of its fields and
+    ``_replace`` makes a changed copy; its ``index`` field shadows
+    ``tuple.index``.
+    """
+
     index: MultiIndex
     exact: Fraction
     oracle_count: Optional[int]
@@ -65,8 +87,13 @@ class CoefficientRecord:
         }
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
+    """Every record of one lattice's verification, with the run's parameters.
+
+    A NamedTuple, so it equals the plain tuple of its fields and
+    ``_replace`` makes a changed copy.
+    """
+
     lattice: str
     pbc_size: Optional[int]
     max_order: int
@@ -176,8 +203,13 @@ def verify_identity(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RecurrenceReport:
+class RecurrenceReport(NamedTuple):
+    """The two-label chain recurrence: points checked and the violations found.
+
+    A NamedTuple, so it equals the plain tuple of its fields and
+    ``_replace`` makes a changed copy.
+    """
+
     max_total_order: int
     checked: int
     violations: tuple[tuple[int, int, str], ...]
@@ -230,8 +262,13 @@ def verify_recurrence(max_total_order: int) -> RecurrenceReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SquareTestRecord:
+class SquareTestRecord(NamedTuple):
+    """One even-order bcc coefficient, whether it is a rational square, and its root.
+
+    A NamedTuple, so it equals the plain tuple of its fields and
+    ``_replace`` makes a changed copy.
+    """
+
     order: int
     value: Fraction
     is_square: bool

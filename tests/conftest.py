@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -149,6 +150,20 @@ def dispersion_value(spec, label: int, k) -> float:
 def series_value(table, x):
     """The truncated univariate series ``table`` at ``x``, summed in index order."""
     return sum(c * x**n for (n,), c in sorted(table.coefficients.items()))
+
+
+# each way to make a record: from a valid record ``good`` and a dict ``bad`` of fields,
+# a record of ``good``'s type with those fields changed
+RECORD_CONSTRUCTIONS = {
+    "positional": lambda good, bad: type(good)(*(good._asdict() | bad).values()),
+    "keywords": lambda good, bad: type(good)(**(good._asdict() | bad)),
+    "_make": lambda good, bad: type(good)._make((good._asdict() | bad).values()),
+    "_replace": lambda good, bad: good._replace(**bad),
+    # tuple.__new__ passes every check, so this pickles the bad fields themselves
+    "pickle": lambda good, bad: pickle.loads(
+        pickle.dumps(tuple.__new__(type(good), (good._asdict() | bad).values()))
+    ),
+}
 
 
 @pytest.fixture

@@ -2,8 +2,10 @@
 
 The three routes (series, oracle, quadrature) must not import one
 another, so none can be derived from another.  numpy is imported inside
-the functions that use it, so the exact modules load without it.  Both
-are read from the source with ``ast``; the start-up test runs a fresh
+the functions that use it, so the exact modules load without it.  No
+module imports ``dataclasses``, which would bring ``inspect`` into
+every CLI process's start-up; the records are NamedTuples.  All three
+are read from the source with ``ast``; the start-up tests run a fresh
 interpreter, since this one has numpy loaded already.
 """
 
@@ -69,11 +71,18 @@ def test_exact_modules_do_not_import_numpy_at_module_level(module):
     assert not _names(_imports(module, module_level=True), "numpy")
 
 
-def _fresh_python(code: str) -> subprocess.CompletedProcess:
+def test_no_module_imports_dataclasses():
+    modules = sorted(path.stem for path in PACKAGE.glob("*.py"))
+    assert "verify" in modules
+    for module in modules:
+        assert not _names(_imports(module), "dataclasses"), module
+
+
+def _fresh_python(code: str, *argv: str) -> subprocess.CompletedProcess:
     path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     return subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, check=True
     )
 
 
@@ -89,3 +98,28 @@ def test_importing_the_package_loads_every_layer_but_not_numpy():
     assert loaded.split() == sorted(f"latticewalks.{m}" for m in layers)
     assert numpy_loaded == "False"
 
+
+# run as ``python -m latticewalks.cli`` runs it, and report on stderr, as the process
+# exits, which of these modules it loaded
+_REPORT_MODULES_AT_EXIT = (
+    "import atexit, runpy, sys\n"
+    "atexit.register(lambda: print(*sorted({'dataclasses', 'inspect', 'numpy'} & set(sys.modules)),"
+    " file=sys.stderr))\n"
+    "runpy.run_module('latticewalks.cli', run_name='__main__', alter_sys=True)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "coeffs --lattice bcc --max-order 20",
+        "conjecture --n-max 30",
+        "verify --lattice bcc --max-order 12",
+    ],
+)
+def test_cli_starts_without_dataclasses_or_inspect(command):
+    proc = _fresh_python(_REPORT_MODULES_AT_EXIT, *command.split())
+    loaded = set(proc.stderr.splitlines()[-1].split())
+    assert "dataclasses" not in loaded
+    # numpy imports inspect itself, so only a process without numpy can go without it
+    assert "inspect" not in loaded or "numpy" in loaded

@@ -1,5 +1,7 @@
 import json
 import math
+import pickle
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +11,15 @@ from hypothesis import strategies as st
 from conftest import dispersion_value
 from latticewalks import (
     BUILTIN_NAMES,
+    CoefficientRecord,
+    LatticeSpec,
+    RecurrenceReport,
+    Series,
+    SquareTestRecord,
+    StepVector,
+    Tolerances,
+    VerificationReport,
+    WalkTally,
     appendix_b_report,
     auto_grid_size,
     builtin,
@@ -304,3 +315,64 @@ def test_spec_immutable():
     spec = make("triangular")
     with pytest.raises(AttributeError):
         spec.name = "other"
+    for name in BUILTIN_NAMES:
+        assert make(name) == make(name) and hash(make(name)) == hash(make(name))
+
+
+_STEP = StepVector((Fraction(1, 2),), 1, "AtoB")
+_TOLERANCES = Tolerances()
+_RECORD = CoefficientRecord((2,), Fraction(1), 2, 3, 1.0, 0.0, 0.0, True)
+
+# one record of each type, and its repr
+RECORDS = [
+    (_STEP, "StepVector(displacement=(Fraction(1, 2),), label=1, sublattice='AtoB')"),
+    (
+        LatticeSpec("ring", 1, 2, (_STEP,), 1, ((1.0,),), ((6.5,),), 6.5, 3),
+        "LatticeSpec(name='ring', dimension=1, basis_size=2, steps=(StepVector("
+        "displacement=(Fraction(1, 2),), label=1, sublattice='AtoB'),), hopping_count=1, "
+        "direct_basis=((1.0,),), reciprocal_basis=((6.5,),), cell_volume=6.5, pbc_size=3)",
+    ),
+    (
+        WalkTally("bcc", 2, {(2,): 8}),
+        "WalkTally(lattice='bcc', length=2, counts={(2,): 8}, sublattice_doubled=False)",
+    ),
+    (
+        Series("chain-nn", 2, 1, {(0,): 1, (2,): 2}),
+        "Series(lattice='chain-nn', max_order=2, label_count=1, counts={(0,): 1, (2,): 2}, "
+        "pbc_size=None)",
+    ),
+    (_TOLERANCES, "Tolerances(relative=1e-09, zero_abs=1e-12)"),
+    (
+        _RECORD,
+        "CoefficientRecord(index=(2,), exact=Fraction(1, 1), oracle_count=2, grid_points=3, "
+        "numeric=1.0, abs_error=0.0, rel_error=0.0, passed=True)",
+    ),
+    (
+        VerificationReport("chain-nn", None, 2, "auto", _TOLERANCES, (_RECORD,)),
+        "VerificationReport(lattice='chain-nn', pbc_size=None, max_order=2, grid_policy='auto', "
+        "tolerances=Tolerances(relative=1e-09, zero_abs=1e-12), records=(CoefficientRecord("
+        "index=(2,), exact=Fraction(1, 1), oracle_count=2, grid_points=3, numeric=1.0, "
+        "abs_error=0.0, rel_error=0.0, passed=True),))",
+    ),
+    (
+        RecurrenceReport(2, 6, ((0, 1, "1/2"),)),
+        "RecurrenceReport(max_total_order=2, checked=6, violations=((0, 1, '1/2'),))",
+    ),
+    (
+        SquareTestRecord(2, Fraction(4), True, Fraction(2)),
+        "SquareTestRecord(order=2, value=Fraction(4, 1), is_square=True, root=Fraction(2, 1))",
+    ),
+]
+
+
+@pytest.mark.parametrize("record, text", RECORDS, ids=[type(r).__name__ for r, _ in RECORDS])
+def test_records_are_immutable_named_tuples(record, text):
+    assert repr(record) == text
+    for name in (record._fields[0], "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    copy = pickle.loads(pickle.dumps(record))
+    assert type(copy) is type(record) and copy == record
+    # a record is the tuple of its fields
+    assert record == tuple(record) and len(record) == len(record._fields)
+    assert record._replace() == record

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -235,7 +234,7 @@ def test_halved_slab_sums_match_the_full_grid_mean(name, n, order):
 def test_grid_means_count_closed_walks_on_the_torus(name, n, length):
     # an n-point-per-axis grid is the reciprocal lattice of the torus of
     # n**D cells, so every grid mean, aliased or not, counts its closed walks
-    spec = dataclasses.replace(make(name, 3 if name == "chain-nn-finite" else None), pbc_size=n)
+    spec = make(name, 3 if name == "chain-nn-finite" else None)._replace(pbc_size=n)
     values = moments(spec, length, n)
     sups = [sum(abs(amp) for _, amp in harmonics) for harmonics in _band(spec)]
     for tally in closed_walks(spec, length):
@@ -379,7 +378,7 @@ def _steps(*displacements):
     ],
 )
 def test_row_windows_of_any_stride_match_the_phase_gather(name, displacements):
-    spec = dataclasses.replace(make(name), steps=_steps(*displacements))
+    spec = make(name)._replace(steps=_steps(*displacements))
     for n in (1, 2, 5, 7, 12):
         want = _hex_moments(_phase_gather_moments, spec, 4, n)
         assert _hex_moments(moments, spec, 4, n) == want, n

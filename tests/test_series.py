@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import CLOSED_FORMS, brute_tally, brute_total
+from conftest import CLOSED_FORMS, RECORD_CONSTRUCTIONS, brute_tally, brute_total
 from latticewalks import (
     BUILTIN_NAMES,
     Series,
@@ -355,6 +355,28 @@ def test_series_validation():
         Series("x", 2, 1, {(1,): 0.5})
     with pytest.raises(ValueError):
         Series("x", 2, 1, {(1,): Fraction(1, 2)})
+
+
+@pytest.mark.parametrize("path", RECORD_CONSTRUCTIONS)
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"max_order": -1},
+        {"counts": {(1, 1): 1}},
+        {"counts": {(-1,): 1}},
+        {"counts": {(3,): 1}},
+        {"label_count": 2},
+        {"counts": {(1,): 0.5}},
+    ],
+)
+def test_series_validates_on_every_construction(path, bad):
+    with pytest.raises(ValueError):
+        RECORD_CONSTRUCTIONS[path](Series("x", 2, 1, {(0,): 1}), bad)
+
+
+def test_series_counts_default_to_a_new_dict():
+    first, second = Series("x", 2, 1), Series("x", 2, 1)
+    assert first.counts == {} and first.counts is not second.counts
 
 
 def test_series_json_round_trip():

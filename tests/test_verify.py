@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -7,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import RECORD_CONSTRUCTIONS
 from latticewalks import (
     BUILTIN_NAMES,
     ORACLE_BOUNDS,
@@ -35,6 +35,14 @@ def test_tolerances_validate():
                 Tolerances(**{field: value})
     with pytest.raises(ValueError, match="^tolerances must be finite and positive$"):
         verify_identity("chain-nn", 4, tolerances=Tolerances(relative=math.nan))
+
+
+@pytest.mark.parametrize("path", RECORD_CONSTRUCTIONS)
+@pytest.mark.parametrize("field", ["relative", "zero_abs"])
+@pytest.mark.parametrize("value", [0.0, -1e-9, math.nan, math.inf])
+def test_tolerances_validate_on_every_construction(path, field, value):
+    with pytest.raises(ValueError, match="^tolerances must be finite and positive$"):
+        RECORD_CONSTRUCTIONS[path](Tolerances(), {field: value})
 
 
 @pytest.mark.parametrize(
@@ -110,7 +118,7 @@ def test_verify_summary_reports_oracle_coverage():
     errors = [r.rel_error for r in report.records if r.rel_error is not None]
     assert summary["worst_rel_error"] == max(errors) <= 1e-9
     assert verify_identity("chain-nn", 5).oracle_max_order == 5
-    empty = dataclasses.replace(report, records=())
+    empty = report._replace(records=())
     assert empty.oracle_max_order is None and empty.worst_rel_error is None
 
 
@@ -254,7 +262,7 @@ def test_a_dropped_oracle_move_fails_the_oracle_only(capsys, monkeypatch):
     closed_walks = oracle.closed_walks
 
     def one_move_short(spec, max_length):
-        return closed_walks(dataclasses.replace(spec, steps=spec.steps[:-1]), max_length)
+        return closed_walks(spec._replace(steps=spec.steps[:-1]), max_length)
 
     monkeypatch.setattr(oracle, "closed_walks", one_move_short)
     code, reports = _verify_all(capsys, 12)
