@@ -54,55 +54,24 @@ from .lattices import _check_lattice
 MultiIndex = tuple[int, ...]
 
 
-class _SeriesFields(NamedTuple):
-    lattice: str
-    max_order: int
-    label_count: int
-    counts: Mapping[MultiIndex, int]
-    pbc_size: Optional[int]
-
-
-class Series(_SeriesFields):
+class Series(NamedTuple):
     """Truncated expansion: multi-index -> exact closed-walk count (an int).
 
     A count is ``n!`` times the Taylor coefficient at total order ``n``;
     the coefficients are derived from the counts.  Absent indices mean a
     zero count.  ``label_count`` is the arity of every index;
-    ``max_order`` bounds the stored total degree.  ``counts`` defaults to
-    a new empty dict.
+    ``max_order`` bounds the stored total degree.  :func:`expand` makes
+    every series the package reads; the record checks none of its fields.
 
     A NamedTuple, so it equals the plain tuple of its fields and
-    ``_replace`` makes a changed copy.  Every way of making one checks
-    the fields: the constructor, ``_make``, ``_replace`` and unpickling
-    (pickle protocol 2 and up, the default).
+    ``_replace`` makes a changed copy.
     """
 
-    __slots__ = ()
-
-    def __new__(
-        cls,
-        lattice: str,
-        max_order: int,
-        label_count: int,
-        counts: Optional[Mapping[MultiIndex, int]] = None,
-        pbc_size: Optional[int] = None,
-    ):
-        counts = {} if counts is None else counts
-        if max_order < 0:
-            raise ValueError("max_order must be >= 0")
-        for index, value in counts.items():
-            if len(index) != label_count or any(e < 0 for e in index):
-                raise ValueError(f"bad multi-index {index}")
-            if sum(index) > max_order:
-                raise ValueError(f"index {index} exceeds max_order {max_order}")
-            if not isinstance(value, int):
-                raise ValueError(f"walk count at {index} is not an int")
-        return super().__new__(cls, lattice, max_order, label_count, counts, pbc_size)
-
-    @classmethod
-    def _make(cls, iterable):
-        # the NamedTuple _make, which _replace calls, builds with tuple.__new__ unchecked
-        return cls(*iterable)
+    lattice: str
+    max_order: int
+    label_count: int
+    counts: Mapping[MultiIndex, int]
+    pbc_size: Optional[int] = None
 
     @property
     def coefficients(self) -> Mapping[MultiIndex, Fraction]:
@@ -208,7 +177,8 @@ def expand(name: str, max_order: int, pbc_size: Optional[int] = None) -> Series:
     :func:`latticewalks.lattices.builtin` does.  ``chain-nnn`` is bivariate.
     """
     _check_lattice(name, pbc_size)
-    # a negative max_order leaves every loop empty, and Series refuses it
+    if max_order < 0:
+        raise ValueError("max_order must be >= 0")
     if name == "chain-nnn":
         counts = {}
         for n1 in range(0, max_order + 1, 2):

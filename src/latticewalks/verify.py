@@ -26,32 +26,17 @@ from .lattices import builtin
 from .series import MultiIndex
 
 
-class _ToleranceFields(NamedTuple):
-    relative: float
-    zero_abs: float
-
-
-class Tolerances(_ToleranceFields):
+class Tolerances(NamedTuple):
     """Pass bounds of the float route: ``relative``, or ``zero_abs`` where the exact value is 0.
 
     A NamedTuple, so it equals the plain tuple of its fields and
-    ``_replace`` makes a changed copy.  Every way of making one checks
-    the fields: the constructor, ``_make``, ``_replace`` and unpickling
-    (pickle protocol 2 and up, the default).
+    ``_replace`` makes a changed copy.  The record checks neither
+    field; :func:`verify_identity` refuses one that is not finite and
+    positive, however the record was made.
     """
 
-    __slots__ = ()
-
-    def __new__(cls, relative: float = 1e-9, zero_abs: float = 1e-12):
-        # a nan fails both comparisons; an inf tolerance would pass any numeric value
-        if not (0 < relative < math.inf and 0 < zero_abs < math.inf):
-            raise ValueError("tolerances must be finite and positive")
-        return super().__new__(cls, relative, zero_abs)
-
-    @classmethod
-    def _make(cls, iterable):
-        # the NamedTuple _make, which _replace calls, builds with tuple.__new__ unchecked
-        return cls(*iterable)
+    relative: float = 1e-9
+    zero_abs: float = 1e-12
 
 
 class CoefficientRecord(NamedTuple):
@@ -150,14 +135,23 @@ def verify_identity(
     grid: int | str = "auto",
     tolerances: Tolerances = Tolerances(),
 ) -> VerificationReport:
-    """Compare all three coefficient routes up to ``max_order``."""
+    """Compare all three coefficient routes up to ``max_order``.
+
+    ``grid`` is ``"auto"`` or an int of at least 1 (not a bool), the
+    grid points per axis.
+    """
+    # a nan fails both comparisons; an inf tolerance would pass any numeric value
+    if not (0 < tolerances.relative < math.inf and 0 < tolerances.zero_abs < math.inf):
+        raise ValueError("tolerances must be finite and positive")
+    if grid != "auto" and (type(grid) is not int or grid < 1):
+        raise ValueError(f'grid must be "auto" or an int >= 1, got {grid!r}')
     spec = builtin(name, pbc_size)
     exact = series.expand(name, max_order, pbc_size)
     # n! bounds every index's factorial divisor: past order 170 it is no
     # float, so the run fails here, before any grid is built
     float(math.factorial(max_order))
     tallies = oracle.closed_walks(spec, min(max_order, oracle.ORACLE_BOUNDS[spec.dimension]))
-    grid_points = quadrature.auto_grid_size(spec, max_order) if grid == "auto" else int(grid)
+    grid_points = quadrature.auto_grid_size(spec, max_order) if grid == "auto" else grid
     table = quadrature.moments(spec, max_order, grid_points)
 
     fact = [math.factorial(n) for n in range(max_order + 1)]
@@ -192,7 +186,7 @@ def verify_identity(
         lattice=name,
         pbc_size=spec.pbc_size,
         max_order=max_order,
-        grid_policy="auto" if grid == "auto" else str(int(grid)),
+        grid_policy=str(grid),
         tolerances=tolerances,
         records=tuple(records),
     )

@@ -152,6 +152,15 @@ def series_value(table, x):
     return sum(c * x**n for (n,), c in sorted(table.coefficients.items()))
 
 
+def _tuple_new(good, bad):
+    # runs no constructor of the record's class, as unpickling at protocols 0 and 1 does
+    return tuple.__new__(type(good), (good._asdict() | bad).values())
+
+
+def _pickled(protocol=pickle.DEFAULT_PROTOCOL):
+    return lambda good, bad: pickle.loads(pickle.dumps(_tuple_new(good, bad), protocol))
+
+
 # each way to make a record: from a valid record ``good`` and a dict ``bad`` of fields,
 # a record of ``good``'s type with those fields changed
 RECORD_CONSTRUCTIONS = {
@@ -159,10 +168,9 @@ RECORD_CONSTRUCTIONS = {
     "keywords": lambda good, bad: type(good)(**(good._asdict() | bad)),
     "_make": lambda good, bad: type(good)._make((good._asdict() | bad).values()),
     "_replace": lambda good, bad: good._replace(**bad),
-    # tuple.__new__ passes every check, so this pickles the bad fields themselves
-    "pickle": lambda good, bad: pickle.loads(
-        pickle.dumps(tuple.__new__(type(good), (good._asdict() | bad).values()))
-    ),
+    "tuple.__new__": _tuple_new,
+    "pickle": _pickled(),
+    **{f"pickle-{p}": _pickled(p) for p in range(pickle.HIGHEST_PROTOCOL + 1)},
 }
 
 

@@ -4,9 +4,10 @@ The three routes (series, oracle, quadrature) must not import one
 another, so none can be derived from another.  numpy is imported inside
 the functions that use it, so the exact modules load without it.  No
 module imports ``dataclasses``, which would bring ``inspect`` into
-every CLI process's start-up; the records are NamedTuples.  All three
-are read from the source with ``ast``; the start-up tests run a fresh
-interpreter, since this one has numpy loaded already.
+every CLI process's start-up; the records are plain NamedTuples, with
+no ``__new__`` or ``_make`` of their own.  These are read from the
+source with ``ast``; the start-up tests run a fresh interpreter, since
+this one has numpy loaded already.
 """
 
 from __future__ import annotations
@@ -76,6 +77,28 @@ def test_no_module_imports_dataclasses():
     assert "verify" in modules
     for module in modules:
         assert not _names(_imports(module), "dataclasses"), module
+
+
+RECORDS = (
+    "StepVector", "LatticeSpec", "WalkTally", "Series", "Tolerances",
+    "CoefficientRecord", "VerificationReport", "RecurrenceReport", "SquareTestRecord",
+)
+
+
+@pytest.mark.parametrize("record", RECORDS)
+def test_records_are_plain_named_tuples(record):
+    # no record has a constructor of its own that could check, or skip checking, its fields
+    assert getattr(latticewalks, record).__bases__ == (tuple,)
+
+
+def test_no_module_defines_a_constructor():
+    for path in sorted(PACKAGE.glob("*.py")):
+        defined = {
+            node.name
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        }
+        assert not defined & {"__new__", "_make"}, path.stem
 
 
 def _fresh_python(code: str, *argv: str) -> subprocess.CompletedProcess:

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -23,16 +24,17 @@ from latticewalks.cli import main
 from latticewalks.verify import _rational_sqrt
 
 
-def test_tolerances_validate():
-    with pytest.raises(ValueError):
-        Tolerances(relative=0.0)
-    with pytest.raises(ValueError):
-        Tolerances(zero_abs=-1e-9)
-    # an infinite tolerance would pass every record, aliased grids too
-    for field in ("relative", "zero_abs"):
-        for value in (math.nan, math.inf):
-            with pytest.raises(ValueError, match="^tolerances must be finite and positive$"):
-                Tolerances(**{field: value})
+def _stop_before_any_route(monkeypatch):
+    # verify_identity checks its own inputs before it builds a lattice, a series or a grid
+    def ran(*args, **kwargs):
+        raise AssertionError("verify_identity ran past its input checks")
+
+    for target in ("verify.builtin", "series.expand", "quadrature.moments"):
+        monkeypatch.setattr(f"latticewalks.{target}", ran)
+
+
+def test_tolerances_validate(monkeypatch):
+    _stop_before_any_route(monkeypatch)
     with pytest.raises(ValueError, match="^tolerances must be finite and positive$"):
         verify_identity("chain-nn", 4, tolerances=Tolerances(relative=math.nan))
 
@@ -40,9 +42,21 @@ def test_tolerances_validate():
 @pytest.mark.parametrize("path", RECORD_CONSTRUCTIONS)
 @pytest.mark.parametrize("field", ["relative", "zero_abs"])
 @pytest.mark.parametrize("value", [0.0, -1e-9, math.nan, math.inf])
-def test_tolerances_validate_on_every_construction(path, field, value):
+def test_tolerances_validate_on_every_construction(monkeypatch, path, field, value):
+    # an infinite tolerance would pass every record, aliased grids too; pickle protocols 0
+    # and 1 rebuild the record with tuple.__new__, so only the function that reads it checks it
+    bad = RECORD_CONSTRUCTIONS[path](Tolerances(), {field: value})
+    _stop_before_any_route(monkeypatch)
     with pytest.raises(ValueError, match="^tolerances must be finite and positive$"):
-        RECORD_CONSTRUCTIONS[path](Tolerances(), {field: value})
+        verify_identity("chain-nn", 6, grid=2, tolerances=bad)
+
+
+@pytest.mark.parametrize("grid", [2.5, 2.0, True, False, 0, -3, "3", "AUTO", None])
+def test_verify_identity_refuses_a_bad_grid(monkeypatch, grid):
+    _stop_before_any_route(monkeypatch)
+    message = f'^grid must be "auto" or an int >= 1, got {re.escape(repr(grid))}$'
+    with pytest.raises(ValueError, match=message):
+        verify_identity("chain-nn", 4, grid=grid)
 
 
 @pytest.mark.parametrize(
@@ -87,7 +101,7 @@ def test_verify_identity_record_contents():
 def test_verify_identity_coarse_grid_fails():
     # a fixed 3-point grid aliases the order-6 moments
     report = verify_identity("triangular", 6, grid=3)
-    assert report.failed > 0
+    assert report.failed > 0 and report.grid_policy == "3"
 
 
 def test_verify_identity_deterministic():
