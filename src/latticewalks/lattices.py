@@ -27,9 +27,11 @@ parallelepiped spanned by ``reciprocal_basis`` (rows ``b_i`` with
 ``b_i . a_j = 2*pi*delta_ij``).  Every integrand we need is periodic
 under the reciprocal basis, so means over this cell equal means over any
 other primitive cell, including the Wigner-Seitz one; the Wigner-Seitz
-polytopes are never meshed.  This module holds geometry, and the one
-rule, shared by :func:`builtin` and the series, for which name and ring
-size make a lattice: each route derives what it needs from ``steps``.
+polytopes are never meshed.  This module holds geometry, the one rule,
+shared by :func:`builtin` and the series, for which name and ring size
+make a lattice, and the one limit of ``MAX_HOPPING_LABELS`` labels that
+the oracle and the quadrature share: each route derives what it needs
+from ``steps``.
 numpy, for the reciprocal basis and the cell volume, is imported by
 :func:`builtin` when it is called, not with the module.
 """
@@ -56,6 +58,9 @@ _TWO_PI = 2.0 * math.pi
 
 # a smaller ring does not have two distinct nearest-neighbour edges per site
 MIN_RING_SIZE = 3
+# the oracle counts the first label's steps on one extra axis, and the
+# quadrature's slabs hold the powers of one second label: chain-nnn's two
+MAX_HOPPING_LABELS = 2
 
 
 class StepVector(NamedTuple):
@@ -190,6 +195,11 @@ def _integer_coords(coords: tuple[Fraction, ...]) -> tuple[int, ...]:
 def _check_ring_size(pbc_size: int) -> None:
     if pbc_size < MIN_RING_SIZE:
         raise ValueError(f"pbc_size must be >= {MIN_RING_SIZE}, got {pbc_size}")
+
+
+def _check_hopping_count(hopping_count: int) -> None:
+    if hopping_count > MAX_HOPPING_LABELS:
+        raise ValueError(f"at most {MAX_HOPPING_LABELS} hopping labels, got {hopping_count}")
 
 
 def _check_lattice(name: str, pbc_size: Optional[int]) -> None:

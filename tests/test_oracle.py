@@ -1,16 +1,23 @@
 import math
+from collections import Counter
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import brute_tally, brute_total
 from latticewalks import (
     BUILTIN_NAMES,
     ORACLE_BOUNDS,
+    LatticeSpec,
+    StepVector,
     builtin,
     enumerate_walks,
     expand,
     finite_chain_trace,
 )
+from latticewalks.lattices import MAX_HOPPING_LABELS, MIN_RING_SIZE
 from latticewalks.oracle import closed_walks
 
 
@@ -71,8 +78,9 @@ def test_ring_reduces_to_infinite_chain_when_large():
 
 
 def test_ring_tallies_straddle_the_wrapping_length():
-    # a walk of L unit steps wraps a ring of N sites only if L >= N; the
-    # oracle's side is L + 1 below that and N from L = N - 1 on
+    # a walk of L unit steps winds a ring of N sites only if L >= N; below
+    # that the oracle stores the 2*ceil(L/2) + 1 cells that half a walk
+    # reaches, and from L = N on it wraps them at N cells
     for lam in range(3, 9):
         for top in range(lam - 2, lam + 2):
             tallies = closed_walks(make("chain-nn-finite", lam), top)
@@ -127,7 +135,8 @@ def test_counts_exact_past_int64():
 
 
 # (lattice, moves per step z, length): each pair sits just under and just
-# over z**n = 2**63, where the stencil switches from int64 to Python ints
+# over z**n = 2**63, where the stencil switches from int64 to Python ints;
+# the ring, of 64 sites, is the longest walk the benchmark's trace asks for
 @pytest.mark.parametrize(
     "name, z, n",
     [
@@ -135,12 +144,16 @@ def test_counts_exact_past_int64():
         ("bcc", 8, 20), ("bcc", 8, 22),
         ("honeycomb", 3, 38), ("honeycomb", 3, 40),
         ("chain-nnn", 4, 30), ("chain-nnn", 4, 32),
+        ("triangular", 6, 24), ("triangular", 6, 25),
+        ("diamond", 4, 31), ("diamond", 4, 32),
+        ("chain-nn-finite", 2, 170),
     ],
 )  # fmt: skip
 def test_counts_exact_on_both_sides_of_int64(name, z, n):
-    assert (z**n < 2**63) == (n in (62, 20, 38, 30))
-    table = expand(name, n)
-    for tally in closed_walks(make(name), n):
+    assert (z**n < 2**63) == (n in (62, 20, 38, 30, 24, 31))
+    pbc = 64 if name == "chain-nn-finite" else None
+    table = expand(name, n, pbc)
+    for tally in closed_walks(make(name, pbc), n):
         assert tally.counts == series_counts(table, tally.length)
         assert all(type(count) is int for count in tally.counts.values())
 
@@ -205,3 +218,75 @@ def test_tally_json_document():
     assert int(doc["total"]) == tally.total
     indices = [tuple(e["index"]) for e in doc["counts"]]
     assert indices == sorted(indices)
+
+
+@pytest.mark.parametrize("name, kept", [("chain-nn", slice(1)), ("bcc", slice(-1))])
+def test_hopping_not_closed_under_negation_is_refused(name, kept):
+    # chain-nn without its -1 step, bcc without one step
+    spec = make(name)
+    with pytest.raises(ValueError, match="closed under negation"):
+        closed_walks(spec._replace(steps=spec.steps[kept]), 4)
+
+
+def test_a_third_label_is_refused():
+    spec = make("chain-nnn")
+    third = tuple(s._replace(label=3) for s in spec.steps[:2])
+    spec = spec._replace(steps=spec.steps + third, hopping_count=3)
+    with pytest.raises(ValueError, match=f"at most {MAX_HOPPING_LABELS} hopping labels"):
+        closed_walks(spec, 4)
+
+
+def brute_closed_walks(spec, max_length):
+    """Closed walks by label usage for every length, from every step sequence."""
+    moves = [(tuple(int(c) for c in s.displacement), s.label - 1) for s in spec.steps]
+    ring = spec.pbc_size or math.inf
+    tallies = [Counter() for _ in range(max_length + 1)]
+
+    def extend(position, used):
+        length = sum(used)
+        if all(c % ring == 0 for c in position):
+            tallies[length][tuple(used)] += 1
+        if length < max_length:
+            for move, label in moves:
+                used[label] += 1
+                extend([p + c for p, c in zip(position, move)], used)
+                used[label] -= 1
+
+    extend([0] * spec.dimension, [0] * spec.hopping_count)
+    return [dict(tally) for tally in tallies]
+
+
+@st.composite
+def generated_specs(draw):
+    """A one-sublattice spec of 1 to 3 +-pairs per label, moves in [-2, 2]**D, maybe a torus."""
+    dimension = draw(st.integers(1, 3))
+    labels = draw(st.integers(1, MAX_HOPPING_LABELS))
+    move = st.tuples(*[st.integers(-2, 2)] * dimension)
+    steps = []
+    for label in range(1, labels + 1):
+        for coords in draw(st.lists(move, min_size=1, max_size=3)):
+            step = StepVector(tuple(map(Fraction, coords)), label)
+            steps += [step, step.negated()]
+    unit = tuple(tuple(float(i == j) for j in range(dimension)) for i in range(dimension))
+    return LatticeSpec(
+        name="generated",
+        dimension=dimension,
+        basis_size=1,
+        steps=tuple(steps),
+        hopping_count=labels,
+        direct_basis=unit,
+        reciprocal_basis=tuple(tuple(2 * math.pi * c for c in row) for row in unit),
+        cell_volume=(2 * math.pi) ** dimension,
+        pbc_size=draw(st.none() | st.integers(MIN_RING_SIZE, 7)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=generated_specs())
+def test_generated_lattices_match_brute_force(spec):
+    # reach-2 moves beyond 1-D, two labels beyond 1-D, repeated pairs and
+    # tori of any side: cases no built-in lattice reaches
+    z = len(spec.steps)
+    top = max(n for n in range(20) if z**n <= 10**4)
+    tallies = closed_walks(spec, top)
+    assert [dict(t.counts) for t in tallies] == brute_closed_walks(spec, top)

@@ -24,6 +24,7 @@ from latticewalks import (
     quadrature,
 )
 from latticewalks.cli import build_parser, cmd_appendix_b
+from latticewalks.lattices import MAX_HOPPING_LABELS
 from latticewalks.oracle import closed_walks
 from latticewalks.quadrature import (
     _SLAB_POINTS,
@@ -356,6 +357,14 @@ def test_row_windows_match_the_phase_gather():
         spec = make(name)
         want = _hex_moments(_phase_gather_moments, spec, order, n)
         assert _hex_moments(moments, spec, order, n) == want, (name, order, n)
+
+
+def test_a_third_label_is_refused():
+    spec = make("chain-nnn")
+    third = tuple(s._replace(label=3) for s in spec.steps[:2])
+    spec = spec._replace(steps=spec.steps + third, hopping_count=3)
+    with pytest.raises(ValueError, match=f"at most {MAX_HOPPING_LABELS} hopping labels, got 3"):
+        moments(spec, 4, 9)
 
 
 def _steps(*displacements):

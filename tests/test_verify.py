@@ -272,13 +272,14 @@ def _assert_one_route_fails(reports, at_fault, sound):
         assert [r["pass"] for r in records] == [at_fault(r, report) for r in records], name
 
 
-def test_a_dropped_oracle_move_fails_the_oracle_only(capsys, monkeypatch):
+def test_a_doubled_oracle_move_pair_fails_the_oracle_only(capsys, monkeypatch):
     closed_walks = oracle.closed_walks
 
-    def one_move_short(spec, max_length):
-        return closed_walks(spec._replace(steps=spec.steps[:-1]), max_length)
+    def one_pair_twice(spec, max_length):
+        # a +- pair keeps the moves closed under negation, which the oracle requires
+        return closed_walks(spec._replace(steps=spec.steps + spec.steps[:2]), max_length)
 
-    monkeypatch.setattr(oracle, "closed_walks", one_move_short)
+    monkeypatch.setattr(oracle, "closed_walks", one_pair_twice)
     code, reports = _verify_all(capsys, 12)
     assert code == 1
     _assert_one_route_fails(reports, at_fault=_oracle_agrees, sound=_numeric_agrees)
