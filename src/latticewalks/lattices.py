@@ -29,9 +29,9 @@ under the reciprocal basis, so means over this cell equal means over any
 other primitive cell, including the Wigner-Seitz one; the Wigner-Seitz
 polytopes are never meshed.  This module holds geometry, the one rule,
 shared by :func:`builtin` and the series, for which name and ring size
-make a lattice, and the one limit of ``MAX_HOPPING_LABELS`` labels that
-the oracle and the quadrature share: each route derives what it needs
-from ``steps``.
+make a lattice, and the label rule that the oracle and the quadrature
+share: at most ``MAX_HOPPING_LABELS`` labels, and every step's label in
+``1..hopping_count``.  Each route derives what it needs from ``steps``.
 numpy, for the reciprocal basis and the cell volume, is imported by
 :func:`builtin` when it is called, not with the module.
 """
@@ -197,9 +197,13 @@ def _check_ring_size(pbc_size: int) -> None:
         raise ValueError(f"pbc_size must be >= {MIN_RING_SIZE}, got {pbc_size}")
 
 
-def _check_hopping_count(hopping_count: int) -> None:
-    if hopping_count > MAX_HOPPING_LABELS:
-        raise ValueError(f"at most {MAX_HOPPING_LABELS} hopping labels, got {hopping_count}")
+def _check_labels(spec: LatticeSpec) -> None:
+    """Refuse more than ``MAX_HOPPING_LABELS`` labels, or a step labelled outside them."""
+    if spec.hopping_count > MAX_HOPPING_LABELS:
+        raise ValueError(f"at most {MAX_HOPPING_LABELS} hopping labels, got {spec.hopping_count}")
+    for step in spec.steps:
+        if not 1 <= step.label <= spec.hopping_count:
+            raise ValueError(f"step label {step.label} is outside 1..{spec.hopping_count}")
 
 
 def _check_lattice(name: str, pbc_size: Optional[int]) -> None:

@@ -7,27 +7,42 @@ two-sublattice lattices hops are measured from the first A->B
 displacement ``e0`` (``d - e0`` for A->B, ``d + e0`` for B->A), so every
 move is a lattice translation.  A shift stencil runs for ``K = ceil(L/2)``
 steps only and leaves ``w_t(x)``, the number of ``t``-step walks from the
-origin to ``x``, in one of two reused buffers; each step is one slice
-shift-add per move.  The walk of length ``n`` splits into a first half of
-``n - k`` steps and a second half of ``k = floor(n/2)``; reversed and
-negated, the second half is a ``k``-step walk from the origin to the
-same ``x``.  So the tally of length ``n`` is ``sum_x w_{n-k}(x) w_k(x)``,
-and on a two-label spec the label-1 counts of the halves add: the tally
-is the anti-diagonal sums of the halves' pair table over label counts.
-That reversal is a walk of the spec exactly when its moves are closed
-under negation (Hermitian hopping, as every built-in's ``+-`` pairs are),
-so any other spec is refused, and so is one with more than
-``MAX_HOPPING_LABELS`` labels, as the stencil has one label axis.
+origin to ``x``, in one of the two halves of one buffer.  The walk of
+length ``n`` splits into a first half of ``n - k`` steps and a second half
+of ``k = floor(n/2)``; reversed and negated, the second half is a
+``k``-step walk from the origin to the same ``x``.  So the tally of length
+``n`` is ``sum_x w_{n-k}(x) w_k(x)``, and on a two-label spec the label-1
+counts of the halves add: the tally is the anti-diagonal sums of the
+halves' pair table over label counts.  That reversal is a walk of the
+spec exactly when its moves are closed under negation (Hermitian
+hopping, as every built-in's ``+-`` pairs are), so any other spec is
+refused, and so is one with more than ``MAX_HOPPING_LABELS`` labels, as
+the stencil has one label axis, or with a step labelled outside
+``1..hopping_count``.
 
-The buffers cover only the box that walks of ``K`` steps can reach, built
-per axis from the smallest and largest component of each step's moves,
-and step ``t`` works on the box of ``t`` steps only.  On honeycomb and
-diamond a step's moves, measured from ``e0``, point one way along each
-axis, so that box is about half as wide as on the other lattices.  A
-spec's torus narrower than the box wraps it at ``pbc_size`` cells (the
-ring is the 1-D case); a walk of ``L`` steps of reach at most ``r``
-winds a torus only if ``L*r >= pbc_size``, so no wider torus is ever
-wrapped.  A cell never exceeds the
+The buffer covers only the box that walks of ``K`` steps can reach,
+built per axis from the smallest and largest component of each step's
+moves.  On honeycomb and diamond a step's moves, measured from ``e0``,
+point one way along each axis, so that box is about half as wide as on
+the other lattices.  Its cells lie flat in C order, label axis last, so
+a move is one flat offset, ``move @ strides``, and step ``t`` is one
+slice add per move (the first move, landing on zeros, a copy) over the
+flat range from the first to the last corner of the box of ``t - 1``
+steps, clipped to the buffer.  The range also holds cells outside that
+box: they are zero, and a zero added anywhere changes nothing, while
+each cell of the box lands on its own cell of the box of ``t`` steps.  A
+tally reads the whole label rows of the range of the shorter half's box
+(on a one-sublattice spec every shorter box lies in the longer one), and
+of each row only the label columns ``0..t`` that ``t`` steps can reach.
+
+A spec's torus narrower than the box wraps it at ``pbc_size`` cells (the
+ring is the 1-D case); a walk of ``L`` steps of reach at most ``r`` winds
+a torus only if ``L*r >= pbc_size``, so no wider torus is ever wrapped.
+A wrapped axis holds the torus between ghost cells ``r`` wide on each
+side.  A step adds into them, and then each ghost cell is added to the
+torus cell it stands for, its index modulo ``pbc_size`` (a move may be
+longer than the torus), and cleared, so a step on a ring costs
+``O(pbc_size)`` at any length.  A cell never exceeds the
 ``z**t`` walks of its length (``z`` moves a step), and each product of
 the two halves counts some of the ``z**n`` closed walks of length ``n``,
 so every partial sum of a tally is at most ``z**L``: cells are int64
@@ -39,12 +54,11 @@ numpy is imported by ``closed_walks`` when it runs, not with the module.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from typing import Mapping, NamedTuple, Optional
 
-from .lattices import LatticeSpec, _check_hopping_count, _integer_coords, builtin
+from .lattices import LatticeSpec, _check_labels, _integer_coords, builtin
 
 MultiIndex = tuple[int, ...]
 
@@ -93,21 +107,22 @@ def closed_walks(spec: LatticeSpec, max_length: int) -> list[WalkTally]:
     For two-sublattice lattices the walk starts on sublattice A and each
     tally is doubled, counting both equivalent terminal sublattices of
     one abstract lattice point.  The moves must be closed under negation
-    (Hermitian hopping) and there may be at most ``MAX_HOPPING_LABELS``
-    labels; any other spec is a ``ValueError``.
+    (Hermitian hopping), there may be at most ``MAX_HOPPING_LABELS``
+    labels, and every step's label must be in ``1..hopping_count``; any
+    other spec is a ``ValueError``.
     """
     import numpy as np
 
     if max_length < 0:
         raise ValueError("walk length must be >= 0")
-    _check_hopping_count(spec.hopping_count)
+    _check_labels(spec)
     doubled = spec.basis_size == 2
     dim = spec.dimension
     e0 = next((s.displacement for s in spec.steps if s.sublattice == "AtoB"), (0,) * dim)
     moves = {}
     for s in spec.steps:
         sign = 1 if s.sublattice == "BtoA" else -1
-        hop = tuple(d + sign * e for d, e in zip(s.displacement, e0))
+        hop = tuple(d + sign * e if e else d for d, e in zip(s.displacement, e0))
         # the last axis counts the label-1 steps of a two-label spec
         moves.setdefault(s.sublattice, []).append(
             _integer_coords(hop) + (int(s.label < spec.hopping_count),)
@@ -123,74 +138,85 @@ def closed_walks(spec: LatticeSpec, max_length: int) -> list[WalkTally]:
     # a label index is the label count
     half = (max_length + 1) // 2
     groups = [np.array(group) for group in cycle]
-    steps = [np.zeros((1, dim + 1), dtype=int)] + [groups[t % len(cycle)] for t in range(half)]
-    lows = np.minimum(np.cumsum([g.min(axis=0) for g in steps], axis=0), 0)
-    highs = np.maximum(np.cumsum([g.max(axis=0) for g in steps], axis=0), 0)
+    extremes = np.array([[group.min(axis=0), group.max(axis=0)] for group in groups])
+    # the extremes summed over steps 1..t, t = 0..K; step t takes group (t - 1) % len(cycle)
+    sums = np.concatenate([0 * extremes[:1], np.resize(extremes, (half, 2, dim + 1))]).cumsum(0)
+    lows, highs = np.minimum(sums[:, 0], 0), np.maximum(sums[:, 1], 0)
     low = lows.min(axis=0)
-    spans = (highs.max(axis=0) - low + 1).tolist()
+    shape = highs.max(axis=0) - low + 1
     # no walk of length L winds a torus wider than L steps of the longest move
-    reach = max(int(abs(g[:, :dim]).max()) for g in groups)
-    pbc = spec.pbc_size
-    torus = pbc if pbc is not None and pbc <= max_length * reach else math.inf
-    wraps = [span > torus for span in spans[:dim]] + [False]
-    shape = tuple(torus if wrap else span for span, wrap in zip(spans, wraps))
-
-    # per length t, slices of the cells that walks of t steps reach: all of a wrapped axis
-    boxes = [
-        tuple(slice(None) if wrap else slice(lo, hi + 1) for lo, hi, wrap in zip(los, his, wraps))
-        for los, his in zip((lows - low).tolist(), (highs - low).tolist())
-    ]
-
-    def shifts(move, source):
-        """(destination, source) slices that add the ``source`` cells moved by ``move``."""
-        pieces = []
-        for m, size, wrap, cells in zip(move, shape, wraps, source):
-            if wrap:
-                m %= size
-                pieces.append([(slice(m, size), slice(0, size - m))])
-                if m:
-                    pieces[-1].append((slice(0, m), slice(size - m, size)))
-            else:
-                pieces.append([(slice(cells.start + m, cells.stop + m), cells)])
-        return [tuple(zip(*piece)) for piece in itertools.product(*pieces)]
+    reach = int(abs(extremes[..., :dim]).max())
+    torus = spec.pbc_size if spec.pbc_size and spec.pbc_size <= max_length * reach else math.inf
+    wrapped = [axis for axis in range(dim) if shape[axis] > torus]
+    # the first and last cell of each box t; an axis that wraps holds the
+    # torus between ghost cells one step's reach wide
+    corners = np.array([lows - low, highs - low])
+    for axis in wrapped:
+        shape[axis] = torus + 2 * reach
+        corners[:, :, axis] = [[reach], [reach + torus - 1]]
+    # a box spans whole label rows: from label 0 to past its last row's end
+    width = corners[1, :, dim] = shape[dim]
+    columns = (highs[:, dim] + 1).tolist()
 
     # no cell exceeds the z**t walks of its length t, z the largest move set,
     # and every partial sum of a tally counts some of the z**n closed walks
     dtype = np.int64 if max(map(len, cycle)) ** max_length < 2**63 else object
-    factor = 2 if doubled else 1
+    # w_t, the t-step walks from the origin to each cell, lies in walks[t % 2]
+    walks = np.zeros((2, *shape), dtype)
+    # the cells lie flat in C order: a move is one offset, a box one range
+    strides = np.array(walks.strides[1:]) // walks.itemsize
+    flat, rows = walks.reshape(2, -1), walks.reshape(2, -1, width)
+    ranges = (corners @ strides).T.tolist()
+    offsets = [(group @ strides).tolist() for group in groups]
+    # a ghost cell goes back to the torus cell it stands for, along each wrapped axis
+    slabs = [np.swapaxes(walks, 1, 1 + axis) for axis in wrapped]
+    ghosts = [*range(reach), *range(reach + torus, torus + 2 * reach)] if slabs else []
+    folds = [
+        [(slab[p, reach + (g - reach) % torus], slab[p, g]) for slab in slabs for g in ghosts]
+        for p in (0, 1)
+    ]
 
-    def tally(n, first, second, cells):
-        """The length-``n`` tally: the sum over ``cells`` of the two halves' products."""
+    def tally(n):
+        """The length-``n`` tally: the halves' products summed over the shorter half's box."""
         counts = {}
         # the integer part can return to 0 while the walk sits on B
         if not (doubled and n % 2):
-            a, b = first[cells], second[cells]
-            width = a.shape[-1]
+            # one sublattice: every box holds the shorter ones; two: here n is even
+            k = n // 2
+            start, stop = (end // width for end in ranges[k])
+            a, b = (rows[m % 2, start:stop, : columns[m]] for m in (n - k, k))
             # label-1 counts of the two halves add: anti-diagonal sums of the pair table
-            by_label = [0] * (2 * width - 1)
-            for i, row in enumerate((a.reshape(-1, width).T @ b.reshape(-1, width)).tolist()):
+            by_label = [0] * (a.shape[1] + b.shape[1] - 1)
+            for i, row in enumerate((a.T @ b).tolist()):
                 for j, count in enumerate(row):
                     by_label[i + j] += count
             counts = {
-                (m,) * (spec.hopping_count - 1) + (n - m,): factor * count
+                (m,) * (spec.hopping_count - 1) + (n - m,): (1 + doubled) * count
                 for m, count in enumerate(by_label)
                 if count
             }
         return WalkTally(spec.name, n, counts, sublattice_doubled=doubled)
 
-    before, after = np.zeros(shape, dtype), np.zeros(shape, dtype)
-    before[tuple(-low % shape)] = 1
-    tallies = [tally(0, before, before, boxes[0])]
+    flat[0, ranges[0][0]] = 1
+    tallies = [tally(0)]
     for t in range(1, half + 1):
-        after.fill(0)
-        for move in cycle[(t - 1) % len(cycle)]:
-            for dst, src in shifts(move, boxes[t - 1]):
-                view = after[dst]
-                np.add(view, before[src], out=view)
-        tallies.append(tally(2 * t - 1, after, before, boxes[t]))
+        before, after = flat[(t - 1) % 2], flat[t % 2]
+        start, stop = ranges[t - 1]
+        for i, offset in enumerate(offsets[(t - 1) % len(cycle)]):
+            lo, hi = max(start + offset, 0), min(stop + offset, flat.shape[1])
+            view, source = after[lo:hi], before[lo - offset : hi - offset]
+            if i:
+                np.add(view, source, out=view)
+            else:  # the first move lands on zeros: a copy makes no new Python int
+                view[...] = source
+        for target, ghost in folds[t % 2]:
+            np.add(target, ghost, out=target)
+            ghost[...] = 0
+        tallies.append(tally(2 * t - 1))
         if 2 * t <= max_length:
-            tallies.append(tally(2 * t, after, after, boxes[t]))
-        before, after = after, before
+            tallies.append(tally(2 * t))
+        # clear w_{t-1}, so that the buffer is all zero when w_{t+1} is added into it
+        before[start:stop] = 0
     return tallies
 
 

@@ -82,7 +82,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Sequence
 
-from .lattices import LatticeSpec, _check_hopping_count, _check_ring_size, _integer_coords
+from .lattices import LatticeSpec, _check_labels, _check_ring_size, _integer_coords
 
 if TYPE_CHECKING:
     import numpy as np
@@ -232,13 +232,13 @@ def moments(spec: LatticeSpec, max_order: int, grid_points: int) -> dict[MultiIn
 
     The grid is streamed in slabs over rows ``0..N//2`` with inversion
     weights (see the module docstring).  A spec with more than
-    ``MAX_HOPPING_LABELS`` labels, or a run past ``MAX_GRID_WORK`` grid
-    points times moments, is a ``ValueError`` before anything is
-    allocated.
+    ``MAX_HOPPING_LABELS`` labels or a step labelled outside
+    ``1..hopping_count``, or a run past ``MAX_GRID_WORK`` grid points
+    times moments, is a ``ValueError`` before anything is allocated.
     """
     import numpy as np
 
-    _check_hopping_count(spec.hopping_count)
+    _check_labels(spec)
     if grid_points < 1:
         raise ValueError("grid_points must be >= 1")
     if max_order < 0:

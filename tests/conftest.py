@@ -21,9 +21,14 @@ import functools
 import itertools
 import math
 import pickle
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
+
+from latticewalks import LatticeSpec, StepVector
+from latticewalks.lattices import MAX_HOPPING_LABELS
 
 # integer-scaled step tables: (moves, label) for single-sublattice
 # lattices, forward A->B moves for the bipartite ones (scale 3 and 4)
@@ -145,6 +150,35 @@ def dispersion_value(spec, label: int, k) -> float:
     if spec.basis_size == 2:
         return abs(sum(np.exp(1j * phase(s)) for s in spec.steps if s.sublattice == "AtoB")) ** 2
     return sum(math.cos(phase(s)) for s in spec.steps if s.label == label)
+
+
+@st.composite
+def generated_specs(draw):
+    """A one-sublattice spec of 1 to 3 +-pairs per label, moves in [-2, 2]**D, maybe a torus.
+
+    The torus, of 1 to 7 cells a side, may be narrower than a move.  The
+    routes never read the bases, so they are the unit cell.
+    """
+    dimension = draw(st.integers(1, 3))
+    labels = draw(st.integers(1, MAX_HOPPING_LABELS))
+    move = st.tuples(*[st.integers(-2, 2)] * dimension)
+    steps = []
+    for label in range(1, labels + 1):
+        for coords in draw(st.lists(move, min_size=1, max_size=3)):
+            step = StepVector(tuple(map(Fraction, coords)), label)
+            steps += [step, step.negated()]
+    unit = tuple(tuple(float(i == j) for j in range(dimension)) for i in range(dimension))
+    return LatticeSpec(
+        name="generated",
+        dimension=dimension,
+        basis_size=1,
+        steps=tuple(steps),
+        hopping_count=labels,
+        direct_basis=unit,
+        reciprocal_basis=tuple(tuple(2 * math.pi * c for c in row) for row in unit),
+        cell_volume=(2 * math.pi) ** dimension,
+        pbc_size=draw(st.none() | st.integers(1, 7)),
+    )
 
 
 def series_value(table, x):

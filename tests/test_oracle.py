@@ -1,23 +1,19 @@
 import math
 from collections import Counter
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from conftest import brute_tally, brute_total
+from conftest import brute_tally, brute_total, generated_specs
 from latticewalks import (
     BUILTIN_NAMES,
     ORACLE_BOUNDS,
-    LatticeSpec,
-    StepVector,
     builtin,
     enumerate_walks,
     expand,
     finite_chain_trace,
 )
-from latticewalks.lattices import MAX_HOPPING_LABELS, MIN_RING_SIZE
+from latticewalks.lattices import MAX_HOPPING_LABELS
 from latticewalks.oracle import closed_walks
 
 
@@ -236,6 +232,26 @@ def test_a_third_label_is_refused():
         closed_walks(spec, 4)
 
 
+@pytest.mark.parametrize("label, count", [(2, 1), (0, 1), (3, 2)])
+def test_a_step_label_outside_the_labels_is_refused(label, count):
+    # chain-nnn's +-2 steps given the label, under a hopping_count of count
+    spec = make("chain-nnn")
+    steps = spec.steps[:2] + tuple(s._replace(label=label) for s in spec.steps[2:])
+    with pytest.raises(ValueError, match=f"step label {label} is outside 1..{count}"):
+        closed_walks(spec._replace(steps=steps, hopping_count=count), 2)
+
+
+@pytest.mark.parametrize("cells", [1, 2])
+def test_chain_nnn_on_a_torus_narrower_than_its_moves(cells):
+    # on one cell every walk closes; on two, a walk closes when its +-1 steps
+    # are even in number; either way each step of a given label has 2 signs
+    tallies = closed_walks(make("chain-nnn")._replace(pbc_size=cells), 12)
+    for n, tally in enumerate(tallies):
+        assert tally.counts == {
+            (m, n - m): math.comb(n, m) * 2**n for m in range(n + 1) if cells == 1 or m % 2 == 0
+        }
+
+
 def brute_closed_walks(spec, max_length):
     """Closed walks by label usage for every length, from every step sequence."""
     moves = [(tuple(int(c) for c in s.displacement), s.label - 1) for s in spec.steps]
@@ -256,36 +272,12 @@ def brute_closed_walks(spec, max_length):
     return [dict(tally) for tally in tallies]
 
 
-@st.composite
-def generated_specs(draw):
-    """A one-sublattice spec of 1 to 3 +-pairs per label, moves in [-2, 2]**D, maybe a torus."""
-    dimension = draw(st.integers(1, 3))
-    labels = draw(st.integers(1, MAX_HOPPING_LABELS))
-    move = st.tuples(*[st.integers(-2, 2)] * dimension)
-    steps = []
-    for label in range(1, labels + 1):
-        for coords in draw(st.lists(move, min_size=1, max_size=3)):
-            step = StepVector(tuple(map(Fraction, coords)), label)
-            steps += [step, step.negated()]
-    unit = tuple(tuple(float(i == j) for j in range(dimension)) for i in range(dimension))
-    return LatticeSpec(
-        name="generated",
-        dimension=dimension,
-        basis_size=1,
-        steps=tuple(steps),
-        hopping_count=labels,
-        direct_basis=unit,
-        reciprocal_basis=tuple(tuple(2 * math.pi * c for c in row) for row in unit),
-        cell_volume=(2 * math.pi) ** dimension,
-        pbc_size=draw(st.none() | st.integers(MIN_RING_SIZE, 7)),
-    )
-
-
 @settings(max_examples=60, deadline=None)
 @given(spec=generated_specs())
 def test_generated_lattices_match_brute_force(spec):
     # reach-2 moves beyond 1-D, two labels beyond 1-D, repeated pairs and
-    # tori of any side: cases no built-in lattice reaches
+    # tori of any side, down to one cell, narrower than a move: cases no
+    # built-in lattice reaches
     z = len(spec.steps)
     top = max(n for n in range(20) if z**n <= 10**4)
     tallies = closed_walks(spec, top)

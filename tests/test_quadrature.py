@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import series_value
+from conftest import generated_specs, series_value
 from latticewalks import (
     BUILTIN_NAMES,
     StepVector,
@@ -365,6 +365,34 @@ def test_a_third_label_is_refused():
     spec = spec._replace(steps=spec.steps + third, hopping_count=3)
     with pytest.raises(ValueError, match=f"at most {MAX_HOPPING_LABELS} hopping labels, got 3"):
         moments(spec, 4, 9)
+
+
+def test_a_step_label_outside_the_labels_is_refused():
+    # chain-nnn under a hopping_count of 1: its band would drop the label-2 steps
+    spec = make("chain-nnn")._replace(hopping_count=1)
+    with pytest.raises(ValueError, match="step label 2 is outside 1..1"):
+        moments(spec, 2, 9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=generated_specs())
+def test_generated_lattices_match_the_oracle(spec):
+    # the paper's identity beyond the built-ins: the walks that use m_l steps
+    # of label l are C(n, m_1) orders of the labels times the grid mean of
+    # prod_l eps_l**m_l; eps_l is at most s_l, its number of steps, so a
+    # moment's rounding error scales with prod_l s_l**m_l
+    top = {1: 10, 2: 6, 3: 4}[spec.dimension]
+    grid = moments(spec, top, auto_grid_size(spec, top))
+    sup = [sum(s.label == label for s in spec.steps) for label in (1, 2)]
+    for tally in closed_walks(spec, top):
+        n = tally.length
+        for m in (key for key in grid if sum(key) == n):
+            orders = math.comb(n, m[0]) if len(m) == 2 else 1
+            walks = orders * grid[m]
+            assert round(walks) == tally.count(m), (m, walks)
+            assert abs(walks - tally.count(m)) <= 1e-12 * orders * math.prod(
+                s**k for s, k in zip(sup, m)
+            )
 
 
 def _steps(*displacements):
