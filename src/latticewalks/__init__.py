@@ -8,16 +8,8 @@ reciprocal primitive cell.
 """
 
 from .lattices import BUILTIN_NAMES, LatticeSpec, StepVector, builtin
-from .oracle import ORACLE_BOUNDS, WalkTally, enumerate_walks, finite_chain_trace
-from .quadrature import (
-    appendix_b_report,
-    auto_grid_size,
-    bessel_i,
-    complex_chain_z,
-    complex_fourier_a,
-    finite_chain_momenta,
-    moments,
-)
+from .oracle import WalkTally, enumerate_walks, finite_chain_trace
+from .quadrature import appendix_b_report, auto_grid_size, moments
 from .series import Series, expand
 from .verify import (
     CoefficientRecord,
@@ -31,31 +23,3 @@ from .verify import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BUILTIN_NAMES",
-    "CoefficientRecord",
-    "LatticeSpec",
-    "ORACLE_BOUNDS",
-    "RecurrenceReport",
-    "Series",
-    "SquareTestRecord",
-    "StepVector",
-    "Tolerances",
-    "VerificationReport",
-    "WalkTally",
-    "appendix_b_report",
-    "auto_grid_size",
-    "bessel_i",
-    "builtin",
-    "check_square_conjecture",
-    "complex_chain_z",
-    "complex_fourier_a",
-    "enumerate_walks",
-    "expand",
-    "finite_chain_momenta",
-    "finite_chain_trace",
-    "moments",
-    "verify_identity",
-    "verify_recurrence",
-]

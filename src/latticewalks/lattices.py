@@ -43,6 +43,8 @@ from fractions import Fraction
 from typing import Literal, NamedTuple, Optional
 
 Sublattice = Literal["AtoB", "BtoA"]
+# one entry per hopping label: a label's step count, or a walk length split by label
+MultiIndex = tuple[int, ...]
 
 BUILTIN_NAMES = (
     "chain-nn",
@@ -73,12 +75,6 @@ class StepVector(NamedTuple):
     displacement: tuple[Fraction, ...]
     label: int
     sublattice: Optional[Sublattice] = None
-
-    def negated(self) -> "StepVector":
-        flipped: Optional[Sublattice] = None
-        if self.sublattice is not None:
-            flipped = "BtoA" if self.sublattice == "AtoB" else "AtoB"
-        return StepVector(tuple(-c for c in self.displacement), self.label, flipped)
 
 
 class LatticeSpec(NamedTuple):
@@ -124,11 +120,12 @@ class LatticeSpec(NamedTuple):
 def _pm_pairs(
     *vectors: tuple[tuple[Fraction, ...], int], sublattice: Optional[Sublattice] = None
 ) -> tuple[StepVector, ...]:
+    # each step, then its reverse: negated, and between the sublattices the other way
+    back = {"AtoB": "BtoA", "BtoA": "AtoB"}.get(sublattice)
     steps = []
     for coords, label in vectors:
-        fwd = StepVector(coords, label, sublattice)
-        steps.append(fwd)
-        steps.append(fwd.negated())
+        reverse = StepVector(tuple(-c for c in coords), label, back)
+        steps += [StepVector(coords, label, sublattice), reverse]
     return tuple(steps)
 
 

@@ -58,9 +58,7 @@ import math
 from collections import Counter
 from typing import Mapping, NamedTuple, Optional
 
-from .lattices import LatticeSpec, _check_labels, _integer_coords, builtin
-
-MultiIndex = tuple[int, ...]
+from .lattices import LatticeSpec, MultiIndex, _check_labels, _integer_coords, builtin
 
 # default length caps by spatial dimension (resource guard, not a hard limit)
 ORACLE_BOUNDS = {1: 12, 2: 10, 3: 8}

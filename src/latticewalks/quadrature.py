@@ -82,12 +82,11 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Sequence
 
-from .lattices import LatticeSpec, _check_labels, _check_ring_size, _integer_coords
+from .lattices import LatticeSpec, MultiIndex, _check_labels, _check_ring_size, _integer_coords
 
 if TYPE_CHECKING:
     import numpy as np
 
-MultiIndex = tuple[int, ...]
 # one label's band: its (frequency, amplitude) cosine harmonics
 Harmonics = tuple[tuple[tuple[int, ...], int], ...]
 
@@ -294,17 +293,11 @@ def moments(spec: LatticeSpec, max_order: int, grid_points: int) -> dict[MultiIn
 # ---------------------------------------------------------------------------
 
 
-def finite_chain_momenta(pbc_size: int) -> np.ndarray:
-    """The ring's quasimomenta 2*pi*m/size for m = -((size - 1) // 2), ..., size // 2."""
-    import numpy as np
-
-    _check_ring_size(pbc_size)
-    return 2.0 * math.pi * (np.arange(pbc_size) - (pbc_size - 1) // 2) / pbc_size
-
-
 def complex_chain_z(pbc_size: int, rho: float, phi) -> np.ndarray | float:
     """Ring partition sum with complex hopping: mean_k exp(-2 rho cos(k+phi)).
 
+    The mean runs over the ring's quasimomenta ``k = 2*pi*m/pbc_size``
+    for ``m = -((pbc_size - 1) // 2), ..., pbc_size // 2``.
     ``phi`` may be a scalar or an array; the result matches its shape.
     Each term is divided by the momentum count before the sum, so the
     sum stays in the float range whenever its terms do.  A sum that
@@ -313,7 +306,8 @@ def complex_chain_z(pbc_size: int, rho: float, phi) -> np.ndarray | float:
     """
     import numpy as np
 
-    k = finite_chain_momenta(pbc_size)
+    _check_ring_size(pbc_size)
+    k = 2.0 * math.pi * (np.arange(pbc_size) - (pbc_size - 1) // 2) / pbc_size
     with np.errstate(over="ignore", invalid="ignore"):
         terms = np.exp(-2.0 * rho * np.cos(k + np.asarray(phi, dtype=float)[..., None]))
         vals = (terms / pbc_size).sum(axis=-1)

@@ -27,11 +27,12 @@ wrong recurrence fails loudly and never rounds.  The factor 2 on the
 two-site lattices counts both sublattices as the walk's start.  The bcc
 coefficient at order ``2m`` is ``((2m)! / (m!)**3)**2``, an exact
 rational square at every order.  The ring ``chain-nn-finite`` sums its
-winding numbers, and the bivariate ``chain-nnn`` sums the double steps'
-net displacement, so ``verify --recurrence`` checks the paper's
-recurrence against counts not built from it.  The binomial closed forms
-of the five recurrences (Domb, Adv. Phys. 9 (1960) 149) are kept as the
-test reference.
+winding numbers, each a binomial read off one row of Pascal's triangle,
+built by additions one row per order, and the bivariate ``chain-nnn``
+sums the double steps' net displacement, so ``verify --recurrence``
+checks the paper's recurrence against counts not built from it.  The
+binomial closed forms of the five recurrences (Domb, Adv. Phys. 9 (1960)
+149) are kept as the test reference.
 
 Which name and ring size make a lattice is the rule of
 :mod:`latticewalks.lattices`: :func:`expand` refuses what ``builtin``
@@ -49,9 +50,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Mapping, NamedTuple, Optional
 
-from .lattices import _check_lattice
-
-MultiIndex = tuple[int, ...]
+from .lattices import MultiIndex, _check_lattice
 
 
 class Series(NamedTuple):
@@ -105,18 +104,6 @@ class Series(NamedTuple):
 # ---------------------------------------------------------------------------
 # per-lattice walk counts (exact integers)
 # ---------------------------------------------------------------------------
-
-
-def _finite_chain_count(n: int, pbc_size: int) -> int:
-    # net displacement of a closed ring walk is a multiple of the ring size,
-    # and the winding number is capped by n // pbc_size
-    windings = n // pbc_size
-    total = 0
-    for c in range(-windings, windings + 1):
-        d = c * pbc_size
-        if (n + d) % 2 == 0:
-            total += math.comb(n, (n + d) // 2)
-    return total
 
 
 def _nnn_count(n1: int, n2: int) -> int:
@@ -188,6 +175,15 @@ def expand(name: str, max_order: int, pbc_size: Optional[int] = None) -> Series:
                     counts[(n1, n2)] = c
         return Series(name, max_order, 2, counts)
     if name == "chain-nn-finite":
-        counts = {(n,): c for n in range(max_order + 1) if (c := _finite_chain_count(n, pbc_size))}
+        # a closed ring walk's net displacement d is a multiple of the ring size,
+        # |d| <= n and n + d even: its count is C(n, (n + d) / 2), read off row n
+        # of Pascal's triangle, which is built one row per order
+        counts, row = {}, [1]
+        for n in range(max_order + 1):
+            reach = n // pbc_size * pbc_size
+            c = sum(row[(n + d) // 2] for d in range(-reach, n + 1, pbc_size) if (n + d) % 2 == 0)
+            if c:
+                counts[(n,)] = c
+            row = list(map(operator.add, [0, *row], [*row, 0]))
         return Series(name, max_order, 1, counts, pbc_size)
     return Series(name, max_order, 1, _recurrence_counts(name, max_order))

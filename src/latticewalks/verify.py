@@ -22,8 +22,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from . import oracle, quadrature, series
-from .lattices import builtin
-from .series import MultiIndex
+from .lattices import MultiIndex, builtin
 
 
 class Tolerances(NamedTuple):

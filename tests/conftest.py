@@ -165,8 +165,10 @@ def generated_specs(draw):
     steps = []
     for label in range(1, labels + 1):
         for coords in draw(st.lists(move, min_size=1, max_size=3)):
-            step = StepVector(tuple(map(Fraction, coords)), label)
-            steps += [step, step.negated()]
+            steps += [
+                StepVector(tuple(map(Fraction, coords)), label),
+                StepVector(tuple(Fraction(-c) for c in coords), label),
+            ]
     unit = tuple(tuple(float(i == j) for j in range(dimension)) for i in range(dimension))
     return LatticeSpec(
         name="generated",

@@ -15,15 +15,13 @@ from latticewalks import (
     auto_grid_size,
     builtin,
     check_square_conjecture,
-    complex_chain_z,
-    complex_fourier_a,
     enumerate_walks,
     expand,
     finite_chain_trace,
     moments,
     verify_recurrence,
 )
-from latticewalks.quadrature import ring_harmonics
+from latticewalks.quadrature import complex_chain_z, complex_fourier_a, ring_harmonics
 
 
 def _indices(labels, total):

@@ -13,6 +13,8 @@ this one has numpy loaded already.
 from __future__ import annotations
 
 import ast
+import importlib.util
+import inspect
 import os
 import subprocess
 import sys
@@ -89,6 +91,22 @@ RECORDS = (
 def test_records_are_plain_named_tuples(record):
     # no record has a constructor of its own that could check, or skip checking, its fields
     assert getattr(latticewalks, record).__bases__ == (tuple,)
+
+
+def test_the_benchmark_finds_the_names_it_calls():
+    # the benchmark calls the package by name: a name it needs that goes fails here, not there
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    sizes = workloads.PYTHON_CALLS.values()
+    called = {function for size in sizes for work in size.values() for _, function, _ in work}
+    assert "enumerate_walks" in called
+    for name in sorted(called | {"expand", "builtin"}):
+        assert callable(getattr(latticewalks, name, None)), name
+    # the worker passes enumerate_walks its length as bound=, and reads a series' coefficients
+    assert "bound" in inspect.signature(latticewalks.enumerate_walks).parameters
+    assert isinstance(latticewalks.Series.coefficients, property)
 
 
 def test_no_module_defines_a_constructor():

@@ -5,16 +5,9 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import brute_tally, brute_total, generated_specs
-from latticewalks import (
-    BUILTIN_NAMES,
-    ORACLE_BOUNDS,
-    builtin,
-    enumerate_walks,
-    expand,
-    finite_chain_trace,
-)
+from latticewalks import BUILTIN_NAMES, builtin, enumerate_walks, expand, finite_chain_trace
 from latticewalks.lattices import MAX_HOPPING_LABELS
-from latticewalks.oracle import closed_walks
+from latticewalks.oracle import ORACLE_BOUNDS, closed_walks
 
 
 def make(name, pbc=None):

@@ -14,12 +14,8 @@ from latticewalks import (
     StepVector,
     appendix_b_report,
     auto_grid_size,
-    bessel_i,
     builtin,
-    complex_chain_z,
-    complex_fourier_a,
     expand,
-    finite_chain_momenta,
     moments,
     quadrature,
 )
@@ -32,6 +28,9 @@ from latticewalks.quadrature import (
     _band,
     _cache_aligned,
     _cos_table,
+    bessel_i,
+    complex_chain_z,
+    complex_fourier_a,
     ring_harmonics,
 )
 
@@ -461,14 +460,21 @@ def test_ring_grid_reproduces_winding_counts():
 # ---------------------------------------------------------------------------
 
 
+def _ring_mean(momenta, rho, phi):
+    """The mean of exp(-2 rho cos(k + phi)) over ``momenta``, as ``complex_chain_z`` sums it."""
+    return float((np.exp(-2.0 * rho * np.cos(momenta + phi)) / len(momenta)).sum())
+
+
 def test_momenta_sets():
     # even ring: m in {-L/2+1, ..., L/2}; odd ring: symmetric range
-    k4 = finite_chain_momenta(4)
-    assert np.allclose(sorted(k4), [-math.pi / 2, 0.0, math.pi / 2, math.pi])
-    k5 = finite_chain_momenta(5)
-    assert np.allclose(sorted(k5), [2 * math.pi * m / 5 for m in (-2, -1, 0, 1, 2)])
+    k4 = [-math.pi / 2, 0.0, math.pi / 2, math.pi]
+    k5 = [2 * math.pi * m / 5 for m in (-2, -1, 0, 1, 2)]
+    for momenta in (k4, k5):
+        for rho, phi in ((0.3, 0.0), (-0.7, 0.4), (1.5, math.pi / 3)):
+            expected = _ring_mean(np.array(momenta), rho, phi)
+            assert complex_chain_z(len(momenta), rho, phi) == pytest.approx(expected, abs=1e-14)
     with pytest.raises(ValueError):
-        finite_chain_momenta(2)
+        complex_chain_z(2, 0.5, 0.0)
 
 
 def test_momenta_match_the_set_built_per_parity():
@@ -480,8 +486,9 @@ def test_momenta_match_the_set_built_per_parity():
             half = (size - 1) // 2
             ms = np.arange(-half, half + 1)
         reference = 2.0 * math.pi * ms / size
-        momenta = finite_chain_momenta(size)
-        assert momenta.dtype == reference.dtype and momenta.tobytes() == reference.tobytes()
+        # the same momenta, in the same order, give the same floats bit for bit
+        for rho, phi in ((0.7, 0.3), (-1.9, 2.0)):
+            assert complex_chain_z(size, rho, phi) == _ring_mean(reference, rho, phi)
 
 
 def test_ksum_examples():
@@ -631,7 +638,7 @@ def test_complex_z_reduces_to_real_cases():
     # phase pi flips the sign back to the real-hopping sum
     for lam in (3, 4, 7):
         for rho in (0.2, 0.9):
-            real = np.mean(np.exp(2 * rho * np.cos(finite_chain_momenta(lam))))
+            real = np.mean(np.exp(2 * rho * np.cos(2 * math.pi * np.arange(lam) / lam)))
             assert complex_chain_z(lam, rho, math.pi) == pytest.approx(real, abs=1e-14)
     # vectorised phase argument
     vals = complex_chain_z(4, 0.5, np.array([0.0, math.pi]))
@@ -660,7 +667,7 @@ def test_phi_half_against_closed_form():
     # ring of four: sin k takes values {-1, 0, 1, 0}
     for rho in (0.3, 0.7):
         lhs = (2.0 + 2.0 * math.cosh(2 * rho)) / 4.0
-        k = finite_chain_momenta(4)
+        k = np.arange(4) * math.pi / 2
         assert float(np.mean(np.exp(2 * rho * np.sin(k)))) == pytest.approx(lhs, abs=1e-14)
         assert complex_chain_z(4, rho, math.pi / 2) == pytest.approx(lhs, abs=1e-14)
         assert abs(_winding_form(4, rho, math.pi / 2) - lhs) <= 1e-12

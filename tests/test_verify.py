@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from conftest import RECORD_CONSTRUCTIONS
 from latticewalks import (
     BUILTIN_NAMES,
-    ORACLE_BOUNDS,
     Tolerances,
     appendix_b_report,
     check_square_conjecture,
@@ -21,6 +20,7 @@ from latticewalks import (
 )
 from latticewalks import oracle, quadrature, series
 from latticewalks.cli import main
+from latticewalks.oracle import ORACLE_BOUNDS
 from latticewalks.verify import _rational_sqrt
 
 
