@@ -20,6 +20,14 @@ refused, and so is one with more than ``MAX_HOPPING_LABELS`` labels, as
 the stencil has one label axis, or with a step labelled outside
 ``1..hopping_count``.
 
+One stencil serves every call.  The halves of lengths ``2t - 1`` and
+``2t`` are live just after step ``t``, so ``closed_walks`` takes those two
+products there; ``enumerate_walks(spec, n)`` and ``finite_chain_trace``
+run the stencil to ``ceil(n/2)`` and take one product, of length ``n``.
+An odd-length tally is empty, and no product is taken for it, on a
+two-sublattice spec and on one whose every move has an odd coordinate
+sum, unless a torus of odd side wraps it.
+
 The buffer covers only the box that walks of ``K`` steps can reach,
 built per axis from the smallest and largest component of each step's
 moves.  On honeycomb and diamond a step's moves, measured from ``e0``,
@@ -49,7 +57,7 @@ so every partial sum of a tally is at most ``z**L``: cells are int64
 while ``z**L < 2**63`` and exact Python ints past it.
 Every ring site is alike, so the ring's adjacency trace ``Tr A**n`` over
 the site count is the count from one site: ``finite_chain_trace``.
-numpy is imported by ``closed_walks`` when it runs, not with the module.
+numpy is imported when the stencil runs, not with the module.
 """
 
 from __future__ import annotations
@@ -109,6 +117,19 @@ def closed_walks(spec: LatticeSpec, max_length: int) -> list[WalkTally]:
     labels, and every step's label must be in ``1..hopping_count``; any
     other spec is a ``ValueError``.
     """
+    tallies = []
+    for t, tally in enumerate(_half_walks(spec, max_length)):
+        tallies += [tally(n) for n in (2 * t - 1, 2 * t) if 0 <= n <= max_length]
+    return tallies
+
+
+def _half_walks(spec: LatticeSpec, max_length: int):
+    """Run the half-walk stencil for ``t = 0..ceil(max_length/2)`` steps.
+
+    After step ``t`` it yields the function that makes the tally of length
+    ``2t - 1`` or ``2t`` from the two halves then live.  The last step's
+    halves stay live once the steps are done.
+    """
     import numpy as np
 
     if max_length < 0:
@@ -146,6 +167,12 @@ def closed_walks(spec: LatticeSpec, max_length: int) -> list[WalkTally]:
     reach = int(abs(extremes[..., :dim]).max())
     torus = spec.pbc_size if spec.pbc_size and spec.pbc_size <= max_length * reach else math.inf
     wrapped = [axis for axis in range(dim) if shape[axis] > torus]
+    # an odd walk ends on B on two sublattices, where its integer part may be
+    # back at 0, and off the origin where every move flips the parity of the
+    # coordinate sum and no torus of odd side wraps it: its tally is empty
+    odd_empty = doubled or (
+        all(sum(m[:dim]) % 2 for m in cycle[0]) and (not wrapped or torus % 2 == 0)
+    )
     # the first and last cell of each box t; an axis that wraps holds the
     # torus between ghost cells one step's reach wide
     corners = np.array([lows - low, highs - low])
@@ -177,8 +204,7 @@ def closed_walks(spec: LatticeSpec, max_length: int) -> list[WalkTally]:
     def tally(n):
         """The length-``n`` tally: the halves' products summed over the shorter half's box."""
         counts = {}
-        # the integer part can return to 0 while the walk sits on B
-        if not (doubled and n % 2):
+        if not (odd_empty and n % 2):
             # one sublattice: every box holds the shorter ones; two: here n is even
             k = n // 2
             start, stop = (end // width for end in ranges[k])
@@ -196,9 +222,13 @@ def closed_walks(spec: LatticeSpec, max_length: int) -> list[WalkTally]:
         return WalkTally(spec.name, n, counts, sublattice_doubled=doubled)
 
     flat[0, ranges[0][0]] = 1
-    tallies = [tally(0)]
+    yield tally
     for t in range(1, half + 1):
         before, after = flat[(t - 1) % 2], flat[t % 2]
+        # clear w_{t-2} only as w_t is about to take its buffer, so that the
+        # last step's halves stay live once the steps are done
+        if t > 1:
+            after[slice(*ranges[t - 2])] = 0
         start, stop = ranges[t - 1]
         for i, offset in enumerate(offsets[(t - 1) % len(cycle)]):
             lo, hi = max(start + offset, 0), min(stop + offset, flat.shape[1])
@@ -210,22 +240,19 @@ def closed_walks(spec: LatticeSpec, max_length: int) -> list[WalkTally]:
         for target, ghost in folds[t % 2]:
             np.add(target, ghost, out=target)
             ghost[...] = 0
-        tallies.append(tally(2 * t - 1))
-        if 2 * t <= max_length:
-            tallies.append(tally(2 * t))
-        # clear w_{t-1}, so that the buffer is all zero when w_{t+1} is added into it
-        before[start:stop] = 0
-    return tallies
+        yield tally
 
 
 def enumerate_walks(spec: LatticeSpec, n: int, bound: Optional[int] = None) -> WalkTally:
-    """The length-``n`` tally of ``closed_walks``; ``n`` may not pass ``bound``."""
+    """The length-``n`` tally of ``closed_walks``, and only it; ``n`` may not pass ``bound``."""
     limit = ORACLE_BOUNDS[spec.dimension] if bound is None else bound
     if n > limit:
         raise ValueError(f"walk length {n} exceeds enumeration bound {limit}")
-    return closed_walks(spec, n)[-1]
+    *_, tally = _half_walks(spec, n)
+    return tally(n)
 
 
 def finite_chain_trace(pbc_size: int, n: int) -> int:
     """Per-site closed-walk count on the ring: ``Tr A**n`` over the site count."""
-    return closed_walks(builtin("chain-nn-finite", pbc_size), n)[-1].total
+    *_, tally = _half_walks(builtin("chain-nn-finite", pbc_size), n)
+    return tally(n).total

@@ -136,15 +136,20 @@ def test_counts_exact_past_int64():
         ("triangular", 6, 24), ("triangular", 6, 25),
         ("diamond", 4, 31), ("diamond", 4, 32),
         ("chain-nn-finite", 2, 170),
+        ("bcc", 8, 21), ("chain-nnn", 4, 31),
     ],
 )  # fmt: skip
 def test_counts_exact_on_both_sides_of_int64(name, z, n):
+    # 8**21 == 2**63 is the first length of Python-int cells on bcc
     assert (z**n < 2**63) == (n in (62, 20, 38, 30, 24, 31))
     pbc = 64 if name == "chain-nn-finite" else None
     table = expand(name, n, pbc)
-    for tally in closed_walks(make(name, pbc), n):
+    tallies = closed_walks(make(name, pbc), n)
+    for tally in tallies:
         assert tally.counts == series_counts(table, tally.length)
         assert all(type(count) is int for count in tally.counts.values())
+    # the one-length call stops the stencil at ceil(n/2) on the same cells
+    assert enumerate_walks(make(name, pbc), n, bound=n) == tallies[-1]
 
 
 @pytest.mark.parametrize(
@@ -163,6 +168,57 @@ def test_one_pass_gives_every_length(name, pbc):
         assert tally == enumerate_walks(spec, n)
     with pytest.raises(ValueError, match="walk length must be >= 0"):
         closed_walks(spec, -1)
+
+
+@pytest.mark.parametrize(
+    "name, pbc",
+    [(name, None) for name in BUILTIN_NAMES if name != "chain-nn-finite"]
+    + [("chain-nn-finite", 3)],
+)
+def test_one_length_calls_at_lengths_zero_and_one(name, pbc):
+    # length 0 takes no step of the stencil and length 1 one step; on a torus
+    # of one cell every walk of one sublattice closes
+    for spec in (make(name, pbc), make(name, pbc)._replace(pbc_size=1)):
+        for n in (0, 1):
+            assert enumerate_walks(spec, n, bound=n) == closed_walks(spec, n)[n]
+            assert enumerate_walks(spec, n, bound=n) == closed_walks(spec, 1)[n]
+        assert enumerate_walks(spec, 0).total == spec.basis_size
+        one_cell = spec.pbc_size == 1 and spec.basis_size == 1
+        assert enumerate_walks(spec, 1).total == one_cell * len(spec.steps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=generated_specs())
+def test_one_length_calls_match_every_length(spec):
+    # tori of 1 to 7 cells and two labels: each one-length call runs its own
+    # stencil to ceil(n/2) and must give the tally of the whole run
+    top = {1: 16, 2: 10, 3: 6}[spec.dimension]
+    tallies = closed_walks(spec, top)
+    assert [enumerate_walks(spec, n, bound=n) for n in range(top + 1)] == tallies
+
+
+@pytest.mark.parametrize(
+    "name, ring, lengths",
+    [
+        ("chain-nn", 3, (3, 5, 7, 9)),
+        ("chain-nn", 5, (5, 7, 9)),
+        ("chain-nn", 7, (7, 9, 11)),
+        ("chain-nn", 6, (1, 3, 5, 7, 9, 11)),
+        ("chain-nn", None, (1, 3, 5, 7, 9)),
+        ("bcc", None, (1, 3, 5)),
+    ],
+)
+def test_odd_tallies_match_brute_force(name, ring, lengths):
+    # every move flips the parity of the coordinate sum, so an odd walk
+    # closes only by winding a ring of odd size; the oracle skips the
+    # product where no odd walk can close
+    spec = make("chain-nn-finite", ring) if ring else make(name)
+    tallies = closed_walks(spec, max(lengths))
+    for n in lengths:
+        expected = brute_tally(name, n, ring=ring)
+        assert bool(expected) == bool(ring and ring % 2)
+        assert dict(tallies[n].counts) == expected
+        assert dict(enumerate_walks(spec, n, bound=n).counts) == expected
 
 
 def test_finite_chain_trace_examples():
@@ -197,6 +253,13 @@ def test_trace_exact_on_both_sides_of_int64():
     # 64 * C(62, 31) over all 64 sites, does not
     assert finite_chain_trace(64, 62) == math.comb(62, 31)
     assert 64 * math.comb(62, 31) > 2**63
+
+
+def test_trace_matches_the_ring_series_at_long_lengths():
+    for ring, lengths in ((64, (169, 170)), (3, (4000,))):
+        table = expand("chain-nn-finite", max(lengths), ring)
+        for n in lengths:
+            assert finite_chain_trace(ring, n) == table.walk_count((n,))
 
 
 def test_tally_json_document():
