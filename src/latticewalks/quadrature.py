@@ -169,38 +169,34 @@ def _term_on_grid(
 ) -> np.ndarray:
     """Evaluate one label's harmonics on the axis-0 ``rows`` of the fractional grid.
 
-    In 1-D the slab folds its own phases (see :func:`_cos_table`).  In
-    2-D and 3-D a harmonic ``f`` is ``cos(2*pi*(s + c*k)/N)`` along the
-    last axis ``k``, with ``s`` the integer phase of the other axes and
-    ``c = f[-1]``, so each of its rows along that axis is row ``s mod N``
-    of ``windows[c]``.  For a negative ``c`` it reads ``-f`` instead, the
-    same values by the table's exact symmetry, and ``f`` and ``-f`` share
-    one term.  The sum grows by broadcasting, in the order of
-    ``harmonics``: terms that vary along few axes stay small, and the slab
-    array is allocated at the first term that spans the whole slab.
+    One loop serves every dimension.  The slab is allocated once, up
+    front, and each harmonic is added to it in the order of
+    ``harmonics``; a harmonic with a negative last component ``c =
+    f[-1]`` reads ``-f`` instead, the same values by the exact symmetry
+    of :func:`_cos_table`, so ``f`` and ``-f`` share one term.  In 1-D a
+    term folds the slab's own phases.  In 2-D and 3-D a harmonic ``f`` is
+    ``cos(2*pi*(s + c*k)/N)`` along the last axis ``k``, with ``s`` the
+    integer phase of the other axes, so each of its rows along that axis
+    is row ``s mod N`` of ``windows[c]``, and a term that varies along few
+    axes stays small until it is added.
     """
     import numpy as np
 
-    if dimension == 1:
-        out = _cache_aligned((len(rows),), 0.0)
-        for (f,), amp in harmonics:
-            out += amp * _cos_table(np.mod(rows * f, grid_points), grid_points)
-        return out
-    shape = (len(rows),) + (grid_points,) * (dimension - 1)
+    out = _cache_aligned((len(rows),) + (grid_points,) * (dimension - 1), 0.0)
     axes = np.ix_(rows, *(np.arange(grid_points) for _ in range(dimension - 2)))
-    terms, total, out = {}, 0.0, None
+    terms = {}
     for freq, amp in harmonics:
         if freq[-1] < 0:
             freq = tuple(-f for f in freq)
         if (freq, amp) not in terms:
-            phase = sum(axes[p] * freq[p] for p in range(dimension - 1) if freq[p])
-            terms[freq, amp] = amp * windows[freq[-1]][np.mod(phase, grid_points)]
-        term = terms[freq, amp]
-        if out is None and np.broadcast_shapes(np.shape(total), term.shape) == shape:
-            out = _cache_aligned(shape, 0.0)
-        total = np.add(total, term, out=out)
-    # a band that is constant along some axis never spans the slab: broadcast it
-    return np.broadcast_to(total, shape)
+            if dimension == 1:
+                values = _cos_table(np.mod(rows * freq[0], grid_points), grid_points)
+            else:
+                phase = sum(axes[p] * freq[p] for p in range(dimension - 1) if freq[p])
+                values = windows[freq[-1]][np.mod(phase, grid_points)]
+            terms[freq, amp] = amp * values
+        out += terms[freq, amp]
+    return out
 
 
 def auto_grid_size(spec: LatticeSpec, max_order: int) -> int:

@@ -26,13 +26,16 @@ Every step divides exactly; a remainder raises ``ArithmeticError``, so a
 wrong recurrence fails loudly and never rounds.  The factor 2 on the
 two-site lattices counts both sublattices as the walk's start.  The bcc
 coefficient at order ``2m`` is ``((2m)! / (m!)**3)**2``, an exact
-rational square at every order.  The ring ``chain-nn-finite`` sums its
-winding numbers, each a binomial read off one row of Pascal's triangle,
-built by additions one row per order, and the bivariate ``chain-nnn``
-sums the double steps' net displacement, so ``verify --recurrence``
-checks the paper's recurrence against counts not built from it.  The
-binomial closed forms of the five recurrences (Domb, Adv. Phys. 9 (1960)
-149) are kept as the test reference.
+rational square at every order.  The ring ``chain-nn-finite`` and the
+bivariate ``chain-nnn`` read every binomial off rows of Pascal's
+triangle, built by additions one row per order (:func:`_pascal_rows`).
+The ring sums its winding numbers and streams one row at a time, so a
+ring of any length holds one row; ``chain-nnn`` sums the double steps'
+net displacement over three rows per count, so it holds every row up to
+its order.  ``verify --recurrence`` thus checks the paper's recurrence
+against counts not built from it.  The binomial closed forms of the five
+recurrences (Domb, Adv. Phys. 9 (1960) 149) are kept as the test
+reference.
 
 Which name and ring size make a lattice is the rule of
 :mod:`latticewalks.lattices`: :func:`expand` refuses what ``builtin``
@@ -48,7 +51,7 @@ import math
 import operator
 from fractions import Fraction
 from itertools import accumulate
-from typing import Mapping, NamedTuple, Optional
+from typing import Iterator, Mapping, NamedTuple, Optional
 
 from .lattices import MultiIndex, _check_lattice
 
@@ -106,22 +109,13 @@ class Series(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def _nnn_count(n1: int, n2: int) -> int:
-    # the double steps' net displacement d2 has the parity of n2 and
-    # |d2| <= min(n1/2, n2), so the unit steps can cancel it; the summand
-    # C(n1, n1/2 - d2) C(n2, (n2 - d2)/2) is even in d2, so sum d2 >= 0,
-    # doubling d2 > 0, and take each binomial from the last d2's
-    d2, cap = n2 % 2, min(n1 // 2, n2)
-    if n1 % 2 or d2 > cap:
-        return 0
-    a, b = n1 // 2 - d2, (n2 - d2) // 2
-    c1, c2, inner = math.comb(n1, a), math.comb(n2, b), 0
-    while d2 <= cap:
-        inner += (2 if d2 else 1) * c1 * c2
-        c1 = c1 * a * (a - 1) // ((n1 - a + 1) * (n1 - a + 2))
-        c2 = c2 * b // (n2 - b + 1)
-        a, b, d2 = a - 2, b - 1, d2 + 2
-    return math.comb(n1 + n2, n1) * inner
+def _pascal_rows(max_order: int) -> Iterator[list[int]]:
+    """Rows ``0..max_order`` of Pascal's triangle, each built from the last by additions."""
+    row = [1]
+    yield row
+    for _ in range(max_order):
+        row = list(map(operator.add, [0, *row], [*row, 0]))
+        yield row
 
 
 # lattice -> (stride, factor, first terms a(0..), steps): the walk count at
@@ -167,23 +161,31 @@ def expand(name: str, max_order: int, pbc_size: Optional[int] = None) -> Series:
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
     if name == "chain-nnn":
-        counts = {}
+        # the double steps' net displacement d has the parity of n2 and
+        # |d| <= min(n1/2, n2), so the unit steps can cancel it; the summand
+        # C(n1, n1/2 - d) C(n2, (n2 - d)/2) is even in d, so sum d >= 0 and
+        # double d > 0, every binomial read off the held triangle
+        rows, counts = list(_pascal_rows(max_order)), {}
         for n1 in range(0, max_order + 1, 2):
+            row1, half = rows[n1], n1 // 2
             for n2 in range(max_order - n1 + 1):
-                c = _nnn_count(n1, n2)
-                if c:
-                    counts[(n1, n2)] = c
+                row2 = rows[n2]
+                inner = sum(
+                    (2 if d else 1) * row1[half - d] * row2[(n2 - d) // 2]
+                    for d in range(n2 % 2, min(half, n2) + 1, 2)
+                )
+                if inner:
+                    counts[(n1, n2)] = rows[n1 + n2][n1] * inner
         return Series(name, max_order, 2, counts)
     if name == "chain-nn-finite":
         # a closed ring walk's net displacement d is a multiple of the ring size,
         # |d| <= n and n + d even: its count is C(n, (n + d) / 2), read off row n
-        # of Pascal's triangle, which is built one row per order
-        counts, row = {}, [1]
-        for n in range(max_order + 1):
+        # of Pascal's triangle, streamed one row at a time
+        counts = {}
+        for n, row in enumerate(_pascal_rows(max_order)):
             reach = n // pbc_size * pbc_size
             c = sum(row[(n + d) // 2] for d in range(-reach, n + 1, pbc_size) if (n + d) % 2 == 0)
             if c:
                 counts[(n,)] = c
-            row = list(map(operator.add, [0, *row], [*row, 0]))
         return Series(name, max_order, 1, counts, pbc_size)
     return Series(name, max_order, 1, _recurrence_counts(name, max_order))

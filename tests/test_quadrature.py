@@ -337,25 +337,42 @@ def _hex_moments(moments_of, spec, max_order, n):
 
 
 def test_row_windows_match_the_phase_gather():
-    # the last axis reads rows of the table's windows: the same floats as a per-point gather
+    # the last axis reads rows of the table's windows, and a 1-D slab folds
+    # its own phases, f and -f sharing one term: the same floats as a per-point gather
     cases = [
-        (name, order, n)
-        for name in ("triangular", "honeycomb", "bcc", "diamond")
+        (name, pbc, order, n)
+        for name, pbc in (
+            ("chain-nn", None), ("chain-nnn", None), ("chain-nn-finite", 6),
+            ("triangular", None), ("honeycomb", None), ("bcc", None), ("diamond", None),
+        )
         for n in range(1, 8)
         for order in (0, 1, 2, 5, 9)
     ]
     cases += [
-        (name, order, auto_grid_size(make(name), order))
+        (name, None, order, auto_grid_size(make(name), order))
         for name, order in (
+            ("chain-nn", 160), ("chain-nnn", 40),
             ("bcc", 100), ("bcc", 170), ("diamond", 150), ("triangular", 60), ("honeycomb", 300)
         )
     ]
     # bcc 100's rows 0..50 of 101**2 points span several slabs
     assert _SLAB_POINTS // 101**2 < 51
-    for name, order, n in cases:
-        spec = make(name)
+    for name, pbc, order, n in cases:
+        spec = make(name, pbc)
         want = _hex_moments(_phase_gather_moments, spec, order, n)
-        assert _hex_moments(moments, spec, order, n) == want, (name, order, n)
+        assert _hex_moments(moments, spec, order, n) == want, (name, pbc, order, n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(spec=generated_specs(), n=st.integers(1, 9))
+def test_generated_bands_match_the_phase_gather(spec, n):
+    # 1-D to 3-D, zero moves and bands constant along an axis, one or two
+    # labels: the slab sum is bit for bit the per-point gather's, on a
+    # small grid and on the auto grid (a torus's own cells)
+    top = {1: 10, 2: 6, 3: 4}[spec.dimension]
+    for grid in (n, auto_grid_size(spec, top)):
+        want = _hex_moments(_phase_gather_moments, spec, top, grid)
+        assert _hex_moments(moments, spec, top, grid) == want, grid
 
 
 def test_a_third_label_is_refused():

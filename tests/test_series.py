@@ -122,12 +122,16 @@ def _nnn_closed_form(n1, n2):
 
 
 def test_nnn_counts_match_full_binomial_sum():
-    # the series halves the even sum and steps each binomial from its
-    # neighbour; the full closed form is the reference
+    # the series halves the even sum and reads each binomial off Pascal
+    # rows built by additions; the full closed form is the reference
     s = expand("chain-nnn", 120)
     for n1 in range(121):
         for n2 in range(121 - n1):
             assert s.walk_count((n1, n2)) == _nnn_closed_form(n1, n2), (n1, n2)
+    # the whole order-400 anti-diagonal, from the top rows of the held triangle
+    s = expand("chain-nnn", 400)
+    for n1 in range(401):
+        assert s.walk_count((n1, 400 - n1)) == _nnn_closed_form(n1, 400 - n1), n1
 
 
 def test_nnn_full_table_against_brute_force():

@@ -145,9 +145,12 @@ def test_verify_recurrence_base_cases():
 
 
 def test_verify_recurrence_full():
-    report = verify_recurrence(12)
-    assert report.failed == 0
-    assert report.checked == sum(n + 1 for n in range(13))
+    # order 300, past the 170 that the CLI reaches, checks the paper's recurrence
+    # against Pascal-row counts
+    for order in (12, 300):
+        report = verify_recurrence(order)
+        assert report.failed == 0
+        assert report.checked == sum(n + 1 for n in range(order + 1))
     with pytest.raises(ValueError):
         verify_recurrence(1)
 
