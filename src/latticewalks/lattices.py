@@ -61,7 +61,8 @@ _TWO_PI = 2.0 * math.pi
 # a smaller ring does not have two distinct nearest-neighbour edges per site
 MIN_RING_SIZE = 3
 # the oracle counts the first label's steps on one extra axis, and the
-# quadrature's slabs hold the powers of one second label: chain-nnn's two
+# quadrature takes the moments as one product of two power tables, one per
+# label: chain-nnn's two
 MAX_HOPPING_LABELS = 2
 
 

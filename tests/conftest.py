@@ -183,6 +183,44 @@ def generated_specs(draw):
     )
 
 
+@st.composite
+def two_sublattice_specs(draw):
+    """A two-sublattice spec: A->B steps ``e0 + t`` and their reverses, maybe on a torus.
+
+    ``e0`` is off the lattice (its first component a proper fraction of
+    denominator 2 to 4) and comes first; each of up to two more A->B steps
+    adds an integer translation ``t`` in [-1, 1]**D to it.  One label; the
+    bases are the unit cell, as in :func:`generated_specs`.
+    """
+    dimension = draw(st.integers(1, 3))
+    q = draw(st.integers(2, 4))
+    e0 = (Fraction(draw(st.integers(1, q - 1)), q),) + tuple(
+        Fraction(draw(st.integers(-q, q)), q) for _ in range(dimension - 1)
+    )
+    shifts = [(0,) * dimension] + draw(
+        st.lists(st.tuples(*[st.integers(-1, 1)] * dimension), max_size=2)
+    )
+    steps = []
+    for shift in shifts:
+        forward = tuple(e + t for e, t in zip(e0, shift))
+        steps += [
+            StepVector(forward, 1, "AtoB"),
+            StepVector(tuple(-c for c in forward), 1, "BtoA"),
+        ]
+    unit = tuple(tuple(float(i == j) for j in range(dimension)) for i in range(dimension))
+    return LatticeSpec(
+        name="generated",
+        dimension=dimension,
+        basis_size=2,
+        steps=tuple(steps),
+        hopping_count=1,
+        direct_basis=unit,
+        reciprocal_basis=tuple(tuple(2 * math.pi * c for c in row) for row in unit),
+        cell_volume=(2 * math.pi) ** dimension,
+        pbc_size=draw(st.none() | st.integers(1, 7)),
+    )
+
+
 def series_value(table, x):
     """The truncated univariate series ``table`` at ``x``, summed in index order."""
     return sum(c * x**n for (n,), c in sorted(table.coefficients.items()))

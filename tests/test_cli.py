@@ -563,6 +563,13 @@ def test_exact_outputs_match_pinned_bytes(capsys, command, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == _GOLDEN_STDOUT[command, fmt]
 
 
+def _child_env(**variables):
+    """This process's environment with the package on ``PYTHONPATH`` and ``variables``, for a child."""
+    package_root = str(Path(quadrature.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **variables)
+
+
 # run as ``python -m latticewalks.cli`` runs it, and report numpy's presence as the process exits
 _REPORT_NUMPY_AT_EXIT = (
     "import atexit, runpy, sys\n"
@@ -577,16 +584,33 @@ _REPORT_NUMPY_AT_EXIT = (
     + [("conjecture --n-max 30", "json")],
 )
 def test_exact_commands_start_without_numpy(command, fmt):
-    package_root = str(Path(quadrature.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", _REPORT_NUMPY_AT_EXIT, *command.split(), "--format", fmt],
         capture_output=True,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert proc.stderr.decode().splitlines()[-1] == "False"
     assert hashlib.sha256(proc.stdout).hexdigest() == _GOLDEN_STDOUT[command, fmt]
+
+
+@pytest.mark.parametrize(
+    "command", ["verify --lattice bcc --max-order 60", "verify --lattice chain-nnn --max-order 40"]
+)
+def test_verify_stdout_is_the_same_under_one_and_two_blas_threads(command):
+    # the moments of each slab piece are one BLAS product, whose summation order BLAS
+    # fixes; the thread variables are read as numpy loads its BLAS, so each run is a
+    # fresh process
+    outputs = []
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "latticewalks.cli", *command.split(), "--format", "csv"],
+            capture_output=True,
+            env=_child_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads),
+        )
+        assert proc.returncode == 0
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def _reject_constant(name):

@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings
 
-from conftest import brute_tally, brute_total, generated_specs
+from conftest import brute_tally, brute_total, generated_specs, two_sublattice_specs
 from latticewalks import BUILTIN_NAMES, builtin, enumerate_walks, expand, finite_chain_trace
 from latticewalks.lattices import MAX_HOPPING_LABELS
 from latticewalks.oracle import ORACLE_BOUNDS, closed_walks
@@ -309,17 +309,31 @@ def test_chain_nnn_on_a_torus_narrower_than_its_moves(cells):
 
 
 def brute_closed_walks(spec, max_length):
-    """Closed walks by label usage for every length, from every step sequence."""
-    moves = [(tuple(int(c) for c in s.displacement), s.label - 1) for s in spec.steps]
-    ring = spec.pbc_size or math.inf
+    """Closed walks by label usage for every length, from every step sequence.
+
+    On two sublattices a walk starts on A and alternates A->B and B->A
+    steps; it closes only back on A, and counts twice, once for each
+    sublattice it could start on.  Positions are in units of the steps'
+    common denominator, so they stay integers.
+    """
+    scale = math.lcm(*(c.denominator for s in spec.steps for c in s.displacement))
+    cycle = [
+        [
+            (tuple(int(c * scale) for c in s.displacement), s.label - 1)
+            for s in spec.steps
+            if s.sublattice == sublattice
+        ]
+        for sublattice in (("AtoB", "BtoA") if spec.basis_size == 2 else (None,))
+    ]
+    ring = spec.pbc_size * scale if spec.pbc_size else math.inf
     tallies = [Counter() for _ in range(max_length + 1)]
 
     def extend(position, used):
         length = sum(used)
-        if all(c % ring == 0 for c in position):
-            tallies[length][tuple(used)] += 1
+        if length % len(cycle) == 0 and all(c % ring == 0 for c in position):
+            tallies[length][tuple(used)] += len(cycle)
         if length < max_length:
-            for move, label in moves:
+            for move, label in cycle[length % len(cycle)]:
                 used[label] += 1
                 extend([p + c for p, c in zip(position, move)], used)
                 used[label] -= 1
@@ -328,13 +342,13 @@ def brute_closed_walks(spec, max_length):
     return [dict(tally) for tally in tallies]
 
 
-@settings(max_examples=60, deadline=None)
-@given(spec=generated_specs())
+@settings(max_examples=100, deadline=None)
+@given(spec=generated_specs() | two_sublattice_specs())
 def test_generated_lattices_match_brute_force(spec):
-    # reach-2 moves beyond 1-D, two labels beyond 1-D, repeated pairs and
-    # tori of any side, down to one cell, narrower than a move: cases no
-    # built-in lattice reaches
-    z = len(spec.steps)
+    # reach-2 moves beyond 1-D, two labels beyond 1-D, repeated pairs, two
+    # sublattices in 1-D to 3-D and tori of any side, down to one cell,
+    # narrower than a move: cases no built-in lattice reaches
+    z = len(spec.steps) // spec.basis_size
     top = max(n for n in range(20) if z**n <= 10**4)
     tallies = closed_walks(spec, top)
     assert [dict(t.counts) for t in tallies] == brute_closed_walks(spec, top)

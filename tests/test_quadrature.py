@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import generated_specs, series_value
+from conftest import generated_specs, series_value, two_sublattice_specs
 from latticewalks import (
     BUILTIN_NAMES,
     StepVector,
@@ -123,11 +123,12 @@ def test_refinement_stability():
             for index in _indices(spec.hopping_count, n):
                 scale = math.prod(map(math.factorial, index))
                 assert wide[index] == pytest.approx(own[index], rel=1e-12, abs=1e-12 * scale)
-    # the two-label stream over two slabs matches the alias-free grid
+    # the two-label stream, one product per piece of its slab, matches the alias-free grid
     nnn = make("chain-nnn")
     exact = moments(nnn, 40, auto_grid_size(nnn, 40))
     for n in (4001, 4002):
-        assert math.ceil((n // 2 + 1) / (_SLAB_POINTS // 41)) == 2  # rows 0..N//2, 41 powers
+        # rows 0..N//2 stream as three pieces, each two tables of 41 powers
+        assert math.ceil((n // 2 + 1) / (_SLAB_POINTS // (8 * 2 * 41) * 8)) == 3
         for index, value in moments(nnn, 40, n).items():
             assert value == pytest.approx(exact[index], rel=0.0, abs=1e-13 * 2.0 ** sum(index))
 
@@ -274,8 +275,10 @@ def test_moments_memory_stays_in_slabs():
 def _table_gather_moments_1d(spec, max_order, n):
     """1-D moments gathered from one table of all n cosines, with whole-axis row weights.
 
-    The slabs, power chain and sums are those of ``moments``, so the
-    floats must agree bit for bit.
+    The slabs, their pieces, the two power tables of each piece, their
+    product and the compensated sum over pieces are those of ``moments``,
+    so the floats must agree bit for bit; here each table is one
+    ``np.cumprod`` of its rows' factors.
     """
     table = _cos_table(np.arange(n), n)
     band = _band(spec)
@@ -284,28 +287,35 @@ def _table_gather_moments_1d(spec, max_order, n):
     row_weights[0] = 1.0
     if n % 2 == 0:
         row_weights[half] = 1.0
-    per_slab = max(1, _SLAB_POINTS // (max_order + 1 if len(band) == 2 else 1))
-    sums = np.zeros((max_order + 1,) * len(band))
-    for start in range(0, half + 1, per_slab):
-        rows = np.arange(start, min(start + per_slab, half + 1))
-        weights = row_weights[rows]
-        terms = []
-        for harmonics in band:
-            term = np.zeros(len(rows))
-            for (f,), amp in harmonics:
-                term += amp * table[np.mod(rows * f, n)]
-            terms.append(term)
-        eps, *second = terms
-        inner = np.cumprod([np.ones(len(rows))] + second * max_order, axis=0)
-        values = np.ones(len(rows))
-        for order in range(max_order + 1):
-            if order:
-                values *= eps
+    terms = []
+    for harmonics in band:
+        term = np.zeros(half + 1)
+        for (f,), amp in harmonics:
+            term += amp * table[np.mod(np.arange(half + 1) * f, n)]
+        terms.append(term)
+    if len(band) == 2:
+        shape = (max_order + 1, max_order + 1)
+    else:
+        shape = (-(-(max_order + 1) // (math.isqrt(max_order) + 1)), math.isqrt(max_order) + 1)
+    per_piece = max(1, _SLAB_POINTS // (8 * sum(shape))) * 8
+    products, carry = np.zeros(shape), np.zeros(shape)
+    for slab in range(0, half + 1, _SLAB_POINTS):
+        end = min(slab + _SLAB_POINTS, half + 1)
+        for start in range(slab, end, per_piece):
+            cut = slice(start, min(start + per_piece, end))
+            eps, *second = (term[cut] for term in terms)
+            ones = np.ones_like(eps)
             if second:
-                k = max_order + 1 - order
-                sums[order, :k] += (inner[:k] * values) @ weights
+                left = np.cumprod([row_weights[cut]] + [eps] * max_order, axis=0)
+                right = np.cumprod([ones] + second * max_order, axis=0)
             else:
-                sums[order] += weights @ values
+                right = np.cumprod([ones] + [eps] * (shape[1] - 1), axis=0)
+                left = np.cumprod([row_weights[cut]] + [right[-1] * eps] * (shape[0] - 1), axis=0)
+            addend = left @ right.T - carry
+            total = products + addend
+            carry = (total - products) - addend
+            products = total
+    sums = products if len(band) == 2 else products.ravel()[: max_order + 1]
     means = sums / n
     return {m: float(means[m]) for m in np.ndindex(means.shape) if sum(m) <= max_order}
 
@@ -390,13 +400,14 @@ def test_a_step_label_outside_the_labels_is_refused():
         moments(spec, 2, 9)
 
 
-@settings(max_examples=60, deadline=None)
-@given(spec=generated_specs())
+@settings(max_examples=100, deadline=None)
+@given(spec=generated_specs() | two_sublattice_specs())
 def test_generated_lattices_match_the_oracle(spec):
     # the paper's identity beyond the built-ins: the walks that use m_l steps
     # of label l are C(n, m_1) orders of the labels times the grid mean of
     # prod_l eps_l**m_l; eps_l is at most s_l, its number of steps, so a
-    # moment's rounding error scales with prod_l s_l**m_l
+    # moment's rounding error scales with prod_l s_l**m_l (on two
+    # sublattices twice the kernel's mean power, at most 2 z**n <= (2 z)**n)
     top = {1: 10, 2: 6, 3: 4}[spec.dimension]
     grid = moments(spec, top, auto_grid_size(spec, top))
     sup = [sum(s.label == label for s in spec.steps) for label in (1, 2)]

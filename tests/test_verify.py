@@ -76,12 +76,41 @@ def test_verify_identity_passes(name, order, pbc):
     assert report.lattice == name
 
 
-@pytest.mark.parametrize("name,order", [("bcc", 100), ("diamond", 150)])
+# every built-in at a high order on its auto grid; the ring is the 7-site one
+HIGH_ORDERS = [
+    ("chain-nn", 170),
+    ("chain-nn-finite", 170),
+    ("chain-nnn", 100),
+    ("triangular", 170),
+    ("honeycomb", 170),
+    ("bcc", 100),
+    ("bcc", 170),
+    ("diamond", 150),
+]
+
+
+def _high_order_report(name, order):
+    return verify_identity(name, order, 7 if name == "chain-nn-finite" else None)
+
+
+def _float_route_pinned(report):
+    """Every quadrature value is within 1e-13 of its coefficient: relative, or absolute at 0.
+
+    The identity's own tolerances are 1e-9 and 1e-12; every built-in
+    lands within 7e-15 of either, so this pin catches a float-route fault
+    far below the point where a record fails.
+    """
+    return report.worst_rel_error <= 1e-13 and all(
+        r.abs_error <= 1e-13 for r in report.records if r.rel_error is None
+    )
+
+
+@pytest.mark.parametrize("name,order", HIGH_ORDERS)
 def test_verify_identity_high_order_on_one_grid(name, order):
-    report = verify_identity(name, order)
+    report = _high_order_report(name, order)
     assert report.failed == 0
     assert len({r.grid_points for r in report.records}) == 1
-    assert max(r.rel_error for r in report.records if r.rel_error is not None) <= 1e-13
+    assert _float_route_pinned(report)
 
 
 def test_verify_identity_record_contents():
@@ -299,6 +328,16 @@ def test_a_raised_band_amplitude_fails_the_quadrature_only(capsys, monkeypatch):
     code, reports = _verify_all(capsys, 10)
     assert code == 1
     _assert_one_route_fails(reports, at_fault=_numeric_agrees, sound=_oracle_agrees)
+
+
+@pytest.mark.parametrize("name,order", HIGH_ORDERS)
+def test_a_cosine_table_off_by_a_part_in_1e12_fails_the_accuracy_pin(monkeypatch, name, order):
+    # every record still passes the identity's tolerances: only the pin sees this fault
+    cos_table = quadrature._cos_table
+    monkeypatch.setattr(quadrature, "_cos_table", lambda *args: cos_table(*args) * (1 + 1e-12))
+    report = _high_order_report(name, order)
+    assert report.failed == 0
+    assert not _float_route_pinned(report)
 
 
 # a grid one point short of the rule aliases a harmonic at these orders on every lattice; at
