@@ -14,6 +14,9 @@ honeycomb           2    2   three A->B neighbours, bipartite
 diamond             3    2   four A->B neighbours, bipartite
 =================  ===  ===  =======================================================
 
+``BUILTIN_NAMES`` is this order, the key order of the one geometry table,
+where the ring shares the chain's entry.
+
 Step displacements are stored as exact rationals in *primitive-basis
 coordinates*: integral coordinates are translations of the underlying
 point lattice, while the two bipartite lattices hop between sublattices
@@ -45,16 +48,6 @@ from typing import Literal, NamedTuple, Optional
 Sublattice = Literal["AtoB", "BtoA"]
 # one entry per hopping label: a label's step count, or a walk length split by label
 MultiIndex = tuple[int, ...]
-
-BUILTIN_NAMES = (
-    "chain-nn",
-    "chain-nn-finite",
-    "chain-nnn",
-    "triangular",
-    "bcc",
-    "honeycomb",
-    "diamond",
-)
 
 _TWO_PI = 2.0 * math.pi
 
@@ -97,7 +90,7 @@ class LatticeSpec(NamedTuple):
     pbc_size: Optional[int] = None
 
     def to_json_dict(self) -> dict:
-        doc = {
+        return {
             "name": self.name,
             "dimension": self.dimension,
             "basis_size": self.basis_size,
@@ -115,7 +108,6 @@ class LatticeSpec(NamedTuple):
                 for s in self.steps
             ],
         }
-        return doc
 
 
 def _pm_pairs(
@@ -138,10 +130,12 @@ _SQ3 = math.sqrt(3.0)
 
 # direct primitive bases (rows are the translation vectors a_p) and step sets
 _GEOMETRY = {
-    "chain-nn": dict(
+    "chain-nn": (_CHAIN_NN := dict(
         basis=((1.0,),),
         steps=_pm_pairs((_fr(1), 1)),
-    ),
+    )),
+    # the ring is the chain on a torus: builtin adds only its pbc_size
+    "chain-nn-finite": _CHAIN_NN,
     "chain-nnn": dict(
         basis=((1.0,),),
         steps=_pm_pairs((_fr(1), 1), (_fr(2), 2)),
@@ -181,7 +175,7 @@ _GEOMETRY = {
         ),
     ),
 }
-_GEOMETRY["chain-nn-finite"] = _GEOMETRY["chain-nn"]
+BUILTIN_NAMES = tuple(_GEOMETRY)
 
 
 def _integer_coords(coords: tuple[Fraction, ...]) -> tuple[int, ...]:

@@ -22,8 +22,9 @@ the stencil has one label axis, or with a step labelled outside
 
 One stencil serves every call.  The halves of lengths ``2t - 1`` and
 ``2t`` are live just after step ``t``, so ``closed_walks`` takes those two
-products there; ``enumerate_walks(spec, n)`` and ``finite_chain_trace``
-run the stencil to ``ceil(n/2)`` and take one product, of length ``n``.
+products there; ``enumerate_walks(spec, n)``, which ``finite_chain_trace``
+calls, runs the stencil to ``ceil(n/2)`` and takes one product, of length
+``n``.
 An odd-length tally is empty, and no product is taken for it, on a
 two-sublattice spec and on one whose every move has an odd coordinate
 sum, unless a torus of odd side wraps it.
@@ -43,18 +44,19 @@ tally reads the whole label rows of the range of the shorter half's box
 (on a one-sublattice spec every shorter box lies in the longer one), and
 of each row only the label columns ``0..t`` that ``t`` steps can reach.
 
-A spec's torus narrower than the box wraps it at ``pbc_size`` cells (the
-ring is the 1-D case); a walk of ``L`` steps of reach at most ``r`` winds
-a torus only if ``L*r >= pbc_size``, so no wider torus is ever wrapped.
-A wrapped axis holds the torus between ghost cells ``r`` wide on each
-side.  A step adds into them, and then each ghost cell is added to the
-torus cell it stands for, its index modulo ``pbc_size`` (a move may be
-longer than the torus), and cleared, so a step on a ring costs
-``O(pbc_size)`` at any length.  A cell never exceeds the
-``z**t`` walks of its length (``z`` moves a step), and each product of
-the two halves counts some of the ``z**n`` closed walks of length ``n``,
-so every partial sum of a tally is at most ``z**L``: cells are int64
-while ``z**L < 2**63`` and exact Python ints past it.
+An axis wraps, at the spec's ``pbc_size`` cells, exactly when the box of
+``K`` steps is wider than that torus (the ring is the 1-D case).  A box
+no wider holds no two cells that the torus makes one, so it counts the
+same walks unwrapped.  A wrapped axis holds the torus between ghost cells
+``r`` wide on each side, ``r`` the longest move component.  A step adds
+into them, and then each ghost cell is added to the torus cell it stands
+for, its index modulo ``pbc_size`` (a move may be longer than the torus),
+and cleared, so a step on a ring costs ``O(pbc_size)`` at any length.
+A cell never exceeds the ``z**t`` walks of its length (``z`` moves a
+step), and each product of the two halves counts some of the ``z**n``
+closed walks of length ``n``, so every partial sum of a tally is at most
+``z**L``: cells are int64 while ``z**L < 2**63`` and exact Python ints
+past it.
 Every ring site is alike, so the ring's adjacency trace ``Tr A**n`` over
 the site count is the count from one site: ``finite_chain_trace``.
 numpy is imported when the stencil runs, not with the module.
@@ -141,7 +143,7 @@ def _half_walks(spec: LatticeSpec, max_length: int):
     moves = {}
     for s in spec.steps:
         sign = 1 if s.sublattice == "BtoA" else -1
-        hop = tuple(d + sign * e if e else d for d, e in zip(s.displacement, e0))
+        hop = tuple(d + sign * e for d, e in zip(s.displacement, e0))
         # the last axis counts the label-1 steps of a two-label spec
         moves.setdefault(s.sublattice, []).append(
             _integer_coords(hop) + (int(s.label < spec.hopping_count),)
@@ -163,9 +165,9 @@ def _half_walks(spec: LatticeSpec, max_length: int):
     lows, highs = np.minimum(sums[:, 0], 0), np.maximum(sums[:, 1], 0)
     low = lows.min(axis=0)
     shape = highs.max(axis=0) - low + 1
-    # no walk of length L winds a torus wider than L steps of the longest move
+    # a box no wider than the torus holds no two cells that the torus makes one
     reach = int(abs(extremes[..., :dim]).max())
-    torus = spec.pbc_size if spec.pbc_size and spec.pbc_size <= max_length * reach else math.inf
+    torus = spec.pbc_size or math.inf
     wrapped = [axis for axis in range(dim) if shape[axis] > torus]
     # an odd walk ends on B on two sublattices, where its integer part may be
     # back at 0, and off the origin where every move flips the parity of the
@@ -254,5 +256,4 @@ def enumerate_walks(spec: LatticeSpec, n: int, bound: Optional[int] = None) -> W
 
 def finite_chain_trace(pbc_size: int, n: int) -> int:
     """Per-site closed-walk count on the ring: ``Tr A**n`` over the site count."""
-    *_, tally = _half_walks(builtin("chain-nn-finite", pbc_size), n)
-    return tally(n).total
+    return enumerate_walks(builtin("chain-nn-finite", pbc_size), n, bound=n).total

@@ -78,6 +78,19 @@ def test_ring_tallies_straddle_the_wrapping_length():
             ]
 
 
+def test_tori_narrower_than_the_box_wrap_without_winding():
+    # each torus is wider than L steps reach, so no walk winds it, but narrower
+    # than the box of ceil(L/2) steps, so the oracle wraps it: the counts of
+    # the torus are those of the unwrapped lattice
+    for top in (3, 5, 7, 9):
+        ring = closed_walks(make("chain-nn-finite", top + 1), top)
+        assert [t.counts for t in ring] == [t.counts for t in closed_walks(make("chain-nn"), top)]
+    for name, cells, top in [("bcc", 6, 5), ("chain-nnn", 7, 3), ("chain-nnn", 11, 5)]:
+        spec = make(name)
+        torus = closed_walks(spec._replace(pbc_size=cells), top)
+        assert [t.counts for t in torus] == [t.counts for t in closed_walks(spec, top)]
+
+
 def test_huge_ring_costs_no_more_than_the_chain():
     free = closed_walks(make("chain-nn"), 12)
     ring = closed_walks(make("chain-nn-finite", 10**12), 12)

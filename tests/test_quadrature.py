@@ -278,7 +278,10 @@ def _table_gather_moments_1d(spec, max_order, n):
     The slabs, their pieces, the two power tables of each piece, their
     product and the compensated sum over pieces are those of ``moments``,
     so the floats must agree bit for bit; here each table is one
-    ``np.cumprod`` of its rows' factors.
+    ``np.cumprod`` of its rows' factors.  It is tier-1's only bit-level
+    guard on that compensated sum: with a plain ``+=`` over the pieces in
+    ``moments`` only the comparison with this helper fails, so it is no
+    duplicate of ``_phase_gather_moments``.
     """
     table = _cos_table(np.arange(n), n)
     band = _band(spec)
@@ -398,6 +401,16 @@ def test_a_step_label_outside_the_labels_is_refused():
     spec = make("chain-nnn")._replace(hopping_count=1)
     with pytest.raises(ValueError, match="step label 2 is outside 1..1"):
         moments(spec, 2, 9)
+
+
+def test_a_fractional_step_on_one_sublattice_is_refused():
+    # chain-nn hopping half a cell: on one sublattice a step must be a lattice
+    # translation, for the quadrature's harmonics and for the oracle's moves
+    spec = make("chain-nn")._replace(steps=_steps((Fraction(1, 2),)))
+    with pytest.raises(ValueError, match="expected integral lattice coordinates"):
+        moments(spec, 2, 9)
+    with pytest.raises(ValueError, match="expected integral lattice coordinates"):
+        closed_walks(spec, 2)
 
 
 @settings(max_examples=100, deadline=None)

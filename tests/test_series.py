@@ -318,6 +318,9 @@ def test_walk_count_accessor():
     s = expand("triangular", 6)
     assert s.walk_count((6,)) == 2040
     assert s.walk_count((1,)) == 0
+    # chain-nnn's counts are indexed by both labels' step counts
+    with pytest.raises(ValueError, match="^index arity 1 != 2$"):
+        expand("chain-nnn", 4).walk_count((4,))
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
