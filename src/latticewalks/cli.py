@@ -25,6 +25,13 @@ variable ``LATTICEWALKS_OUTDIR`` sets the base directory for relative
 output paths.  Numeric options must be finite, tolerances positive,
 counts at least 0 and ring sizes at least 3; a usage error names the
 flag at fault, and JSON output never contains ``NaN`` or ``Infinity``.
+
+``--pbc`` is the ring's size and reaches the library as typed: the ring
+(``chain-nn-finite``) requires it and every other lattice refuses it,
+each refusal an exit 2, except under ``verify --all``, which gives the
+ring ``--pbc`` sites (6 when none is given) and no other lattice a size.
+``appendix-b --phi-half`` adds the phase-pi/2 record on any ring, and
+``verify --recurrence`` runs from ``--max-order 0``.
 """
 
 from __future__ import annotations
@@ -121,39 +128,31 @@ def _render(args, doc, rows) -> None:
         print(f"wrote {path}", file=sys.stderr)
 
 
-def _resolve_pbc(name: str, args) -> int | None:
-    return args.pbc if name == "chain-nn-finite" else None
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 # ---------------------------------------------------------------------------
 
 
 def cmd_coeffs(args) -> int:
-    doc = expand(args.lattice, args.max_order, _resolve_pbc(args.lattice, args)).to_json_dict()
+    doc = expand(args.lattice, args.max_order, args.pbc).to_json_dict()
     _render(args, doc, _entry_rows(doc, "coefficients"))
     return 0
 
 
 def cmd_lattice(args) -> int:
-    doc = builtin(args.lattice, _resolve_pbc(args.lattice, args)).to_json_dict()
+    doc = builtin(args.lattice, args.pbc).to_json_dict()
     _render(args, doc, _entry_rows(doc, "steps"))
     return 0
 
 
 def cmd_verify(args) -> int:
-    names = list(BUILTIN_NAMES) if args.all else [args.lattice]
     tol = Tolerances(relative=args.tol_rel, zero_abs=args.tol_abs)
-
-    reports = [
-        verify_identity(name, args.max_order, _resolve_pbc(name, args), args.grid, tol)
-        for name in names
-    ]
-
-    # refused where verify_recurrence would refuse it, after the reports' own checks
-    if args.recurrence and args.max_order < 2:
-        raise ValueError("--recurrence requires --max-order >= 2")
+    if args.all:  # the ring on --pbc sites, 6 when none is given; no other lattice has a size
+        ring = 6 if args.pbc is None else args.pbc
+        runs = [(name, ring if name == "chain-nn-finite" else None) for name in BUILTIN_NAMES]
+    else:
+        runs = [(args.lattice, args.pbc)]
+    reports = [verify_identity(name, args.max_order, pbc, args.grid, tol) for name, pbc in runs]
     recurrence = verify_recurrence(args.max_order) if args.recurrence else None
     failed = sum(r.failed for r in reports) + (recurrence.failed if recurrence else 0)
 
@@ -187,7 +186,7 @@ def cmd_conjecture(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    spec = builtin(args.lattice, _resolve_pbc(args.lattice, args))
+    spec = builtin(args.lattice, args.pbc)
     tally = enumerate_walks(spec, args.n)
     doc = tally.to_json_dict()
     _render(args, doc, _entry_rows(doc, "counts"))
@@ -196,8 +195,6 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_appendix_b(args) -> int:
-    if args.phi_half and args.pbc % 2:
-        raise ValueError("--phi-half requires an even --pbc")
     report = appendix_b_report(
         args.pbc,
         args.rho,
@@ -263,6 +260,10 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
+def _add_ring_size(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--pbc", type=_ring_size, help="ring size, for chain-nn-finite alone (required there)")
+
+
 def _add_output_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=FORMATS, default="json")
     sub.add_argument("--output", help="write to this path instead of stdout")
@@ -277,22 +278,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     coeffs = sub.add_parser("coeffs", help="exact series coefficients")
     coeffs.add_argument("--lattice", required=True, choices=BUILTIN_NAMES)
-    coeffs.add_argument("--pbc", type=_ring_size, default=6, help="ring size for chain-nn-finite")
+    _add_ring_size(coeffs)
     coeffs.add_argument("--max-order", type=_nonnegative_int, required=True)
     _add_output_options(coeffs)
     coeffs.set_defaults(handler=cmd_coeffs)
 
     lattice = sub.add_parser("lattice", help="emit one lattice description")
     lattice.add_argument("--lattice", required=True, choices=BUILTIN_NAMES)
-    lattice.add_argument("--pbc", type=_ring_size, default=6)
+    _add_ring_size(lattice)
     _add_output_options(lattice)
     lattice.set_defaults(handler=cmd_lattice)
 
     verify = sub.add_parser("verify", help="cross-route identity verification")
     which = verify.add_mutually_exclusive_group(required=True)
     which.add_argument("--lattice", choices=BUILTIN_NAMES)
-    which.add_argument("--all", action="store_true", help="verify every built-in lattice")
-    verify.add_argument("--pbc", type=_ring_size, default=6)
+    which.add_argument(
+        "--all", action="store_true", help="verify every built-in lattice, the ring on 6 sites unless --pbc"
+    )
+    _add_ring_size(verify)
     verify.add_argument("--max-order", type=_nonnegative_int, required=True)
     verify.add_argument(
         "--grid", type=_grid_size, default="auto", help='grid points per axis, or "auto"'
@@ -310,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     oracle_cmd = sub.add_parser("oracle", help="walk-enumeration tally")
     oracle_cmd.add_argument("--lattice", required=True, choices=BUILTIN_NAMES)
-    oracle_cmd.add_argument("--pbc", type=_ring_size, default=6)
+    _add_ring_size(oracle_cmd)
     oracle_cmd.add_argument("--n", type=_nonnegative_int, required=True)
     _add_output_options(oracle_cmd)
     oracle_cmd.set_defaults(handler=cmd_oracle)

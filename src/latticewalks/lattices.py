@@ -229,7 +229,6 @@ def builtin(name: str, pbc_size: Optional[int] = None) -> LatticeSpec:
 
     _check_lattice(name, pbc_size)
     basis, steps = _GEOMETRY[name]["basis"], _GEOMETRY[name]["steps"]
-    recip = _reciprocal_basis(basis)
     return LatticeSpec(
         name=name,
         dimension=len(basis),
@@ -237,8 +236,10 @@ def builtin(name: str, pbc_size: Optional[int] = None) -> LatticeSpec:
         steps=steps,
         hopping_count=max(s.label for s in steps),
         direct_basis=basis,
-        reciprocal_basis=recip,
-        cell_volume=abs(float(np.linalg.det(np.asarray(recip)))),
+        reciprocal_basis=_reciprocal_basis(basis),
+        # (2 pi)^D / |det a|, not |det b|: b is a rounded inverse, and its
+        # determinant misses the closed forms (2 pi, 16 pi^3, ...) by an ulp or two
+        cell_volume=_TWO_PI ** len(basis) / abs(float(np.linalg.det(np.asarray(basis)))),
         pbc_size=pbc_size,
     )
 

@@ -443,8 +443,9 @@ def appendix_b_report(
     vanishes (selection rule), on one phase grid of ``max(d) + H + 1``
     points, alias-free for every d since no harmonic past the table's
     bandwidth H reaches one ulp.  Always, the ring sum at phase pi
-    against the table's cosine series there; when ``phi_half`` is set
-    and the ring is even, the same at phase pi/2.  Residuals are taken
+    against the table's cosine series there; when ``phi_half`` is set,
+    the same at phase pi/2, on any ring, odd ones included, since the
+    series holds at every phase.  Residuals are taken
     on the ring sum's own scale: divided by e^{2|rho|}, which bounds
     |Z(rho, phi)| and so every value and reference.  Each record passes
     when its residual is within ``tol_selection`` (selection-rule
@@ -485,7 +486,7 @@ def appendix_b_report(
         reference = harmonics.get(d, 0.0)
         kind = "fourier_a" if d % pbc_size == 0 else "fourier_a_selection"
         records.append({"kind": kind, "d": int(d), "value": value, "reference": reference})
-    phases = [("phi_half", math.pi / 2)] if phi_half and pbc_size % 2 == 0 else []
+    phases = [("phi_half", math.pi / 2)] if phi_half else []
     for kind, phi in phases + [("phi_pi", math.pi)]:
         value = complex_chain_z(pbc_size, rho, phi)
         reference = sum(a * math.cos(m * phi) for m, a in harmonics.items())

@@ -229,10 +229,11 @@ def verify_recurrence(max_total_order: int) -> RecurrenceReport:
     for every n1 + n2 <= max_total_order, checked in integer arithmetic on
     the walk counts (n1+n2)! L[n1, n2], multiplied through by (n1+n2+2)!.
     A violation's residual is the exact left-hand side above, on the
-    coefficient scale.
+    coefficient scale.  The recurrence holds from n1 + n2 = 0, so order 0
+    checks one point; a negative order is a ``ValueError``.
     """
-    if max_total_order < 2:
-        raise ValueError("max_total_order must be >= 2")
+    if max_total_order < 0:
+        raise ValueError("max_total_order must be >= 0")
     count = series.expand("chain-nnn", max_total_order + 2).walk_count
     checked = 0
     violations = []

@@ -96,6 +96,15 @@ def test_verify_all_lattices(capsys):
     ]
 
 
+def test_verify_all_sizes_the_ring_only(capsys):
+    # --all gives the ring --pbc, or 6 sites without it, and no other lattice a size
+    for extra, size in (((), 6), (("--pbc", "8"), 8)):
+        code, out, _ = run(capsys, "verify", "--all", "--max-order", "4", *extra)
+        assert code == 0
+        sizes = {r["lattice"]: r["pbc_size"] for r in json.loads(out)["reports"]}
+        assert sizes == {name: size if name == "chain-nn-finite" else None for name in BUILTIN_NAMES}
+
+
 def test_verify_failure_exit_code(capsys):
     # deliberately aliased fixed grid: failures must surface as exit 1
     code, out, _ = run(
@@ -199,10 +208,13 @@ def test_appendix_b_skips_phi_half_unless_asked(capsys, monkeypatch):
     assert "phi_half" not in {r["kind"] for r in json.loads(out)["records"]}
 
 
-def test_appendix_b_phi_half_needs_even_ring(capsys):
-    code, _, err = run(capsys, "appendix-b", "--pbc", "5", "--rho", "0.5", "--phi-half")
-    assert code == 2
-    assert "even" in err
+def test_appendix_b_phi_half_on_odd_rings(capsys):
+    # the winding series holds at every phase, so odd rings carry the pi/2 record too
+    for pbc in ("3", "5", "7"):
+        code, out, err = run(capsys, "appendix-b", "--pbc", pbc, "--rho", "0.5", "--phi-half")
+        assert (code, err) == (0, "")
+        records = json.loads(out)["records"]
+        assert [r["pass"] for r in records if r["kind"] == "phi_half"] == [True]
 
 
 def test_appendix_b_single_d(capsys):
@@ -241,13 +253,12 @@ def test_usage_errors(capsys):
         assert "usage:" in err and "--grid" in err
     # and each of these names the flag the user typed
     for argv, message in [
-        (("verify", "--lattice", "bcc", "--max-order", "1", "--recurrence"), "error: --recurrence requires --max-order >= 2\n"),
         (("conjecture", "--n-max", "-1"), "error: argument --n-max: '-1' is not >= 0\n"),
         (("oracle", "--lattice", "bcc", "--n", "-1"), "error: argument --n: '-1' is not >= 0\n"),
         (("appendix-b", "--pbc", "5", "--rho", "1", "--d", "-1"), "error: argument --d: '-1' is not >= 0\n"),
         (("appendix-b", "--pbc", "2", "--rho", "1"), "error: argument --pbc: '2' is not >= 3\n"),
         (("coeffs", "--lattice", "chain-nn-finite", "--pbc", "2", "--max-order", "3"), "error: argument --pbc: '2' is not >= 3\n"),
-        # the ring size is refused on every lattice, though only the ring reads it
+        # a ring size under 3 is refused by its flag before the lattice rule sees it
         (("coeffs", "--lattice", "bcc", "--pbc", "2", "--max-order", "3"), "error: argument --pbc: '2' is not >= 3\n"),
         # a value that is not an integer reads as it does with argparse's own int
         (("coeffs", "--lattice", "bcc", "--max-order", "abc"), "error: argument --max-order: invalid int value: 'abc'\n"),
@@ -255,6 +266,16 @@ def test_usage_errors(capsys):
     ]:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "") and err.endswith(message) and err.count("error:") == 1
+    # --pbc reaches the library as typed: refused off the ring, required on it
+    for argv in [
+        ("coeffs", "--lattice", "chain-nn", "--pbc", "5", "--max-order", "3"),
+        ("coeffs", "--lattice", "chain-nn-finite", "--max-order", "3"),
+        ("lattice", "--lattice", "chain-nn-finite"),
+        ("oracle", "--lattice", "chain-nn-finite", "--n", "4"),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1
+        assert "pbc" in err
 
 
 def test_output_files_idempotent(tmp_outdir, capsys):
@@ -501,8 +522,7 @@ def test_appendix_b_large_rings_pass_at_the_float_edge(capsys, pbc):
 @pytest.mark.parametrize("pbc", [3, 4, 6, 7])
 @pytest.mark.parametrize("rho", ["-300", "-3", "-1e-3", "0", "0.5", "10", "50", "300"])
 def test_appendix_b_passes_across_rho(capsys, pbc, rho):
-    phi_half = ["--phi-half"] if pbc % 2 == 0 else []
-    code, _, err = run(capsys, "appendix-b", "--pbc", str(pbc), "--rho", rho, *phi_half)
+    code, _, err = run(capsys, "appendix-b", "--pbc", str(pbc), "--rho", rho, "--phi-half")
     assert (code, err) == (0, "")
 
 
@@ -632,8 +652,13 @@ _LATTICES = st.sampled_from(BUILTIN_NAMES)
 def _cli_argv(draw):
     command = draw(st.sampled_from(["coeffs", "lattice", "verify", "conjecture", "oracle", "appendix-b"]))
     argv = [command]
-    if command in ("coeffs", "lattice", "oracle", "verify"):
-        argv += ["--lattice", draw(_LATTICES), "--pbc", str(draw(st.integers(2, 7)))]
+    if command == "verify" and draw(st.booleans()):
+        argv.append("--all")
+    elif command in ("coeffs", "lattice", "oracle", "verify"):
+        argv += ["--lattice", draw(_LATTICES)]
+    # a ring size only sometimes, so that most draws off the ring are not refusals
+    if command in ("coeffs", "lattice", "oracle", "verify") and draw(st.booleans()):
+        argv += ["--pbc", str(draw(st.integers(2, 7)))]
     if command in ("coeffs", "verify"):
         argv += ["--max-order", str(draw(st.integers(-1, 6)))]
     if command == "verify":
@@ -679,7 +704,7 @@ def test_appendix_b_converges_for_every_finite_rho(pbc, rho, d, phi_half, fmt):
     argv = ["appendix-b", "--pbc", str(pbc), "--rho", repr(rho), "--format", fmt]
     if d is not None:
         argv += ["--d", str(d)]
-    if phi_half and pbc % 2 == 0:
+    if phi_half:
         argv.append("--phi-half")
     code, out, err = _run_isolated(argv)
     assert (code, err) == (0, ""), (argv, out)

@@ -156,13 +156,14 @@ def test_bipartite_flags():
 
 def test_cell_volumes():
     vols = {spec.name: spec.cell_volume for spec in ALL_SPECS}
-    assert vols["chain-nn"] == pytest.approx(2 * math.pi)
-    assert vols["chain-nnn"] == pytest.approx(2 * math.pi)
-    assert vols["bcc"] == pytest.approx(16 * math.pi**3)
-    assert vols["diamond"] == pytest.approx(32 * math.pi**3)
+    # (2 pi)^D / |det a| lands on each closed form's float exactly
+    assert vols["chain-nn"] == vols["chain-nn-finite"] == 2 * math.pi
+    assert vols["chain-nnn"] == 2 * math.pi
+    assert vols["bcc"] == 16 * math.pi**3
+    assert vols["diamond"] == 32 * math.pi**3
     # honeycomb reuses the triangular point lattice, hence the same cell
-    assert vols["triangular"] == pytest.approx(8 * math.pi**2 / math.sqrt(3))
-    assert vols["honeycomb"] == pytest.approx(vols["triangular"])
+    assert vols["triangular"] == 8 * math.pi**2 / math.sqrt(3)
+    assert vols["honeycomb"] == vols["triangular"]
     for spec in ALL_SPECS:
         det = abs(np.linalg.det(np.asarray(spec.reciprocal_basis)))
         assert det == pytest.approx(spec.cell_volume)

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -687,7 +688,7 @@ def test_complex_z_reduces_to_real_cases():
     assert vals[1] == pytest.approx(complex_chain_z(4, 0.5, math.pi), abs=1e-14)
 
 
-def test_phi_half_identity():
+def test_phi_half_identity(capsys):
     # the ring sum at phase pi/2 against its winding form, in which a walk of
     # winding c picks up the phase cos(c N pi/2)
     def residual(lam, rho):
@@ -696,8 +697,12 @@ def test_phi_half_identity():
     assert residual(4, 0.0) == pytest.approx(0.0, abs=1e-15)
     assert residual(4, 0.5) <= 1e-10
     assert residual(6, 1.0) <= 1e-9
-    with pytest.raises(ValueError, match="even"):
-        cmd_appendix_b(build_parser().parse_args(["appendix-b", "--pbc", "5", "--rho", "0.5", "--phi-half"]))
+    # odd rings too: the CLI's report carries a passing pi/2 record on rings of 3, 5 and 7
+    for pbc in ("3", "5", "7"):
+        args = build_parser().parse_args(["appendix-b", "--pbc", pbc, "--rho", "0.5", "--phi-half"])
+        assert cmd_appendix_b(args) == 0
+        records = json.loads(capsys.readouterr().out)["records"]
+        assert [r["pass"] for r in records if r["kind"] == "phi_half"] == [True]
     with pytest.raises(ValueError):
         complex_chain_z(2, 0.5, math.pi / 2)
     with pytest.raises(ValueError):

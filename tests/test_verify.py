@@ -180,8 +180,11 @@ def test_verify_recurrence_full():
         report = verify_recurrence(order)
         assert report.failed == 0
         assert report.checked == sum(n + 1 for n in range(order + 1))
+    # the recurrence holds from n1 + n2 = 0: orders 0 and 1 check 1 and 3 points
+    for order, points in ((0, 1), (1, 3)):
+        assert verify_recurrence(order) == (order, points, ())
     with pytest.raises(ValueError):
-        verify_recurrence(1)
+        verify_recurrence(-1)
 
 
 def test_recurrence_violations_on_the_coefficient_scale(monkeypatch):
@@ -257,11 +260,12 @@ def test_appendix_b_report_contents():
         assert record["residual"] <= limit
 
 
-def test_appendix_b_odd_ring_skips_phi_half():
-    report = appendix_b_report(5, 0.5, phi_half=True)
-    kinds = {r["kind"] for r in report["records"]}
-    assert "phi_half" not in kinds
-    assert "phi_pi" in kinds
+def test_appendix_b_odd_ring_carries_phi_half():
+    # the cosine series reference holds at every phase, odd rings included
+    for pbc in (3, 5, 7):
+        records = appendix_b_report(pbc, 0.5, phi_half=True)["records"]
+        assert [r["pass"] for r in records if r["kind"] == "phi_half"] == [True]
+        assert "phi_pi" in {r["kind"] for r in records}
     with pytest.raises(ValueError):
         appendix_b_report(2, 0.5)
 
