@@ -15,7 +15,6 @@ from .verify import (
     CoefficientRecord,
     RecurrenceReport,
     SquareTestRecord,
-    Tolerances,
     VerificationReport,
     check_square_conjecture,
     verify_identity,

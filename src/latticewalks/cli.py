@@ -22,9 +22,11 @@ denominator is 1), and prints an empty or ``None`` cell as blank.
 Everything is deterministic: there is no randomness anywhere, so a
 repeated invocation produces byte-identical output.  The environment
 variable ``LATTICEWALKS_OUTDIR`` sets the base directory for relative
-output paths.  Numeric options must be finite, tolerances positive,
-counts at least 0 and ring sizes at least 3; a usage error names the
-flag at fault, and JSON output never contains ``NaN`` or ``Infinity``.
+output paths.  Numeric options must be finite, ``appendix-b``'s
+tolerances positive, counts at least 0 and ring sizes at least 3; a
+usage error names the flag at fault, and JSON output never contains
+``NaN`` or ``Infinity``.  ``verify`` takes no tolerance: it works out
+its pass bound from the run.
 
 ``--pbc`` is the ring's size and reaches the library as typed: the ring
 (``chain-nn-finite``) requires it and every other lattice refuses it,
@@ -51,7 +53,7 @@ from .lattices import BUILTIN_NAMES, MIN_RING_SIZE, builtin
 from .oracle import enumerate_walks
 from .quadrature import appendix_b_report
 from .series import expand
-from .verify import Tolerances, check_square_conjecture, verify_identity, verify_recurrence
+from .verify import check_square_conjecture, verify_identity, verify_recurrence
 
 FORMATS = ("json", "csv", "pretty")
 
@@ -146,13 +148,12 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    tol = Tolerances(relative=args.tol_rel, zero_abs=args.tol_abs)
     if args.all:  # the ring on --pbc sites, 6 when none is given; no other lattice has a size
         ring = 6 if args.pbc is None else args.pbc
         runs = [(name, ring if name == "chain-nn-finite" else None) for name in BUILTIN_NAMES]
     else:
         runs = [(args.lattice, args.pbc)]
-    reports = [verify_identity(name, args.max_order, pbc, args.grid, tol) for name, pbc in runs]
+    reports = [verify_identity(name, args.max_order, pbc, args.grid) for name, pbc in runs]
     recurrence = verify_recurrence(args.max_order) if args.recurrence else None
     failed = sum(r.failed for r in reports) + (recurrence.failed if recurrence else 0)
 
@@ -300,8 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--grid", type=_grid_size, default="auto", help='grid points per axis, or "auto"'
     )
-    verify.add_argument("--tol-rel", type=_positive_float, default=1e-9)
-    verify.add_argument("--tol-abs", type=_positive_float, default=1e-12)
     verify.add_argument("--recurrence", action="store_true", help="also check the chain-nnn recurrence")
     _add_output_options(verify)
     verify.set_defaults(handler=cmd_verify)

@@ -139,7 +139,7 @@ _RECURRENCES = {
 def _recurrence_counts(name: str, max_order: int) -> dict[MultiIndex, int]:
     stride, factor, first, steps = _RECURRENCES[name]
     last = max_order // stride
-    a = list(first[: max(last + 1, 0)])
+    a = list(first[: last + 1])
     for p in range(len(a), last + 1):
         lead, *rest = steps(p)
         term, remainder = divmod(sum(c * a[p - j] for j, c in enumerate(rest, 1)), lead)

@@ -6,7 +6,8 @@ For every multi-index up to a requested order this module compares
 * the walk-enumeration count (:mod:`latticewalks.oracle`), compared as
   exact integers against n! times the coefficient, and
 * the quadrature moment (:mod:`latticewalks.quadrature`), compared as a
-  float against the coefficient at a fixed tolerance,
+  float against the coefficient within a bound on its rounding error,
+  worked out from the run's order, grid and lattice,
 
 and assembles a machine-readable report.  Also here: the exact
 recurrence check for the two-label chain and the perfect-square scan of
@@ -23,19 +24,6 @@ from typing import NamedTuple, Optional
 
 from . import oracle, quadrature, series
 from .lattices import MultiIndex, builtin
-
-
-class Tolerances(NamedTuple):
-    """Pass bounds of the float route: ``relative``, or ``zero_abs`` where the exact value is 0.
-
-    A NamedTuple, so it equals the plain tuple of its fields and
-    ``_replace`` makes a changed copy.  The record checks neither
-    field; :func:`verify_identity` refuses one that is not finite and
-    positive, however the record was made.
-    """
-
-    relative: float = 1e-9
-    zero_abs: float = 1e-12
 
 
 class CoefficientRecord(NamedTuple):
@@ -82,7 +70,6 @@ class VerificationReport(NamedTuple):
     pbc_size: Optional[int]
     max_order: int
     grid_policy: str
-    tolerances: Tolerances
     records: tuple[CoefficientRecord, ...]
 
     @property
@@ -112,10 +99,6 @@ class VerificationReport(NamedTuple):
             "pbc_size": self.pbc_size,
             "max_order": self.max_order,
             "grid_policy": self.grid_policy,
-            "tolerances": {
-                "relative": self.tolerances.relative,
-                "zero_abs": self.tolerances.zero_abs,
-            },
             "summary": {
                 "checked": self.checked,
                 "passed": self.passed,
@@ -128,20 +111,40 @@ class VerificationReport(NamedTuple):
 
 
 def verify_identity(
-    name: str,
-    max_order: int,
-    pbc_size: Optional[int] = None,
-    grid: int | str = "auto",
-    tolerances: Tolerances = Tolerances(),
+    name: str, max_order: int, pbc_size: Optional[int] = None, grid: int | str = "auto"
 ) -> VerificationReport:
     """Compare all three coefficient routes up to ``max_order``.
 
     ``grid`` is ``"auto"`` or an int of at least 1 (not a bool), the
     grid points per axis.
+
+    A record passes when its oracle count, where it has one, is ``n!``
+    times the exact coefficient, and its quadrature value is within
+
+        ``C * (n + D*log2(N)) * u * w * prod_l z_l**m_l / m_l!``,  ``C = 4``,
+
+    of the coefficient's float, with ``n = sum(m)``, ``N`` the grid points
+    per axis, ``D`` the dimension and ``u = 2**-53`` the unit roundoff.
+    ``z_l`` is label ``l``'s steps per site, the A->B steps on two
+    sublattices, where ``w = 2`` (else 1), so ``|eps_l| <= z_l`` and
+    ``w * prod_l z_l**m_l / m_l!`` is the largest the coefficient can be.
+
+    The bound follows Higham, *Accuracy and Stability of Numerical
+    Algorithms* (2nd ed., SIAM 2002).  Each grid value of the monomial
+    ``prod_l eps_l**m_l`` is a product of about ``n`` rounded factors, so
+    it errs by at most ``gamma_n``, about ``n*u``, of its size (§3.1),
+    and its size is at most ``w * prod_l z_l**m_l``.  The ``N**D`` values
+    are summed in blocks, by BLAS within a slab piece and by a compensated
+    sum over the pieces; the bound gives that sum a pairwise sum's error,
+    at most ``gamma_{log2 N**D}``, about ``D*log2(N)*u``, of the sum of
+    the values' sizes (§4.2).  Taking the mean and dividing by
+    ``prod_l m_l!`` scale both terms alike.  ``C = 4`` covers the few
+    single roundings that these two terms leave out: of each cosine and
+    a band's sum of them, of the mean, of the division by the factorials
+    and of the exact value's float.  It is not fitted to measured
+    errors.  An aliased grid errs by a harmonic's weight, orders of
+    magnitude above the bound, and fails.
     """
-    # a nan fails both comparisons; an inf tolerance would pass any numeric value
-    if not (0 < tolerances.relative < math.inf and 0 < tolerances.zero_abs < math.inf):
-        raise ValueError("tolerances must be finite and positive")
     if grid != "auto" and (type(grid) is not int or grid < 1):
         raise ValueError(f'grid must be "auto" or an int >= 1, got {grid!r}')
     spec = builtin(name, pbc_size)
@@ -154,6 +157,13 @@ def verify_identity(
     table = quadrature.moments(spec, max_order, grid_points)
 
     fact = [math.factorial(n) for n in range(max_order + 1)]
+    # each label's z**m / m!, z its steps per site: int / int rounds once and cannot overflow
+    sizes = []
+    for label in range(1, spec.hopping_count + 1):
+        z = sum(s.label == label and s.sublattice != "BtoA" for s in spec.steps)
+        sizes.append([z**m / fact[m] for m in range(max_order + 1)])
+    rounds = spec.dimension * math.log2(grid_points)
+    scale = 4 * 2.0**-53 * spec.basis_size
     records = []
     for index in sorted(table):
         n = sum(index)
@@ -165,9 +175,7 @@ def verify_identity(
         approx = walks / fact[n]
         abs_error = abs(numeric - approx)
         rel_error = abs_error / abs(approx) if walks != 0 else None
-        numeric_ok = (
-            abs_error <= tolerances.zero_abs if walks == 0 else rel_error <= tolerances.relative
-        )
+        bound = (n + rounds) * scale * math.prod(map(list.__getitem__, sizes, index))
         oracle_ok = count is None or walks == count
         records.append(
             CoefficientRecord(
@@ -178,7 +186,7 @@ def verify_identity(
                 numeric=numeric,
                 abs_error=abs_error,
                 rel_error=rel_error,
-                passed=bool(numeric_ok and oracle_ok),
+                passed=abs_error <= bound and oracle_ok,
             )
         )
     return VerificationReport(
@@ -186,7 +194,6 @@ def verify_identity(
         pbc_size=spec.pbc_size,
         max_order=max_order,
         grid_policy=str(grid),
-        tolerances=tolerances,
         records=tuple(records),
     )
 

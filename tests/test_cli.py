@@ -262,7 +262,8 @@ def test_usage_errors(capsys):
         (("coeffs", "--lattice", "bcc", "--pbc", "2", "--max-order", "3"), "error: argument --pbc: '2' is not >= 3\n"),
         # a value that is not an integer reads as it does with argparse's own int
         (("coeffs", "--lattice", "bcc", "--max-order", "abc"), "error: argument --max-order: invalid int value: 'abc'\n"),
-        (("verify", "--lattice", "bcc", "--max-order", "4", "--tol-abs", "0"), "error: argument --tol-abs: '0' is not positive\n"),
+        # verify works out its own pass bound: it takes no tolerance
+        (("verify", "--lattice", "bcc", "--max-order", "4", "--tol-abs", "0"), "error: unrecognized arguments: --tol-abs 0\n"),
     ]:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "") and err.endswith(message) and err.count("error:") == 1
@@ -380,6 +381,7 @@ def test_digit_limit_still_refuses_huge_options(capsys):
     "argv",
     [
         ["appendix-b", "--pbc", "6", "--rho", "nan"],
+        # verify takes no tolerance, not even a nan one
         ["verify", "--lattice", "chain-nn", "--max-order", "4", "--tol-rel", "nan"],
         ["verify", "--lattice", "chain-nn", "--max-order", "171"],
         ["appendix-b", "--pbc", "6", "--rho", "1e308"],
@@ -545,8 +547,10 @@ def test_negative_numbers_in_exponent_form_are_values(capsys, fmt):
     code, out, err = run(capsys, "appendix-b", "--pbc", "6", "--rho", "-1e-3", "--format", fmt)
     assert code == 0 and "error" not in err
     assert (code, out, err) == run(capsys, "appendix-b", "--pbc", "6", "--rho=-1e-3", "--format", fmt)
-    code, _, err = run(capsys, "verify", "--lattice", "chain-nn", "--max-order", "4", "--tol-rel", "-1e-9")
-    assert code == 2 and err.endswith("error: argument --tol-rel: '-1e-9' is not positive\n")
+    # verify takes neither tolerance flag, so each is refused with the value it was given
+    for flag in ("--tol-rel", "--tol-abs"):
+        code, out, err = run(capsys, "verify", "--lattice", "chain-nn", "--max-order", "4", flag, "-1e-9")
+        assert (code, out) == (2, "") and err.endswith(f"error: unrecognized arguments: {flag} -1e-9\n")
 
 
 # SHA-256 of stdout for the commands whose output is ints and strings only, so
@@ -663,7 +667,6 @@ def _cli_argv(draw):
         argv += ["--max-order", str(draw(st.integers(-1, 6)))]
     if command == "verify":
         argv += ["--grid", draw(st.sampled_from(["auto", "auto", "0", "3", "x"]))]
-        argv += ["--tol-rel", draw(_NUMBERS), "--tol-abs", draw(_NUMBERS)]
         if draw(st.booleans()):
             argv.append("--recurrence")
     if command == "conjecture":

@@ -82,7 +82,7 @@ def test_no_module_imports_dataclasses():
 
 
 RECORDS = (
-    "StepVector", "LatticeSpec", "WalkTally", "Series", "Tolerances",
+    "StepVector", "LatticeSpec", "WalkTally", "Series",
     "CoefficientRecord", "VerificationReport", "RecurrenceReport", "SquareTestRecord",
 )
 

@@ -17,7 +17,6 @@ from latticewalks import (
     Series,
     SquareTestRecord,
     StepVector,
-    Tolerances,
     VerificationReport,
     WalkTally,
     appendix_b_report,
@@ -321,7 +320,6 @@ def test_spec_immutable():
 
 
 _STEP = StepVector((Fraction(1, 2),), 1, "AtoB")
-_TOLERANCES = Tolerances()
 _RECORD = CoefficientRecord((2,), Fraction(1), 2, 3, 1.0, 0.0, 0.0, True)
 
 # one record of each type, and its repr
@@ -342,16 +340,15 @@ RECORDS = [
         "Series(lattice='chain-nn', max_order=2, label_count=1, counts={(0,): 1, (2,): 2}, "
         "pbc_size=None)",
     ),
-    (_TOLERANCES, "Tolerances(relative=1e-09, zero_abs=1e-12)"),
     (
         _RECORD,
         "CoefficientRecord(index=(2,), exact=Fraction(1, 1), oracle_count=2, grid_points=3, "
         "numeric=1.0, abs_error=0.0, rel_error=0.0, passed=True)",
     ),
     (
-        VerificationReport("chain-nn", None, 2, "auto", _TOLERANCES, (_RECORD,)),
+        VerificationReport("chain-nn", None, 2, "auto", (_RECORD,)),
         "VerificationReport(lattice='chain-nn', pbc_size=None, max_order=2, grid_policy='auto', "
-        "tolerances=Tolerances(relative=1e-09, zero_abs=1e-12), records=(CoefficientRecord("
+        "records=(CoefficientRecord("
         "index=(2,), exact=Fraction(1, 1), oracle_count=2, grid_points=3, numeric=1.0, "
         "abs_error=0.0, rel_error=0.0, passed=True),))",
     ),

@@ -419,20 +419,24 @@ def test_a_fractional_step_on_one_sublattice_is_refused():
 def test_generated_lattices_match_the_oracle(spec):
     # the paper's identity beyond the built-ins: the walks that use m_l steps
     # of label l are C(n, m_1) orders of the labels times the grid mean of
-    # prod_l eps_l**m_l; eps_l is at most s_l, its number of steps, so a
-    # moment's rounding error scales with prod_l s_l**m_l (on two
-    # sublattices twice the kernel's mean power, at most 2 z**n <= (2 z)**n)
+    # prod_l eps_l**m_l; eps_l is at most z_l, the label's steps per site (the
+    # A->B steps on two sublattices, whose moment is w = 2 kernel powers), so
+    # a moment errs by at most verify's rounding bound C (n + D log2 N) u,
+    # C = 4, u = 2**-53, times w prod_l z_l**m_l
     top = {1: 10, 2: 6, 3: 4}[spec.dimension]
-    grid = moments(spec, top, auto_grid_size(spec, top))
-    sup = [sum(s.label == label for s in spec.steps) for label in (1, 2)]
+    points = auto_grid_size(spec, top)
+    grid = moments(spec, top, points)
+    forward = [s for s in spec.steps if s.sublattice != "BtoA"]
+    z = [sum(s.label == label for s in forward) for label in (1, 2)]
     for tally in closed_walks(spec, top):
         n = tally.length
+        bound = 4 * (n + spec.dimension * math.log2(points)) * 2.0**-53 * spec.basis_size
         for m in (key for key in grid if sum(key) == n):
             orders = math.comb(n, m[0]) if len(m) == 2 else 1
             walks = orders * grid[m]
             assert round(walks) == tally.count(m), (m, walks)
-            assert abs(walks - tally.count(m)) <= 1e-12 * orders * math.prod(
-                s**k for s, k in zip(sup, m)
+            assert abs(walks - tally.count(m)) <= bound * orders * math.prod(
+                zl**k for zl, k in zip(z, m)
             )
 
 
