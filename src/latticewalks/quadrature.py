@@ -54,16 +54,27 @@ every moment of the piece at once: its entry ``(j, k)`` is the power
 exact one, as a chain of single factors is.  BLAS fixes the order of
 each product's sum, and the pieces' products are added by compensated
 (Kahan) summation, so their sum rounds about once however many pieces
-there are (about a thousand on bcc at order 170).  The dispersion is
+there are (about a thousand on bcc at order 170).  With two labels the
+tables are padded with higher powers to a multiple of 8 rows, as
+OpenBLAS 0.3.31 rounds a product whose sides are multiples of 8 alike
+on 1 and 2 threads (a long piece can still split).  The dispersion is
 even, ``eps(k) = eps(-k)``, and ``k -> -k`` maps every uniform grid
 onto itself, aliased or not, so the trapezoid rule on the
 inversion-reduced cell (Monkhorst & Pack, Phys. Rev. B 13 (1976) 5188)
 gives the same sums from rows ``0..N//2``: each row but 0 and (for even
-``N``) ``N/2`` stands for its mirror too and has weight 2, and the left
-table's first row holds those weights.  Memory is then one slab and
-the buffer (the 2-D and 3-D table and its windows are a few rows of a
-slab), whatever the order or grid; the work, grid points times moments,
-is bounded by ``MAX_GRID_WORK``.
+``N``) ``N/2`` stands for its mirror too and has weight 2.  A 3-D band
+unchanged by exchanging the last two axes (:func:`_swap_symmetric`;
+bcc's and diamond's) halves the last axis the same way.  In the
+coordinates ``(a, b, d)`` of the grid point ``(a, b, b + d)``, a
+unimodular change of variables that maps the grid onto itself, the
+exchange is ``(a, b, d) -> (a, b + d, -d)``, so the sum over ``b`` at
+``(a, d)`` is the one at ``(a, -d)``, and ``d`` takes ``0..N//2`` with
+the rows' weights; a harmonic ``f`` reads ``(f0, f1 + f2, f2)`` there,
+and every value is the float at ``(a, b, b + d)``.  The left table's
+first row holds each point's weight, the product of its two.  Memory is
+then one slab and the buffer (the 2-D and 3-D table and its windows are
+a few rows of a slab), whatever the order or grid; the work, grid
+points times moments, is bounded by ``MAX_GRID_WORK``.
 
 For the finite ring the physically meaningful grid is the ring's own
 ``pbc_size`` quasimomenta: on that grid the deliberate aliasing of the
@@ -180,12 +191,31 @@ def _cache_aligned(shape: tuple[int, ...], fill: float) -> np.ndarray:
     return out
 
 
+def _swap_symmetric(band: tuple[Harmonics, ...]) -> bool:
+    """Whether every label's band is unchanged by exchanging the last two frequency components.
+
+    Each harmonic is taken up to sign, with its amplitude, as ``cos`` is
+    even; the test passes when the multiset of these is the same after the
+    exchange.
+    """
+
+    def unsigned(freq):
+        return max(freq, tuple(-f for f in freq))
+
+    return all(
+        sorted((unsigned(f), amp) for f, amp in harmonics)
+        == sorted((unsigned(f[:-2] + (f[-1], f[-2])), amp) for f, amp in harmonics)
+        for harmonics in band
+    )
+
+
 def _term_on_grid(
-    harmonics: Harmonics, windows: dict, grid_points: int, dimension: int, rows: np.ndarray
+    harmonics: Harmonics, windows: dict, grid_points: int, rows: np.ndarray, row_shape: tuple
 ) -> np.ndarray:
     """Evaluate one label's harmonics on the axis-0 ``rows`` of the fractional grid.
 
-    One loop serves every dimension.  The slab is allocated once, up
+    One loop serves every dimension: a slab is ``rows`` by ``row_shape``,
+    the points of one row (``()`` in 1-D).  The slab is allocated once, up
     front, and each harmonic is added to it in the order of
     ``harmonics``; a harmonic with a negative last component ``c =
     f[-1]`` reads ``-f`` instead, the same values by the exact symmetry
@@ -198,19 +228,20 @@ def _term_on_grid(
     """
     import numpy as np
 
-    out = _cache_aligned((len(rows),) + (grid_points,) * (dimension - 1), 0.0)
-    axes = np.ix_(rows, *(np.arange(grid_points) for _ in range(dimension - 2)))
+    out = _cache_aligned((len(rows),) + row_shape, 0.0)
+    axes = np.ix_(rows, *(np.arange(grid_points) for _ in row_shape[1:]))
     terms = {}
     for freq, amp in harmonics:
         if freq[-1] < 0:
             freq = tuple(-f for f in freq)
         if (freq, amp) not in terms:
-            if dimension == 1:
+            if not row_shape:
                 values = _cos_table(np.mod(rows * freq[0], grid_points), grid_points)
             else:
-                phase = sum(axes[p] * freq[p] for p in range(dimension - 1) if freq[p])
+                phase = sum(axes[p] * freq[p] for p in range(len(row_shape)) if freq[p])
                 values = windows[freq[-1]][np.mod(phase, grid_points)]
-            terms[freq, amp] = amp * values
+            # multiplying by 1 is exact, so a unit amplitude needs no copy
+            terms[freq, amp] = values if amp == 1 else amp * values
         out += terms[freq, amp]
     return out
 
@@ -241,7 +272,10 @@ def moments(spec: LatticeSpec, max_order: int, grid_points: int) -> dict[MultiIn
     taken.
 
     The grid is streamed in slabs over rows ``0..N//2`` with inversion
-    weights, and every moment of a piece of a slab comes from one
+    weights, and, where :func:`_swap_symmetric` passes the 3-D band,
+    over ``d = c - b`` in ``0..N//2`` of the last axis with the same
+    weights, so bcc and diamond sum about a quarter of the grid.  Every
+    moment of a piece of a slab comes from one
     matrix product of two power tables (see the module docstring): with
     one label, the ``P`` powers ``x**p`` of its dispersion ``x`` are
     ``(x**w)**j * x**k`` for ``w = isqrt(P - 1) + 1``; with two, the
@@ -265,6 +299,14 @@ def moments(spec: LatticeSpec, max_order: int, grid_points: int) -> dict[MultiIn
             f"the bound of {MAX_GRID_WORK:.0e} grid points times moments"
         )
     band = _band(spec)
+    half = grid_points // 2
+    # a 3-D band unchanged by exchanging the last two axes has, at (a, b, b + d), the same sum
+    # over b at d and -d: its harmonic f reads (f0, f1 + f2, f2) there, and d takes 0..N//2
+    halved = spec.dimension == 3 and _swap_symmetric(band)
+    if halved:
+        band = tuple(tuple(((f0, f1 + f2, f2), amp) for (f0, f1, f2), amp in h) for h in band)
+    last = half + 1 if halved else grid_points
+    row_shape = (grid_points,) * (spec.dimension - 2) + (last,) if spec.dimension > 1 else ()
     windows = {}
     if spec.dimension > 1:
         table = _cos_table(np.arange(grid_points), grid_points)
@@ -272,11 +314,16 @@ def moments(spec: LatticeSpec, max_order: int, grid_points: int) -> dict[MultiIn
             # windows[c][j, k] = table[(j + c*k) % N]: the table from j on, read with stride c
             windows[c] = np.lib.stride_tricks.as_strided(
                 np.tile(table, c + 1),
-                (grid_points, grid_points if c else 1),
+                (grid_points, last if c else 1),
                 (table.itemsize, c * table.itemsize),
                 writeable=False,
             )
 
+    def mirror_weights(points):
+        # points 0 and N/2 are their own mirrors; every other one stands for two
+        return np.where(2 * points % grid_points == 0, 1.0, 2.0)
+
+    in_row = np.broadcast_to(mirror_weights(np.arange(last)) if halved else 1.0, row_shape).ravel()
     weight, step = (2.0, 2) if spec.basis_size == 2 else (1.0, 1)
     if len(band) == 2:
         # left[i] = weights * e1**i and right[j] = e2**j: product entry (i, j) is moment (i, j)
@@ -286,21 +333,23 @@ def moments(spec: LatticeSpec, max_order: int, grid_points: int) -> dict[MultiIn
         powers = max_order // step + 1
         w = math.isqrt(powers - 1) + 1
         shape = (-(-powers // w), w)
-    half = grid_points // 2
-    row_points = grid_points ** (spec.dimension - 1)
+    row_points = len(in_row)
     rows_per_slab = max(1, _SLAB_POINTS // row_points)
     slab_points = min(rows_per_slab, half + 1) * row_points
     # both tables of a piece of a slab: about _SLAB_POINTS floats, or the whole slab if that
     # is less, each row whole cache lines
     width = min(max(1, _SLAB_POINTS // (8 * sum(shape))), -(-slab_points // 8)) * 8
+    if len(band) == 2:
+        # sides a multiple of 8 make OpenBLAS round the product alike on 1 and 2 threads; the
+        # pieces keep the unpadded tables' width, and with it their one-thread sums
+        shape = tuple(-(-side // 8) * 8 for side in shape)
     buffer = _cache_aligned((sum(shape), width), 0.0)
     products, carry = np.zeros(shape), np.zeros(shape)
     for start in range(0, half + 1, rows_per_slab):
         rows = np.arange(start, min(start + rows_per_slab, half + 1))
-        # rows 0 and N/2 are their own mirrors; every other row stands for two
-        weights = np.repeat(np.where(2 * rows % grid_points == 0, 1.0, 2.0), row_points)
+        weights = np.outer(mirror_weights(rows), in_row).ravel()
         eps, *second = (
-            _term_on_grid(h, windows, grid_points, spec.dimension, rows).ravel() for h in band
+            _term_on_grid(h, windows, grid_points, rows, row_shape).ravel() for h in band
         )
         for piece in range(0, len(weights), buffer.shape[1]):
             cut = slice(piece, piece + buffer.shape[1])
@@ -319,7 +368,7 @@ def moments(spec: LatticeSpec, max_order: int, grid_points: int) -> dict[MultiIn
             carry = (total - products) - addend
             products = total
     if len(band) == 2:
-        sums = products
+        sums = products[: max_order + 1, : max_order + 1]
     else:
         sums = np.zeros(max_order + 1)
         sums[::step] = products.ravel()[:powers]

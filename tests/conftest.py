@@ -153,18 +153,24 @@ def dispersion_value(spec, label: int, k) -> float:
 
 
 @st.composite
-def generated_specs(draw):
+def generated_specs(draw, closed_under_swap=False):
     """A one-sublattice spec of 1 to 3 +-pairs per label, moves in [-2, 2]**D, maybe a torus.
 
     The torus, of 1 to 7 cells a side, may be narrower than a move.  The
-    routes never read the bases, so they are the unit cell.
+    routes never read the bases, so they are the unit cell.  With
+    ``closed_under_swap`` the spec is 3-D and each move ``(x, y, z)`` of a
+    label brings ``(x, z, y)`` too, so every band is unchanged by
+    exchanging the last two axes.
     """
-    dimension = draw(st.integers(1, 3))
+    dimension = 3 if closed_under_swap else draw(st.integers(1, 3))
     labels = draw(st.integers(1, MAX_HOPPING_LABELS))
     move = st.tuples(*[st.integers(-2, 2)] * dimension)
     steps = []
     for label in range(1, labels + 1):
-        for coords in draw(st.lists(move, min_size=1, max_size=3)):
+        moves = draw(st.lists(move, min_size=1, max_size=3))
+        if closed_under_swap:
+            moves += [(x, z, y) for x, y, z in moves]
+        for coords in moves:
             steps += [
                 StepVector(tuple(map(Fraction, coords)), label),
                 StepVector(tuple(Fraction(-c) for c in coords), label),
@@ -184,15 +190,19 @@ def generated_specs(draw):
 
 
 @st.composite
-def two_sublattice_specs(draw):
+def two_sublattice_specs(draw, closed_under_swap=False):
     """A two-sublattice spec: A->B steps ``e0 + t`` and their reverses, maybe on a torus.
 
     ``e0`` is off the lattice (its first component a proper fraction of
     denominator 2 to 4) and comes first; each of up to two more A->B steps
     adds an integer translation ``t`` in [-1, 1]**D to it.  One label; the
-    bases are the unit cell, as in :func:`generated_specs`.
+    bases are the unit cell, as in :func:`generated_specs`.  With
+    ``closed_under_swap`` the spec is 3-D, ``e0``'s last two components
+    are equal and each ``t = (x, y, z)`` brings ``(x, z, y)`` too, so the
+    A->B steps, and with them the band, are unchanged by exchanging the
+    last two axes.
     """
-    dimension = draw(st.integers(1, 3))
+    dimension = 3 if closed_under_swap else draw(st.integers(1, 3))
     q = draw(st.integers(2, 4))
     e0 = (Fraction(draw(st.integers(1, q - 1)), q),) + tuple(
         Fraction(draw(st.integers(-q, q)), q) for _ in range(dimension - 1)
@@ -200,6 +210,9 @@ def two_sublattice_specs(draw):
     shifts = [(0,) * dimension] + draw(
         st.lists(st.tuples(*[st.integers(-1, 1)] * dimension), max_size=2)
     )
+    if closed_under_swap:
+        e0 = e0[:2] + e0[1:2]
+        shifts += [(x, z, y) for x, y, z in shifts[1:]]
     steps = []
     for shift in shifts:
         forward = tuple(e + t for e, t in zip(e0, shift))

@@ -619,7 +619,12 @@ def test_exact_commands_start_without_numpy(command, fmt):
 
 
 @pytest.mark.parametrize(
-    "command", ["verify --lattice bcc --max-order 60", "verify --lattice chain-nnn --max-order 40"]
+    "command",
+    [
+        "verify --lattice bcc --max-order 60",
+        "verify --lattice chain-nnn --max-order 40",
+        "verify --lattice chain-nnn --max-order 100",
+    ],
 )
 def test_verify_stdout_is_the_same_under_one_and_two_blas_threads(command):
     # the moments of each slab piece are one BLAS product, whose summation order BLAS

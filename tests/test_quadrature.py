@@ -220,11 +220,79 @@ def _full_grid_means(spec, order, n):
 @example(n=9, order=10)
 def test_halved_slab_sums_match_the_full_grid_mean(name, n, order):
     spec = make(name, max(n, 3) if name == "chain-nn-finite" else None)
-    values = moments(spec, order, n)
+    _assert_full_grid_means(moments(spec, order, n), spec, order, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    spec=generated_specs(closed_under_swap=True) | two_sublattice_specs(closed_under_swap=True),
+    n=st.integers(1, 9),
+    order=st.integers(0, 6),
+)
+def test_generated_halved_slab_sums_match_the_full_grid_mean(spec, n, order):
+    # 3-D bands unchanged by exchanging the last two axes: the last axis is halved too
+    _assert_full_grid_means(moments(spec, order, n), spec, order, n)
+
+
+def _assert_full_grid_means(values, spec, order, n):
     reference = _full_grid_means(spec, order, n)
     assert sorted(values) == sorted(reference)
     for index, (mean, scale) in reference.items():
         assert values[index] == pytest.approx(mean, rel=0.0, abs=1e-13 * max(scale, 1.0)), index
+
+
+def _row_shapes(spec, order, n):
+    """The set of ``row_shape`` arguments ``moments`` passes ``_term_on_grid``."""
+    shapes = set()
+    term_on_grid = quadrature._term_on_grid
+
+    def recording(harmonics, windows, grid_points, rows, row_shape):
+        shapes.add(row_shape)
+        return term_on_grid(harmonics, windows, grid_points, rows, row_shape)
+
+    with mock.patch.object(quadrature, "_term_on_grid", recording):
+        moments(spec, order, n)
+    return shapes
+
+
+# steps whose band the exchange of the last two axes changes
+_ASYMMETRIC_3D = ((1, -2, 3), (0, 2, -1), (2, 0, 0), (1, 1, 1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 101])
+def test_only_bands_unchanged_by_the_swap_halve_the_last_axis(n):
+    # the band decides, never the name: bcc's and diamond's bands pass the swap test,
+    # bcc's name with asymmetric steps does not
+    for name in ("bcc", "diamond"):
+        assert _row_shapes(make(name), 4, n) == {(n, n // 2 + 1)}, name
+    asymmetric = make("bcc")._replace(steps=_steps(*_ASYMMETRIC_3D))
+    assert _row_shapes(asymmetric, 4, n) == {(n, n)}
+    for name in ("triangular", "honeycomb"):
+        assert _row_shapes(make(name), 4, n) == {(n,)}, name
+    for name in ("chain-nn", "chain-nnn"):
+        assert _row_shapes(make(name), 4, n) == {()}, name
+
+
+def test_swap_test_takes_harmonics_up_to_sign_with_their_amplitudes():
+    # (1, 2, 3) exchanges to (1, 3, 2), which is -(-1, -3, -2)
+    assert quadrature._swap_symmetric(((((1, 2, 3), 1), ((-1, -3, -2), 1)),))
+    # the amplitudes differ, or the multiset does
+    assert not quadrature._swap_symmetric(((((0, 1, 0), 1), ((0, 0, 1), 2)),))
+    assert not quadrature._swap_symmetric(((((0, 1, 0), 1), ((0, 0, 1), 1), ((0, 0, -1), 1)),))
+    # every label must pass: one symmetric label and one not
+    symmetric, lopsided = (((0, 1, 0), 1), ((0, 0, 1), 1)), (((0, 1, 0), 1),)
+    assert quadrature._swap_symmetric((symmetric, symmetric))
+    assert not quadrature._swap_symmetric((symmetric, lopsided))
+
+
+def test_halving_a_band_the_swap_changes_fails_the_full_grid_mean():
+    # the mutant: the asymmetric spec forced onto the halved last axis
+    spec = make("bcc")._replace(steps=_steps(*_ASYMMETRIC_3D))
+    with mock.patch.object(quadrature, "_swap_symmetric", lambda band: True):
+        for n in (5, 6, 7, 12):
+            assert _row_shapes(spec, 4, n) == {(n, n // 2 + 1)}
+            with pytest.raises(AssertionError):
+                _assert_full_grid_means(moments(spec, 4, n), spec, 4, n)
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
@@ -302,6 +370,9 @@ def _table_gather_moments_1d(spec, max_order, n):
     else:
         shape = (-(-(max_order + 1) // (math.isqrt(max_order) + 1)), math.isqrt(max_order) + 1)
     per_piece = max(1, _SLAB_POINTS // (8 * sum(shape))) * 8
+    if len(band) == 2:
+        # the tables' sides padded, as in moments, to a multiple of 8
+        shape = (-(-(max_order + 1) // 8) * 8,) * 2
     products, carry = np.zeros(shape), np.zeros(shape)
     for slab in range(0, half + 1, _SLAB_POINTS):
         end = min(slab + _SLAB_POINTS, half + 1)
@@ -310,8 +381,8 @@ def _table_gather_moments_1d(spec, max_order, n):
             eps, *second = (term[cut] for term in terms)
             ones = np.ones_like(eps)
             if second:
-                left = np.cumprod([row_weights[cut]] + [eps] * max_order, axis=0)
-                right = np.cumprod([ones] + second * max_order, axis=0)
+                left = np.cumprod([row_weights[cut]] + [eps] * (shape[0] - 1), axis=0)
+                right = np.cumprod([ones] + second * (shape[1] - 1), axis=0)
             else:
                 right = np.cumprod([ones] + [eps] * (shape[1] - 1), axis=0)
                 left = np.cumprod([row_weights[cut]] + [right[-1] * eps] * (shape[0] - 1), axis=0)
@@ -319,23 +390,28 @@ def _table_gather_moments_1d(spec, max_order, n):
             total = products + addend
             carry = (total - products) - addend
             products = total
-    sums = products if len(band) == 2 else products.ravel()[: max_order + 1]
+    if len(band) == 2:
+        sums = products[: max_order + 1, : max_order + 1]
+    else:
+        sums = products.ravel()[: max_order + 1]
     means = sums / n
     return {m: float(means[m]) for m in np.ndindex(means.shape) if sum(m) <= max_order}
 
 
-def _phase_gather_term(harmonics, windows, grid_points, dimension, rows):
-    """One label's harmonics on the axis-0 ``rows``, gathered point by point from the phase table.
+def _phase_gather_term(harmonics, windows, grid_points, rows, row_shape):
+    """One label's harmonics on the slab of ``rows`` by ``row_shape``, gathered point by point.
 
-    Every grid point gets its own integer phase, reduced mod N, and reads
+    Every slab point gets its own integer phase, reduced mod N, and reads
     its cosine from the table of all N phases, harmonic by harmonic into
-    one slab array; ``windows`` is not read.
+    one slab array; ``windows`` is not read.  On a halved 3-D grid the
+    harmonics come as ``moments`` reads them, ``(f0, f1 + f2, f2)``, so the
+    phase at slab point ``(a, b, d)`` is the one at grid point ``(a, b, b + d)``.
     """
     table = _cos_table(np.arange(grid_points), grid_points)
-    axes = np.ix_(rows, *(np.arange(grid_points) for _ in range(dimension - 1)))
-    out = np.zeros((len(rows),) + (grid_points,) * (dimension - 1))
+    axes = np.ix_(rows, *(np.arange(points) for points in row_shape))
+    out = np.zeros((len(rows),) + row_shape)
     for freq, amp in harmonics:
-        phase = sum(axes[p] * freq[p] for p in range(dimension) if freq[p])
+        phase = sum(axes[p] * freq[p] for p in range(len(axes)) if freq[p])
         out += amp * table[np.mod(phase, grid_points)]
     return out
 
@@ -378,11 +454,11 @@ def test_row_windows_match_the_phase_gather():
 
 
 @settings(max_examples=80, deadline=None)
-@given(spec=generated_specs(), n=st.integers(1, 9))
+@given(spec=generated_specs() | generated_specs(closed_under_swap=True), n=st.integers(1, 9))
 def test_generated_bands_match_the_phase_gather(spec, n):
     # 1-D to 3-D, zero moves and bands constant along an axis, one or two
-    # labels: the slab sum is bit for bit the per-point gather's, on a
-    # small grid and on the auto grid (a torus's own cells)
+    # labels, halved last axes: the slab sum is bit for bit the per-point
+    # gather's, on a small grid and on the auto grid (a torus's own cells)
     top = {1: 10, 2: 6, 3: 4}[spec.dimension]
     for grid in (n, auto_grid_size(spec, top)):
         want = _hex_moments(_phase_gather_moments, spec, top, grid)
@@ -415,7 +491,12 @@ def test_a_fractional_step_on_one_sublattice_is_refused():
 
 
 @settings(max_examples=100, deadline=None)
-@given(spec=generated_specs() | two_sublattice_specs())
+@given(
+    spec=generated_specs()
+    | two_sublattice_specs()
+    | generated_specs(closed_under_swap=True)
+    | two_sublattice_specs(closed_under_swap=True)
+)
 def test_generated_lattices_match_the_oracle(spec):
     # the paper's identity beyond the built-ins: the walks that use m_l steps
     # of label l are C(n, m_1) orders of the labels times the grid mean of
@@ -452,7 +533,7 @@ def _steps(*displacements):
     "name, displacements",
     [
         # last-axis frequencies -3 to 3 between them, and terms on the first axis alone
-        ("bcc", ((1, -2, 3), (0, 2, -1), (2, 0, 0), (1, 1, 1))),
+        ("bcc", _ASYMMETRIC_3D),
         ("triangular", ((1, 2), (3, -3), (0, 1))),
         # no harmonic spans the last axis, so none spans the slab
         ("triangular", ((1, 0), (2, 0))),
