@@ -55,11 +55,14 @@ exact one, as a chain of single factors is.  BLAS fixes the order of
 each product's sum, and the pieces' products are added by compensated
 (Kahan) summation, so their sum rounds about once however many pieces
 there are (about a thousand on bcc at order 170).  With two labels the
-tables are padded with higher powers to a multiple of 8 rows, as
-OpenBLAS 0.3.31 rounds a product whose sides are multiples of 8 alike
-on 1 and 2 threads (a long piece can still split).  The dispersion is
-even, ``eps(k) = eps(-k)``, and ``k -> -k`` maps every uniform grid
-onto itself, aliased or not, so the trapezoid rule on the
+tables are padded with higher powers to a multiple of 8 rows, and every
+piece's length, the inner side of its product, is below 392 or a
+multiple of 32: a slab of 392 points or more is padded to a multiple of
+32 with zero-weight points, which add exact zeros.  OpenBLAS 0.3.31
+(Haswell kernels) rounds such products alike on 1 and 2 threads, and
+splits a longer inner side that is no multiple of 32 differently on the
+two.  The dispersion is even, ``eps(k) = eps(-k)``, and ``k -> -k`` maps
+every uniform grid onto itself, aliased or not, so the trapezoid rule on the
 inversion-reduced cell (Monkhorst & Pack, Phys. Rev. B 13 (1976) 5188)
 gives the same sums from rows ``0..N//2``: each row but 0 and (for even
 ``N``) ``N/2`` stands for its mirror too and has weight 2.  A 3-D band
@@ -263,9 +266,9 @@ def auto_grid_size(spec: LatticeSpec, max_order: int) -> int:
 def moments(spec: LatticeSpec, max_order: int, grid_points: int) -> dict[MultiIndex, float]:
     """Grid means of every dispersion monomial up to ``max_order``, on one grid.
 
-    The keys are every multi-index ``m`` with ``sum(m) <= max_order``, and
-    the monomial is ``prod_s eps_s(k)**m_s``.  For two-sublattice
-    lattices the monomial is the subband-summed power
+    The keys are every multi-index ``m`` with ``sum(m) <= max_order``, in
+    sorted order, and the monomial is ``prod_s eps_s(k)**m_s``.  For
+    two-sublattice lattices the monomial is the subband-summed power
     ``sum_sigma eps_sigma**n``: even orders are the one squared-band
     kernel factor ``kernel**(n/2)`` with weight 2, and odd orders vanish
     by the sigma = -1/+1 cancellation, so the band square root is never
@@ -340,9 +343,11 @@ def moments(spec: LatticeSpec, max_order: int, grid_points: int) -> dict[MultiIn
     # is less, each row whole cache lines
     width = min(max(1, _SLAB_POINTS // (8 * sum(shape))), -(-slab_points // 8)) * 8
     if len(band) == 2:
-        # sides a multiple of 8 make OpenBLAS round the product alike on 1 and 2 threads; the
-        # pieces keep the unpadded tables' width, and with it their one-thread sums
+        # outer sides a multiple of 8, and inner ones below 392 or a multiple of 32, make
+        # OpenBLAS round the product alike on 1 and 2 threads; the pieces keep the unpadded
+        # tables' width, rounded up to a multiple of 32
         shape = tuple(-(-side // 8) * 8 for side in shape)
+        width = -(-width // 32) * 32
     buffer = _cache_aligned((sum(shape), width), 0.0)
     products, carry = np.zeros(shape), np.zeros(shape)
     for start in range(0, half + 1, rows_per_slab):
@@ -351,6 +356,11 @@ def moments(spec: LatticeSpec, max_order: int, grid_points: int) -> dict[MultiIn
         eps, *second = (
             _term_on_grid(h, windows, grid_points, rows, row_shape).ravel() for h in band
         )
+        # zero-weight points, which add exact zeros, pad a slab of 392 points or more, and so its
+        # last piece, to a multiple of 32
+        if second and len(weights) >= 392:
+            pad = (0, -len(weights) % 32)
+            weights, eps, second[0] = (np.pad(a, pad) for a in (weights, eps, second[0]))
         for piece in range(0, len(weights), buffer.shape[1]):
             cut = slice(piece, piece + buffer.shape[1])
             tables = buffer[:, : len(weights[cut])]
@@ -368,13 +378,10 @@ def moments(spec: LatticeSpec, max_order: int, grid_points: int) -> dict[MultiIn
             carry = (total - products) - addend
             products = total
     if len(band) == 2:
-        sums = products[: max_order + 1, : max_order + 1]
-    else:
-        sums = np.zeros(max_order + 1)
-        sums[::step] = products.ravel()[:powers]
-    means = weight * sums / size
-    indices = np.ndindex(means.shape)
-    return {m: v for m, v in zip(indices, means.ravel().tolist()) if sum(m) <= max_order}
+        means, cut = (weight * products[: max_order + 1] / size).tolist(), max_order + 1
+        return {(i, j): v for i, row in enumerate(means) for j, v in enumerate(row[: cut - i])}
+    means = (weight * products.ravel()[:powers] / size).tolist()
+    return {(n,): 0.0 if n % step else means[n // step] for n in range(max_order + 1)}
 
 
 # ---------------------------------------------------------------------------

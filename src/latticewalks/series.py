@@ -26,16 +26,19 @@ Every step divides exactly; a remainder raises ``ArithmeticError``, so a
 wrong recurrence fails loudly and never rounds.  The factor 2 on the
 two-site lattices counts both sublattices as the walk's start.  The bcc
 coefficient at order ``2m`` is ``((2m)! / (m!)**3)**2``, an exact
-rational square at every order.  The ring ``chain-nn-finite`` and the
-bivariate ``chain-nnn`` read every binomial off rows of Pascal's
-triangle, built by additions one row per order (:func:`_pascal_rows`).
-The ring sums its winding numbers and streams one row at a time, so a
-ring of any length holds one row; ``chain-nnn`` sums the double steps'
-net displacement over three rows per count, so it holds every row up to
-its order.  ``verify --recurrence`` thus checks the paper's recurrence
-against counts not built from it.  The binomial closed forms of the five
-recurrences (Domb, Adv. Phys. 9 (1960) 149) are kept as the test
-reference.
+rational square at every order.  The ring ``chain-nn-finite`` sums its
+winding numbers: ``C(n, (n - cN) / 2)`` of its ``n``-step closed walks
+wind ``c`` times round its ``N`` sites, and it holds one such binomial
+per winding ``c >= 0``, stepped two orders at a time, so an order takes
+one product and one exact division per winding of its parity.  The
+bivariate ``chain-nnn`` reads every binomial off rows of Pascal's
+triangle, built by additions one row per order (:func:`_pascal_rows`),
+and sums the double steps' net displacement over three rows per count,
+so it holds every row up to its order.  ``verify --recurrence`` thus
+checks the paper's recurrence against counts not built from it.  The
+binomial closed forms of the five recurrences (Domb, Adv. Phys. 9 (1960)
+149) and the ring's sum over every binomial of Pascal rows are kept as
+the test reference.
 
 Which name and ring size make a lattice is the rule of
 :mod:`latticewalks.lattices`: :func:`expand` refuses what ``builtin``
@@ -110,7 +113,10 @@ class Series(NamedTuple):
 
 
 def _pascal_rows(max_order: int) -> Iterator[list[int]]:
-    """Rows ``0..max_order`` of Pascal's triangle, each built from the last by additions."""
+    """Rows ``0..max_order`` of Pascal's triangle, each built from the last by additions.
+
+    Only ``chain-nnn`` reads them, three rows per count, so it holds them all.
+    """
     row = [1]
     yield row
     for _ in range(max_order):
@@ -178,14 +184,20 @@ def expand(name: str, max_order: int, pbc_size: Optional[int] = None) -> Series:
                     counts[(n1, n2)] = rows[n1 + n2][n1] * inner
         return Series(name, max_order, 2, counts)
     if name == "chain-nn-finite":
-        # a closed ring walk's net displacement d is a multiple of the ring size,
-        # |d| <= n and n + d even: its count is C(n, (n + d) / 2), read off row n
-        # of Pascal's triangle, streamed one row at a time
-        counts = {}
-        for n, row in enumerate(_pascal_rows(max_order)):
-            reach = n // pbc_size * pbc_size
-            c = sum(row[(n + d) // 2] for d in range(-reach, n + 1, pbc_size) if (n + d) % 2 == 0)
-            if c:
-                counts[(n,)] = c
+        # a closed ring walk of n steps winds c times round, |c| N <= n and n - cN even, and
+        # C(n, k) of them wind c times, k = (n - cN) / 2: one binomial per winding c >= 0, 1 at
+        # n = cN and stepped from n - 2 to n by n (n - 1) / (k (n - k)), counted twice for c > 0;
+        # the windings of n's parity are every other one on an odd ring and all on an even one,
+        # which has no closed walk of odd length
+        counts, held, stride = {}, [], 1 + pbc_size % 2
+        for n in range(0, max_order + 1, 3 - stride):
+            for c in range(n % 2, len(held), stride):
+                k = (n - c * pbc_size) // 2
+                held[c] = held[c] * (n * (n - 1)) // (k * (n - k))
+            if n == len(held) * pbc_size:
+                held.append(1)
+            walks = 2 * sum(held[n % 2 :: stride]) - (0 if n % 2 else held[0])
+            if walks:
+                counts[(n,)] = walks
         return Series(name, max_order, 1, counts, pbc_size)
     return Series(name, max_order, 1, _recurrence_counts(name, max_order))

@@ -19,7 +19,9 @@ the ring sum alone and live with it, in
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
+from itertools import accumulate
 from typing import NamedTuple, Optional
 
 from . import oracle, quadrature, series
@@ -156,37 +158,31 @@ def verify_identity(
     grid_points = quadrature.auto_grid_size(spec, max_order) if grid == "auto" else grid
     table = quadrature.moments(spec, max_order, grid_points)
 
-    fact = [math.factorial(n) for n in range(max_order + 1)]
+    fact = list(accumulate(range(1, max_order + 1), operator.mul, initial=1))
     # each label's z**m / m!, z its steps per site: int / int rounds once and cannot overflow
     sizes = []
     for label in range(1, spec.hopping_count + 1):
         z = sum(s.label == label and s.sublattice != "BtoA" for s in spec.steps)
         sizes.append([z**m / fact[m] for m in range(max_order + 1)])
-    rounds = spec.dimension * math.log2(grid_points)
-    scale = 4 * 2.0**-53 * spec.basis_size
+    rounds, scale = spec.dimension * math.log2(grid_points), 4 * 2.0**-53 * spec.basis_size
+    margins = [(n + rounds) * scale for n in range(max_order + 1)]
     records = []
-    for index in sorted(table):
+    # the moments come in sorted index order
+    for index, mean in table.items():
         n = sum(index)
-        walks = exact.walk_count(index)
-        count = tallies[n].count(index) if n < len(tallies) else None
-        numeric = table[index] / math.prod(fact[m] for m in index)
+        walks = exact.counts.get(index, 0)
+        count = tallies[n].counts.get(index, 0) if n < len(tallies) else None
+        numeric = mean / math.prod(map(fact.__getitem__, index))
 
         # int / int is correctly rounded, so this is float(Fraction(walks, n!))
         approx = walks / fact[n]
         abs_error = abs(numeric - approx)
         rel_error = abs_error / abs(approx) if walks != 0 else None
-        bound = (n + rounds) * scale * math.prod(map(list.__getitem__, sizes, index))
-        oracle_ok = count is None or walks == count
+        within = abs_error <= margins[n] * math.prod(map(list.__getitem__, sizes, index))
         records.append(
             CoefficientRecord(
-                index=index,
-                exact=Fraction(walks, fact[n]),
-                oracle_count=count,
-                grid_points=grid_points,
-                numeric=numeric,
-                abs_error=abs_error,
-                rel_error=rel_error,
-                passed=abs_error <= bound and oracle_ok,
+                index, Fraction(walks, fact[n]), count, grid_points, numeric, abs_error,
+                rel_error, within and (count is None or walks == count),
             )
         )
     return VerificationReport(
@@ -241,16 +237,16 @@ def verify_recurrence(max_total_order: int) -> RecurrenceReport:
     """
     if max_total_order < 0:
         raise ValueError("max_total_order must be >= 0")
-    count = series.expand("chain-nnn", max_total_order + 2).walk_count
+    count = series.expand("chain-nnn", max_total_order + 2).counts.get
     checked = 0
     violations = []
     for n1 in range(max_total_order + 1):
         for n2 in range(max_total_order - n1 + 1):
             n = n1 + n2
             residual = (
-                (n1 + 2) * (n1 + 1) * count((n1 + 2, n2))
-                - (n2 + 1) * (n + 2) * count((n1, n2 + 1))
-                - 2 * (n + 2) * (n + 1) * count((n1, n2))
+                (n1 + 2) * (n1 + 1) * count((n1 + 2, n2), 0)
+                - (n2 + 1) * (n + 2) * count((n1, n2 + 1), 0)
+                - 2 * (n + 2) * (n + 1) * count((n1, n2), 0)
             )
             checked += 1
             if residual != 0:

@@ -12,7 +12,10 @@ harmonics, and :func:`series_value` sums a truncated series.
 
 ``CLOSED_FORMS`` holds the single-label walk counts as binomial sums,
 the reference the series' recurrences are checked against (Guttmann,
-J. Phys. A 43 (2010) 305205; Domb, Adv. Phys. 9 (1960) 149).
+J. Phys. A 43 (2010) 305205; Domb, Adv. Phys. 9 (1960) 149), and
+:func:`ring_walk_counts` the ring's as a sum over winding numbers read off
+rows of Pascal's triangle, the reference for the ring series' one binomial
+per winding.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import pickle
 from fractions import Fraction
 
@@ -128,6 +132,25 @@ CLOSED_FORMS = {
         )
     ),
 }
+
+
+def ring_walk_counts(pbc_size: int, max_order: int) -> dict[tuple[int], int]:
+    """Closed walks of each length ``0..max_order`` on a ring, the nonzero ones, keyed as a series.
+
+    A closed walk's net displacement ``d`` is a multiple of the ring size,
+    with ``|d| <= n`` and ``n + d`` even, and ``C(n, (n + d) / 2)`` walks of
+    ``n`` steps have it: read off row ``n`` of Pascal's triangle, each row
+    built from the last by additions.
+    """
+    counts, row = {}, [1]
+    for n in range(max_order + 1):
+        if n:
+            row = list(map(operator.add, [0, *row], [*row, 0]))
+        reach = n // pbc_size * pbc_size
+        walks = sum(row[(n + d) // 2] for d in range(-reach, n + 1, pbc_size) if (n + d) % 2 == 0)
+        if walks:
+            counts[(n,)] = walks
+    return counts
 
 
 def dispersion_value(spec, label: int, k) -> float:

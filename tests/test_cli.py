@@ -624,6 +624,8 @@ def test_exact_commands_start_without_numpy(command, fmt):
         "verify --lattice bcc --max-order 60",
         "verify --lattice chain-nnn --max-order 40",
         "verify --lattice chain-nnn --max-order 100",
+        # slabs of 2001 points, in pieces of a multiple of 32 points
+        "verify --lattice chain-nnn --max-order 40 --grid 4001",
     ],
 )
 def test_verify_stdout_is_the_same_under_one_and_two_blas_threads(command):

@@ -371,21 +371,27 @@ def _table_gather_moments_1d(spec, max_order, n):
         shape = (-(-(max_order + 1) // (math.isqrt(max_order) + 1)), math.isqrt(max_order) + 1)
     per_piece = max(1, _SLAB_POINTS // (8 * sum(shape))) * 8
     if len(band) == 2:
-        # the tables' sides padded, as in moments, to a multiple of 8
+        # as in moments, the tables' sides padded to a multiple of 8, and the pieces' length and
+        # every slab of 392 points or more to a multiple of 32, with zero-weight points
         shape = (-(-(max_order + 1) // 8) * 8,) * 2
+        per_piece = -(-per_piece // 32) * 32
     products, carry = np.zeros(shape), np.zeros(shape)
     for slab in range(0, half + 1, _SLAB_POINTS):
         end = min(slab + _SLAB_POINTS, half + 1)
-        for start in range(slab, end, per_piece):
-            cut = slice(start, min(start + per_piece, end))
-            eps, *second = (term[cut] for term in terms)
+        pad = -(end - slab) % 32 if len(band) == 2 and end - slab >= 392 else 0
+        slab_weights, *slab_terms = (
+            np.concatenate([a[slab:end], np.zeros(pad)]) for a in [row_weights, *terms]
+        )
+        for start in range(0, end - slab + pad, per_piece):
+            cut = slice(start, start + per_piece)
+            eps, *second = (term[cut] for term in slab_terms)
             ones = np.ones_like(eps)
             if second:
-                left = np.cumprod([row_weights[cut]] + [eps] * (shape[0] - 1), axis=0)
+                left = np.cumprod([slab_weights[cut]] + [eps] * (shape[0] - 1), axis=0)
                 right = np.cumprod([ones] + second * (shape[1] - 1), axis=0)
             else:
                 right = np.cumprod([ones] + [eps] * (shape[1] - 1), axis=0)
-                left = np.cumprod([row_weights[cut]] + [right[-1] * eps] * (shape[0] - 1), axis=0)
+                left = np.cumprod([slab_weights[cut]] + [right[-1] * eps] * (shape[0] - 1), axis=0)
             addend = left @ right.T - carry
             total = products + addend
             carry = (total - products) - addend

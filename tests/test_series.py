@@ -2,15 +2,19 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import CLOSED_FORMS, brute_tally, brute_total
+from conftest import CLOSED_FORMS, brute_tally, brute_total, ring_walk_counts
 from latticewalks import (
     BUILTIN_NAMES,
     builtin,
     enumerate_walks,
     expand,
+    finite_chain_trace,
     series,
 )
+from latticewalks.oracle import closed_walks
 
 
 # ---------------------------------------------------------------------------
@@ -73,6 +77,32 @@ def test_chain_finite_even_ring_parity():
         s = expand("chain-nn-finite", 11, lam)
         for n in range(1, 12, 2):
             assert s.coefficient((n,)) == 0
+
+
+def test_ring_matches_the_pascal_row_winding_sum():
+    # one binomial per winding, stepped two orders at a time, against every binomial of
+    # every row: below, at and past the first winding, and past the third, in key order
+    for ring in range(3, 41):
+        full = list(ring_walk_counts(ring, 3 * ring + 5).items())
+        for order in (0, ring - 1, ring, ring + 1, 3 * ring + 5):
+            want = [(index, walks) for index, walks in full if index[0] <= order]
+            got = expand("chain-nn-finite", order, ring).counts
+            assert list(got.items()) == want, (ring, order)
+    assert expand("chain-nn-finite", 2000, 500).counts == ring_walk_counts(500, 2000)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ring=st.integers(3, 64))
+def test_ring_matches_the_oracle_to_three_windings(ring):
+    table = expand("chain-nn-finite", 3 * ring, ring)
+    for tally in closed_walks(builtin("chain-nn-finite", ring), 3 * ring):
+        assert table.counts.get((tally.length,), 0) == tally.total, tally.length
+
+
+def test_long_ring_matches_the_trace():
+    # 4000 steps on 1000 sites: windings up to four, binomials of about 4000 bits
+    table = expand("chain-nn-finite", 4000, 1000)
+    assert table.counts[(4000,)] == finite_chain_trace(1000, 4000)
 
 
 def test_chain_finite_rejects_degenerate_rings():

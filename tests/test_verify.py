@@ -35,6 +35,16 @@ def _stop_before_any_route(monkeypatch):
         monkeypatch.setattr(f"latticewalks.{target}", ran)
 
 
+@pytest.mark.parametrize("name, order", [("chain-nn", 30), ("chain-nnn", 20), ("bcc", 12)])
+def test_moments_and_records_come_in_index_order(name, order):
+    # verify_identity walks the moments as they come, so they must come sorted
+    spec = builtin(name)
+    keys = list(quadrature.moments(spec, order, quadrature.auto_grid_size(spec, order)))
+    assert keys == sorted(keys)
+    indices = [r.index for r in verify_identity(name, order).records]
+    assert indices == sorted(indices) == keys
+
+
 def test_tolerances_validate(monkeypatch):
     # the pass bound is worked out from the run: there is no tolerance to take or to carry
     _stop_before_any_route(monkeypatch)
