@@ -32,9 +32,10 @@ under the reciprocal basis, so means over this cell equal means over any
 other primitive cell, including the Wigner-Seitz one; the Wigner-Seitz
 polytopes are never meshed.  This module holds geometry, the one rule,
 shared by :func:`builtin` and the series, for which name and ring size
-make a lattice, and the label rule that the oracle and the quadrature
-share: at most ``MAX_HOPPING_LABELS`` labels, and every step's label in
-``1..hopping_count``.  Each route derives what it needs from ``steps``.
+make a lattice, and two rules that the oracle and the quadrature share:
+the label rule, at most ``MAX_HOPPING_LABELS`` labels and every step's
+label in ``1..hopping_count``, and each step's integer move,
+:func:`_integer_hops`.  Each route derives what it needs from ``steps``.
 numpy, for the reciprocal basis and the cell volume, is imported by
 :func:`builtin` when it is called, not with the module.
 """
@@ -182,6 +183,24 @@ def _integer_coords(coords: tuple[Fraction, ...]) -> tuple[int, ...]:
     if any(c.denominator != 1 for c in coords):
         raise ValueError(f"expected integral lattice coordinates, got {coords}")
     return tuple(int(c) for c in coords)
+
+
+def _integer_hops(spec: LatticeSpec) -> list[tuple[int, ...]]:
+    """Each step's move as a lattice translation, in the order of ``spec.steps``.
+
+    On one sublattice a move is the step's displacement.  On two it is
+    measured from the first A->B displacement ``e0``: ``d - e0`` for an
+    A->B step and ``d + e0`` for a B->A one.
+    """
+    if spec.basis_size == 1:
+        return [_integer_coords(s.displacement) for s in spec.steps]
+    e0 = next((s.displacement for s in spec.steps if s.sublattice == "AtoB"), (0,) * spec.dimension)
+    return [
+        _integer_coords(
+            tuple(d - e if s.sublattice == "AtoB" else d + e for d, e in zip(s.displacement, e0))
+        )
+        for s in spec.steps
+    ]
 
 
 def _check_ring_size(pbc_size: int) -> None:

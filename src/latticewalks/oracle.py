@@ -65,10 +65,9 @@ numpy is imported when the stencil runs, not with the module.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from typing import Mapping, NamedTuple, Optional
 
-from .lattices import LatticeSpec, MultiIndex, _check_labels, _integer_coords, builtin
+from .lattices import LatticeSpec, MultiIndex, _check_labels, _integer_hops, builtin
 
 # default length caps by spatial dimension (resource guard, not a hard limit)
 ORACLE_BOUNDS = {1: 12, 2: 10, 3: 8}
@@ -139,19 +138,13 @@ def _half_walks(spec: LatticeSpec, max_length: int):
     _check_labels(spec)
     doubled = spec.basis_size == 2
     dim = spec.dimension
-    e0 = next((s.displacement for s in spec.steps if s.sublattice == "AtoB"), (0,) * dim)
     moves = {}
-    for s in spec.steps:
-        sign = 1 if s.sublattice == "BtoA" else -1
-        hop = tuple(d + sign * e for d, e in zip(s.displacement, e0))
+    for s, hop in zip(spec.steps, _integer_hops(spec)):
         # the last axis counts the label-1 steps of a two-label spec
-        moves.setdefault(s.sublattice, []).append(
-            _integer_coords(hop) + (int(s.label < spec.hopping_count),)
-        )
+        moves.setdefault(s.sublattice, []).append(hop + (int(s.label < spec.hopping_count),))
     cycle = [moves["AtoB"], moves["BtoA"]] if doubled else [moves[None]]
     # a walk's second half, reversed and negated, is a walk from the origin
-    reversed_first = Counter(tuple(-c for c in m[:dim]) + m[dim:] for m in cycle[0])
-    if reversed_first != Counter(cycle[-1]):
+    if sorted(tuple(-c for c in m[:dim]) + m[dim:] for m in cycle[0]) != sorted(cycle[-1]):
         raise ValueError("closed_walks needs hopping closed under negation: a move has no reverse")
 
     # walks of t steps stay in a box that grows by each step's smallest and

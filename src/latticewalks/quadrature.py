@@ -18,6 +18,9 @@ steps are fractional, so there the one term
 is the squared-band kernel ``|sum_i exp(i k.e_i)|**2 = z + sum_{i != j}
 cos(k.(e_i - e_j))`` over the ``z`` A->B steps ``e_i``, again a plain
 cosine polynomial, with the integral step differences as frequencies.
+As ``cos`` is even, a harmonic and its negative are one term of their
+summed amplitude, so each ``+-`` pair of steps (or of differences) is
+added to a slab once.
 
 :func:`moments` returns every moment of a run up to order ``n`` from one
 grid, as sums of products of powers of the dispersion.  One grid rule,
@@ -32,10 +35,10 @@ into the first quadrant, so the values are exactly symmetric and the
 rational ones (0, +-1/2, +-1) are exact.  In 2-D and 3-D the ``N``
 axis phases are folded into one table per run, and a harmonic reads
 its values along the last axis as whole rows of a window over that
-table, the table repeated once more per unit of the harmonic's last
-frequency component (at most ``2N`` floats on the built-in lattices,
-never an ``N x N`` array): only the phases of the other axes, ``1/N``
-of a slab, are computed point by point.  In 1-D a slab is a run of single points,
+table times the harmonic's amplitude, the table repeated once more per
+unit of the harmonic's last frequency component (at most ``2N`` floats
+on the built-in lattices, never an ``N x N`` array): only the phases of
+the other axes, ``1/N`` of a slab, are computed point by point.  In 1-D a slab is a run of single points,
 so it folds its own phases and no array is as long as the grid axis.
 
 Every dispersion is streamed, never held whole.  A slab is a run of
@@ -51,7 +54,16 @@ by one multiply, and then one matrix product ``left @ right.T`` sums
 every moment of the piece at once: its entry ``(j, k)`` is the power
 ``w*j + k`` with one label and the moment ``(j, k)`` with two.  A power
 ``x**n`` is so ``(x**w)**j * x**k``, within ``O(n)`` roundings of the
-exact one, as a chain of single factors is.  BLAS fixes the order of
+exact one, as a chain of single factors is.  Where the odd moments
+vanish, ``x`` is a square and the tables hold its powers only, half the
+rows: on two sublattices ``x`` is the kernel, and on one label whose
+harmonics all have odd component sums (chain-nn, an even ring, bcc)
+``x = eps**2``.  Such a band changes sign under the shift ``k -> k +
+(1/2, ..., 1/2)`` by half a cell, so its odd moments are exact zeros on
+a grid that the shift maps onto itself (even ``N``) or on which no odd
+power's harmonic aliases to 0 (``N > n*h``); an odd grid that aliases
+them, as an odd ring's own does, keeps every power, since its odd
+moments count the torus's odd closed walks.  BLAS fixes the order of
 each product's sum, and the pieces' products are added by compensated
 (Kahan) summation, so their sum rounds about once however many pieces
 there are (about a thousand on bcc at order 170).  With two labels the
@@ -106,9 +118,10 @@ package costs no numpy and the exact commands (``coeffs``,
 from __future__ import annotations
 
 import math
+from collections import Counter
 from typing import TYPE_CHECKING, Sequence
 
-from .lattices import LatticeSpec, MultiIndex, _check_labels, _check_ring_size, _integer_coords
+from .lattices import LatticeSpec, MultiIndex, _check_labels, _check_ring_size, _integer_hops
 
 if TYPE_CHECKING:
     import numpy as np
@@ -154,23 +167,28 @@ def _band(spec: LatticeSpec) -> tuple[Harmonics, ...]:
     """The dispersion's cosine harmonics, one tuple per hopping label.
 
     One-sublattice lattices: each step of the label, amplitude 1.
-    Two-sublattice lattices: the one squared-band kernel, ``((0, ..., 0), z)`` and
-    then every A->B difference ``e_i - e_j`` with ``i != j``.
+    Two-sublattice lattices: the one squared-band kernel ``|sum_i exp(i
+    k.e_i)|**2``, a harmonic of amplitude 1 for each pair ``(i, j)`` of
+    A->B steps at the difference ``e_i - e_j`` of their integer moves
+    (:func:`_integer_hops`); the ``z`` pairs with ``i = j`` give the
+    frequency 0.  As ``cos`` is even, each harmonic is then merged with its
+    negative, and with its copies, into one term of their summed
+    amplitude, in the order of first appearance, and written with its last
+    nonzero component positive: every last component is at least 0.
     """
+    hops = _integer_hops(spec)
     if spec.basis_size == 1:
-        return tuple(
-            tuple((_integer_coords(s.displacement), 1) for s in spec.steps if s.label == label)
+        bands = [
+            [hop for s, hop in zip(spec.steps, hops) if s.label == label]
             for label in range(1, spec.hopping_count + 1)
-        )
-    forward = [s.displacement for s in spec.steps if s.sublattice == "AtoB"]
-    kernel = [((0,) * spec.dimension, len(forward))]
-    kernel += [
-        (_integer_coords(tuple(a - b for a, b in zip(ei, ej))), 1)
-        for i, ei in enumerate(forward)
-        for j, ej in enumerate(forward)
-        if i != j
-    ]
-    return (tuple(kernel),)
+        ]
+    else:
+        forward = [hop for s, hop in zip(spec.steps, hops) if s.sublattice == "AtoB"]
+        bands = [[tuple(a - b for a, b in zip(ei, ej)) for ei in forward for ej in forward]]
+    return tuple(
+        tuple(Counter(max(f, tuple(-c for c in f), key=lambda v: v[::-1]) for f in band).items())
+        for band in bands
+    )
 
 
 def _cache_aligned(shape: tuple[int, ...], fill: float) -> np.ndarray:
@@ -219,34 +237,31 @@ def _term_on_grid(
 
     One loop serves every dimension: a slab is ``rows`` by ``row_shape``,
     the points of one row (``()`` in 1-D).  The slab is allocated once, up
-    front, and each harmonic is added to it in the order of
-    ``harmonics``; a harmonic with a negative last component ``c =
-    f[-1]`` reads ``-f`` instead, the same values by the exact symmetry
-    of :func:`_cos_table`, so ``f`` and ``-f`` share one term.  In 1-D a
-    term folds the slab's own phases.  In 2-D and 3-D a harmonic ``f`` is
-    ``cos(2*pi*(s + c*k)/N)`` along the last axis ``k``, with ``s`` the
-    integer phase of the other axes, so each of its rows along that axis
-    is row ``s mod N`` of ``windows[c]``, and a term that varies along few
-    axes stays small until it is added.
+    front, and each harmonic, a ``+-`` pair merged by :func:`_band`, is
+    added to it once, in the order of ``harmonics``.  In 1-D a term folds
+    the slab's own phases.  In 2-D and 3-D a harmonic ``(f, amp)`` is
+    ``amp * cos(2*pi*(s + c*k)/N)`` along the last axis ``k``, with ``c =
+    f[-1]`` and ``s`` the integer phase of the other axes, so each of its
+    rows along that axis is row ``s mod N`` of ``windows[c, amp]``, which
+    holds the amplitude already, and a term that varies along few axes
+    stays small until it is added.
     """
     import numpy as np
 
     out = _cache_aligned((len(rows),) + row_shape, 0.0)
     axes = np.ix_(rows, *(np.arange(grid_points) for _ in row_shape[1:]))
-    terms = {}
     for freq, amp in harmonics:
-        if freq[-1] < 0:
-            freq = tuple(-f for f in freq)
-        if (freq, amp) not in terms:
-            if not row_shape:
-                values = _cos_table(np.mod(rows * freq[0], grid_points), grid_points)
-            else:
-                phase = sum(axes[p] * freq[p] for p in range(len(row_shape)) if freq[p])
-                values = windows[freq[-1]][np.mod(phase, grid_points)]
-            # multiplying by 1 is exact, so a unit amplitude needs no copy
-            terms[freq, amp] = values if amp == 1 else amp * values
-        out += terms[freq, amp]
+        if not row_shape:
+            out += amp * _cos_table(np.mod(rows * freq[0], grid_points), grid_points)
+        else:
+            phase = sum(axes[p] * freq[p] for p in range(len(row_shape)) if freq[p])
+            out += windows[freq[-1], amp][np.mod(phase, grid_points)]
     return out
+
+
+def _bandwidth(band: tuple[Harmonics, ...]) -> int:
+    """The largest frequency component of any harmonic."""
+    return max((abs(c) for harmonics in band for freq, _ in harmonics for c in freq), default=0)
 
 
 def auto_grid_size(spec: LatticeSpec, max_order: int) -> int:
@@ -260,7 +275,7 @@ def auto_grid_size(spec: LatticeSpec, max_order: int) -> int:
     if spec.pbc_size is not None:
         return spec.pbc_size
     n = max_order // 2 if spec.basis_size == 2 else max_order
-    return n * max(abs(c) for band in _band(spec) for freq, _ in band for c in freq) + 1
+    return n * _bandwidth(_band(spec)) + 1
 
 
 def moments(spec: LatticeSpec, max_order: int, grid_points: int) -> dict[MultiIndex, float]:
@@ -272,7 +287,11 @@ def moments(spec: LatticeSpec, max_order: int, grid_points: int) -> dict[MultiIn
     ``sum_sigma eps_sigma**n``: even orders are the one squared-band
     kernel factor ``kernel**(n/2)`` with weight 2, and odd orders vanish
     by the sigma = -1/+1 cancellation, so the band square root is never
-    taken.
+    taken.  One rule covers these and one label whose harmonics, as
+    :func:`_band` gives them in the lattice's own coordinates, all have
+    odd component sums: the half-cell shift flips its sign, so on an even
+    grid, or one past ``max_order`` times the bandwidth, the odd moments
+    are exact ``0.0`` and the tables take powers of ``eps**2``.
 
     The grid is streamed in slabs over rows ``0..N//2`` with inversion
     weights, and, where :func:`_swap_symmetric` passes the 3-D band,
@@ -302,6 +321,15 @@ def moments(spec: LatticeSpec, max_order: int, grid_points: int) -> dict[MultiIn
             f"the bound of {MAX_GRID_WORK:.0e} grid points times moments"
         )
     band = _band(spec)
+    # a one-label band whose harmonics all have odd component sums flips sign under the
+    # half-cell shift; on a grid the shift maps onto itself (even N), or on which no odd power's
+    # harmonic aliases to 0 (N > n*h), its odd moments vanish and x = eps**2
+    squared = (
+        spec.basis_size == 1
+        and len(band) == 1
+        and all(sum(freq) % 2 for freq, _ in band[0])
+        and (grid_points % 2 == 0 or grid_points > max_order * _bandwidth(band))
+    )
     half = grid_points // 2
     # a 3-D band unchanged by exchanging the last two axes has, at (a, b, b + d), the same sum
     # over b at d and -d: its harmonic f reads (f0, f1 + f2, f2) there, and d takes 0..N//2
@@ -313,10 +341,10 @@ def moments(spec: LatticeSpec, max_order: int, grid_points: int) -> dict[MultiIn
     windows = {}
     if spec.dimension > 1:
         table = _cos_table(np.arange(grid_points), grid_points)
-        for c in {abs(freq[-1]) for harmonics in band for freq, _ in harmonics}:
-            # windows[c][j, k] = table[(j + c*k) % N]: the table from j on, read with stride c
-            windows[c] = np.lib.stride_tricks.as_strided(
-                np.tile(table, c + 1),
+        for c, amp in {(freq[-1], amp) for harmonics in band for freq, amp in harmonics}:
+            # windows[c, amp][j, k] = amp * table[(j + c*k) % N]: from j on, read with stride c
+            windows[c, amp] = np.lib.stride_tricks.as_strided(
+                np.tile(amp * table, c + 1),
                 (grid_points, last if c else 1),
                 (table.itemsize, c * table.itemsize),
                 writeable=False,
@@ -327,7 +355,8 @@ def moments(spec: LatticeSpec, max_order: int, grid_points: int) -> dict[MultiIn
         return np.where(2 * points % grid_points == 0, 1.0, 2.0)
 
     in_row = np.broadcast_to(mirror_weights(np.arange(last)) if halved else 1.0, row_shape).ravel()
-    weight, step = (2.0, 2) if spec.basis_size == 2 else (1.0, 1)
+    # odd moments vanish on two sublattices too, where x is the kernel and both subbands count
+    weight, step = (2.0, 2) if spec.basis_size == 2 else (1.0, 2 if squared else 1)
     if len(band) == 2:
         # left[i] = weights * e1**i and right[j] = e2**j: product entry (i, j) is moment (i, j)
         shape = (max_order + 1, max_order + 1)
@@ -356,6 +385,8 @@ def moments(spec: LatticeSpec, max_order: int, grid_points: int) -> dict[MultiIn
         eps, *second = (
             _term_on_grid(h, windows, grid_points, rows, row_shape).ravel() for h in band
         )
+        if squared:
+            eps *= eps
         # zero-weight points, which add exact zeros, pad a slab of 392 points or more, and so its
         # last piece, to a multiple of 32
         if second and len(weights) >= 392:

@@ -176,18 +176,22 @@ def dispersion_value(spec, label: int, k) -> float:
 
 
 @st.composite
-def generated_specs(draw, closed_under_swap=False):
+def generated_specs(draw, closed_under_swap=False, odd_sums=False):
     """A one-sublattice spec of 1 to 3 +-pairs per label, moves in [-2, 2]**D, maybe a torus.
 
     The torus, of 1 to 7 cells a side, may be narrower than a move.  The
     routes never read the bases, so they are the unit cell.  With
     ``closed_under_swap`` the spec is 3-D and each move ``(x, y, z)`` of a
     label brings ``(x, z, y)`` too, so every band is unchanged by
-    exchanging the last two axes.
+    exchanging the last two axes.  With ``odd_sums`` the spec has one label
+    and every move an odd component sum, so its band changes sign under
+    the shift by half a cell.
     """
     dimension = 3 if closed_under_swap else draw(st.integers(1, 3))
-    labels = draw(st.integers(1, MAX_HOPPING_LABELS))
+    labels = 1 if odd_sums else draw(st.integers(1, MAX_HOPPING_LABELS))
     move = st.tuples(*[st.integers(-2, 2)] * dimension)
+    if odd_sums:
+        move = move.filter(lambda m: sum(m) % 2)
     steps = []
     for label in range(1, labels + 1):
         moves = draw(st.lists(move, min_size=1, max_size=3))

@@ -254,8 +254,9 @@ def test_kernel_values_at_zone_centre():
 
 def test_dispersion_label_errors():
     spec = make("triangular")
-    # one harmonic tuple per label, each frequency with one component per axis
-    assert [len(freq) for harmonics in _band(spec) for freq, _ in harmonics] == [2] * 6
+    # one harmonic tuple per label, each frequency with one component per axis; the six
+    # steps are three +- pairs, each merged into one harmonic
+    assert [len(freq) for harmonics in _band(spec) for freq, _ in harmonics] == [2] * 3
     with pytest.raises(ValueError):
         dispersion_value(spec, 0, (0.0, 0.0))
     with pytest.raises(ValueError):

@@ -162,10 +162,39 @@ def test_odd_moments_vanish_where_series_says_so():
         spec = make(name)
         values = moments(spec, 5, auto_grid_size(spec, 5))
         for n in (1, 3, 5):
-            assert abs(values[(n,)]) <= 1e-12
+            assert values[(n,)] == 0.0
     # but not on the triangular lattice, whose odd orders count real walks
     tri = make("triangular")
     assert moments(tri, 3, auto_grid_size(tri, 3))[(3,)] == pytest.approx(12.0)
+
+
+_FLIPPED_BY_THE_HALF_CELL_SHIFT = [make("chain-nn"), make("bcc")] + [
+    make("chain-nn-finite", sites) for sites in range(3, 9)
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    spec=st.sampled_from(_FLIPPED_BY_THE_HALF_CELL_SHIFT) | generated_specs(odd_sums=True),
+    n=st.integers(1, 12),
+    order=st.integers(0, 9),
+)
+@example(spec=make("chain-nn"), n=3, order=3)  # aliased: the 3-site torus's odd walks
+@example(spec=make("bcc"), n=12, order=9)
+@example(spec=make("chain-nn-finite", 7), n=7, order=9)  # an odd ring on its own grid
+def test_odd_moments_vanish_where_the_half_cell_shift_maps_the_grid(spec, n, order):
+    # every harmonic of the one label has an odd component sum, so eps flips sign under the
+    # shift by half a cell: on an even grid, or one alias-free at the top order, every odd
+    # moment is an exact zero; on an odd grid that aliases them they are the torus's odd walks
+    values = moments(spec, order, n)
+    _assert_full_grid_means(values, spec, order, n)
+    h = max(abs(c) for freq, _ in _band(spec)[0] for c in freq)
+    if n % 2 == 0 or n > order * h:
+        odd = [values[(m,)] for m in range(1, order + 1, 2)]
+        assert odd == [0.0] * len(odd)
+    if spec.name.startswith("chain-nn") and n % 2 and n <= order:
+        # the two walks that wind once round the n-cell torus
+        assert values[(n,)] == pytest.approx(2.0, rel=1e-12)
 
 
 def test_auto_grid_policy():
@@ -347,7 +376,10 @@ def _table_gather_moments_1d(spec, max_order, n):
     The slabs, their pieces, the two power tables of each piece, their
     product and the compensated sum over pieces are those of ``moments``,
     so the floats must agree bit for bit; here each table is one
-    ``np.cumprod`` of its rows' factors.  It is tier-1's only bit-level
+    ``np.cumprod`` of its rows' factors.  So is the odd-moment rule: one
+    label whose frequencies are all odd, on an even grid or one past
+    ``max_order`` times the bandwidth, takes powers of ``eps**2``, and its
+    odd moments are exact zeros.  It is tier-1's only bit-level
     guard on that compensated sum: with a plain ``+=`` over the pieces in
     ``moments`` only the comparison with this helper fails, so it is no
     duplicate of ``_phase_gather_moments``.
@@ -365,10 +397,16 @@ def _table_gather_moments_1d(spec, max_order, n):
         for (f,), amp in harmonics:
             term += amp * table[np.mod(np.arange(half + 1) * f, n)]
         terms.append(term)
+    freqs = [f for (f,), _ in band[0]]
+    odd = all(f % 2 for f in freqs) and (n % 2 == 0 or n > max_order * max(map(abs, freqs)))
+    step = 2 if len(band) == 1 and odd else 1
+    if step == 2:
+        terms[0] = terms[0] * terms[0]
+    powers = max_order // step + 1
     if len(band) == 2:
         shape = (max_order + 1, max_order + 1)
     else:
-        shape = (-(-(max_order + 1) // (math.isqrt(max_order) + 1)), math.isqrt(max_order) + 1)
+        shape = (-(-powers // (math.isqrt(powers - 1) + 1)), math.isqrt(powers - 1) + 1)
     per_piece = max(1, _SLAB_POINTS // (8 * sum(shape))) * 8
     if len(band) == 2:
         # as in moments, the tables' sides padded to a multiple of 8, and the pieces' length and
@@ -397,11 +435,10 @@ def _table_gather_moments_1d(spec, max_order, n):
             carry = (total - products) - addend
             products = total
     if len(band) == 2:
-        sums = products[: max_order + 1, : max_order + 1]
-    else:
-        sums = products.ravel()[: max_order + 1]
-    means = sums / n
-    return {m: float(means[m]) for m in np.ndindex(means.shape) if sum(m) <= max_order}
+        means = products[: max_order + 1, : max_order + 1] / n
+        return {m: float(means[m]) for m in np.ndindex(means.shape) if sum(m) <= max_order}
+    means = products.ravel() / n
+    return {(m,): 0.0 if m % step else float(means[m // step]) for m in range(max_order + 1)}
 
 
 def _phase_gather_term(harmonics, windows, grid_points, rows, row_shape):
