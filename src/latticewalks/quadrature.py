@@ -87,9 +87,10 @@ exchange is ``(a, b, d) -> (a, b + d, -d)``, so the sum over ``b`` at
 the rows' weights; a harmonic ``f`` reads ``(f0, f1 + f2, f2)`` there,
 and every value is the float at ``(a, b, b + d)``.  The left table's
 first row holds each point's weight, the product of its two.  Memory is
-then one slab and the buffer (the 2-D and 3-D table and its windows are
-a few rows of a slab), whatever the order or grid; the work, grid
-points times moments, is bounded by ``MAX_GRID_WORK``.
+then one slab array per label and one of weights, allocated once and
+refilled slab by slab, and the buffer (the 2-D and 3-D table and its
+windows are a few rows of a slab), whatever the order or grid; the
+work, grid points times moments, is bounded by ``MAX_GRID_WORK``.
 
 For the finite ring the physically meaningful grid is the ring's own
 ``pbc_size`` quasimomenta: on that grid the deliberate aliasing of the
@@ -231,30 +232,31 @@ def _swap_symmetric(band: tuple[Harmonics, ...]) -> bool:
 
 
 def _term_on_grid(
-    harmonics: Harmonics, windows: dict, grid_points: int, rows: np.ndarray, row_shape: tuple
+    harmonics: Harmonics, windows: dict, grid_points: int, rows: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
-    """Evaluate one label's harmonics on the axis-0 ``rows`` of the fractional grid.
+    """Evaluate one label's harmonics on the axis-0 ``rows`` of the fractional grid, into ``out``.
 
-    One loop serves every dimension: a slab is ``rows`` by ``row_shape``,
-    the points of one row (``()`` in 1-D).  The slab is allocated once, up
-    front, and each harmonic, a ``+-`` pair merged by :func:`_band`, is
-    added to it once, in the order of ``harmonics``.  In 1-D a term folds
-    the slab's own phases.  In 2-D and 3-D a harmonic ``(f, amp)`` is
-    ``amp * cos(2*pi*(s + c*k)/N)`` along the last axis ``k``, with ``c =
-    f[-1]`` and ``s`` the integer phase of the other axes, so each of its
-    rows along that axis is row ``s mod N`` of ``windows[c, amp]``, which
-    holds the amplitude already, and a term that varies along few axes
-    stays small until it is added.
+    One loop serves every dimension: the slab ``out`` is ``rows`` by the
+    points of one row (none in 1-D).  The caller allocates it once and
+    passes a view of its first rows for each slab; it is zeroed here, and
+    each harmonic, a ``+-`` pair merged by :func:`_band`, is added to it
+    once, in the order of ``harmonics``.  In 1-D a term folds the slab's
+    own phases.  In 2-D and 3-D a harmonic ``(f, amp)`` is ``amp *
+    cos(2*pi*(s + c*k)/N)`` along the last axis ``k``, with ``c = f[-1]``
+    and ``s`` the integer phase of the other axes, so each of its rows
+    along that axis is row ``s mod N`` of ``windows[c, amp]``, which holds
+    the amplitude already, and a term that varies along few axes stays
+    small until it is added.
     """
     import numpy as np
 
-    out = _cache_aligned((len(rows),) + row_shape, 0.0)
-    axes = np.ix_(rows, *(np.arange(grid_points) for _ in row_shape[1:]))
+    out.fill(0.0)
+    axes = np.ix_(rows, *(np.arange(grid_points) for _ in range(out.ndim - 2)))
     for freq, amp in harmonics:
-        if not row_shape:
+        if out.ndim == 1:
             out += amp * _cos_table(np.mod(rows * freq[0], grid_points), grid_points)
         else:
-            phase = sum(axes[p] * freq[p] for p in range(len(row_shape)) if freq[p])
+            phase = sum(axes[p] * freq[p] for p in range(out.ndim - 1) if freq[p])
             out += windows[freq[-1], amp][np.mod(phase, grid_points)]
     return out
 
@@ -366,11 +368,10 @@ def moments(spec: LatticeSpec, max_order: int, grid_points: int) -> dict[MultiIn
         w = math.isqrt(powers - 1) + 1
         shape = (-(-powers // w), w)
     row_points = len(in_row)
-    rows_per_slab = max(1, _SLAB_POINTS // row_points)
-    slab_points = min(rows_per_slab, half + 1) * row_points
+    slab_rows = min(max(1, _SLAB_POINTS // row_points), half + 1)
     # both tables of a piece of a slab: about _SLAB_POINTS floats, or the whole slab if that
     # is less, each row whole cache lines
-    width = min(max(1, _SLAB_POINTS // (8 * sum(shape))), -(-slab_points // 8)) * 8
+    width = min(max(1, _SLAB_POINTS // (8 * sum(shape))), -(-slab_rows * row_points // 8)) * 8
     if len(band) == 2:
         # outer sides a multiple of 8, and inner ones below 392 or a multiple of 32, make
         # OpenBLAS round the product alike on 1 and 2 threads; the pieces keep the unpadded
@@ -379,11 +380,16 @@ def moments(spec: LatticeSpec, max_order: int, grid_points: int) -> dict[MultiIn
         width = -(-width // 32) * 32
     buffer = _cache_aligned((sum(shape), width), 0.0)
     products, carry = np.zeros(shape), np.zeros(shape)
-    for start in range(0, half + 1, rows_per_slab):
-        rows = np.arange(start, min(start + rows_per_slab, half + 1))
-        weights = np.outer(mirror_weights(rows), in_row).ravel()
+    # one slab array per label and one of weights, the size of the first slab: every slab
+    # writes into their first rows
+    slabs = [_cache_aligned((slab_rows,) + row_shape, 0.0) for _ in band]
+    slab_weights = np.empty((slab_rows, row_points))
+    for start in range(0, half + 1, slab_rows):
+        rows = np.arange(start, min(start + slab_rows, half + 1))
+        weights = np.outer(mirror_weights(rows), in_row, out=slab_weights[: len(rows)]).ravel()
         eps, *second = (
-            _term_on_grid(h, windows, grid_points, rows, row_shape).ravel() for h in band
+            _term_on_grid(h, windows, grid_points, rows, slab[: len(rows)]).ravel()
+            for h, slab in zip(band, slabs)
         )
         if squared:
             eps *= eps

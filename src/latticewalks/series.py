@@ -32,9 +32,10 @@ wind ``c`` times round its ``N`` sites, and it holds one such binomial
 per winding ``c >= 0``, stepped two orders at a time, so an order takes
 one product and one exact division per winding of its parity.  The
 bivariate ``chain-nnn`` reads every binomial off rows of Pascal's
-triangle, built by additions one row per order (:func:`_pascal_rows`),
-and sums the double steps' net displacement over three rows per count,
-so it holds every row up to its order.  ``verify --recurrence`` thus
+triangle, built by additions one row per order (:func:`_pascal_rows`):
+each count sums the double steps' net displacement as one dot product
+of two strided reads of held rows, times a binomial of a third, so it
+holds every row up to its order.  ``verify --recurrence`` thus
 checks the paper's recurrence against counts not built from it.  The
 binomial closed forms of the five recurrences (Domb, Adv. Phys. 9 (1960)
 149) and the ring's sum over every binomial of Pascal rows are kept as
@@ -169,17 +170,18 @@ def expand(name: str, max_order: int, pbc_size: Optional[int] = None) -> Series:
     if name == "chain-nnn":
         # the double steps' net displacement d has the parity of n2 and
         # |d| <= min(n1/2, n2), so the unit steps can cancel it; the summand
-        # C(n1, n1/2 - d) C(n2, (n2 - d)/2) is even in d, so sum d >= 0 and
-        # double d > 0, every binomial read off the held triangle
+        # C(n1, n1/2 - d) C(n2, (n2 - d)/2) is even in d, so sum d >= 0, double
+        # it and take d = 0 off once.  Read off the held triangle, the d >= 0 of
+        # n2's parity pair fronts[n2 % 2][i] = C(n1, n1/2 - d) with backs[n2][i]
+        # = C(n2, n2//2 - i), d = 2i + n2 % 2, and map stops at the shorter read
         rows, counts = list(_pascal_rows(max_order)), {}
+        backs = [row[n // 2 :: -1] for n, row in enumerate(rows)]
         for n1 in range(0, max_order + 1, 2):
             row1, half = rows[n1], n1 // 2
+            fronts = (row1[half::-2], row1[half - 1 :: -2] if half else [])
             for n2 in range(max_order - n1 + 1):
-                row2 = rows[n2]
-                inner = sum(
-                    (2 if d else 1) * row1[half - d] * row2[(n2 - d) // 2]
-                    for d in range(n2 % 2, min(half, n2) + 1, 2)
-                )
+                inner = 2 * sum(map(operator.mul, fronts[n2 % 2], backs[n2]))
+                inner -= 0 if n2 % 2 else row1[half] * backs[n2][0]
                 if inner:
                     counts[(n1, n2)] = rows[n1 + n2][n1] * inner
         return Series(name, max_order, 2, counts)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain, compress, repeat
 from typing import NamedTuple, Optional
 
 from . import oracle, quadrature, series
@@ -166,31 +166,42 @@ def verify_identity(
         sizes.append([z**m / fact[m] for m in range(max_order + 1)])
     rounds, scale = spec.dimension * math.log2(grid_points), 4 * 2.0**-53 * spec.basis_size
     margins = [(n + rounds) * scale for n in range(max_order + 1)]
-    records = []
-    # the moments come in sorted index order
-    for index, mean in table.items():
-        n = sum(index)
-        walks = exact.counts.get(index, 0)
-        count = tallies[n].counts.get(index, 0) if n < len(tallies) else None
-        numeric = mean / math.prod(map(fact.__getitem__, index))
-
-        # int / int is correctly rounded, so this is float(Fraction(walks, n!))
-        approx = walks / fact[n]
-        abs_error = abs(numeric - approx)
-        rel_error = abs_error / abs(approx) if walks != 0 else None
-        within = abs_error <= margins[n] * math.prod(map(list.__getitem__, sizes, index))
-        records.append(
-            CoefficientRecord(
-                index, Fraction(walks, fact[n]), count, grid_points, numeric, abs_error,
-                rel_error, within and (count is None or walks == count),
-            )
-        )
+    # the records are built column by column over the moments, which come in sorted index order;
+    # each float operation keeps the operands and association of one record's own arithmetic
+    indices = list(table)
+    orders = list(map(sum, indices))
+    walks = list(map(exact.counts.get, indices, repeat(0)))
+    # the oracle's counts, 0 where it checked an order and found no walk, absent past its orders
+    checked = dict.fromkeys(compress(indices, map(len(tallies).__gt__, orders)), 0)
+    checked.update(chain.from_iterable(tally.counts.items() for tally in tallies))
+    # each label's column of the indices: the products of factorials and of sizes multiply
+    # label by label, left to right, as math.prod would
+    columns = list(zip(*indices))
+    divisors, largest = map(fact.__getitem__, columns[0]), map(sizes[0].__getitem__, columns[0])
+    for column, size in zip(columns[1:], sizes[1:]):
+        divisors = map(operator.mul, divisors, map(fact.__getitem__, column))
+        largest = map(operator.mul, largest, map(size.__getitem__, column))
+    numerics = list(map(operator.truediv, table.values(), divisors))
+    # int / int is correctly rounded, so this is float(Fraction(walks, n!))
+    approxes = list(map(operator.truediv, walks, map(fact.__getitem__, orders)))
+    abs_errors = list(map(abs, map(operator.sub, numerics, approxes)))
+    rel_errors = [e / abs(a) if w else None for e, a, w in zip(abs_errors, approxes, walks)]
+    bounds = map(operator.mul, map(margins.__getitem__, orders), largest)
+    within = map(operator.le, abs_errors, bounds)
+    # an order past the oracle's agrees by default
+    agree = map(operator.eq, walks, map(checked.get, indices, walks))
+    zero = Fraction(0)
+    exacts = [Fraction(w, fact[n]) if w else zero for w, n in zip(walks, orders)]
+    records = tuple(map(
+        CoefficientRecord, indices, exacts, map(checked.get, indices), repeat(grid_points),
+        numerics, abs_errors, rel_errors, map(operator.and_, within, agree),
+    ))
     return VerificationReport(
         lattice=name,
         pbc_size=spec.pbc_size,
         max_order=max_order,
         grid_policy=str(grid),
-        records=tuple(records),
+        records=records,
     )
 
 

@@ -15,7 +15,10 @@ the reference the series' recurrences are checked against (Guttmann,
 J. Phys. A 43 (2010) 305205; Domb, Adv. Phys. 9 (1960) 149), and
 :func:`ring_walk_counts` the ring's as a sum over winding numbers read off
 rows of Pascal's triangle, the reference for the ring series' one binomial
-per winding.
+per winding.  :func:`nnn_reference_counts` sums chain-nnn's net
+displacements one generator per cell, and :func:`reference_records` makes
+``verify_identity``'s records one at a time: the references for the
+strided dot products and the records built column by column.
 """
 
 from __future__ import annotations
@@ -259,6 +262,70 @@ def two_sublattice_specs(draw, closed_under_swap=False):
         cell_volume=(2 * math.pi) ** dimension,
         pbc_size=draw(st.none() | st.integers(1, 7)),
     )
+
+
+def nnn_reference_counts(max_order: int) -> dict[tuple[int, int], int]:
+    """chain-nnn walk counts as one generator per cell, summing each net displacement ``d``.
+
+    The summand ``C(n1, n1/2 - d) C(n2, (n2 - d)/2)`` is read off rows of
+    Pascal's triangle for each ``d >= 0`` of ``n2``'s parity up to
+    ``min(n1/2, n2)``, doubled for ``d > 0``; the keys come in the order
+    the series makes them.  The reference for the series' strided dot
+    products.
+    """
+    rows = [[1]]
+    for _ in range(max_order):
+        rows.append(list(map(operator.add, [0, *rows[-1]], [*rows[-1], 0])))
+    counts = {}
+    for n1 in range(0, max_order + 1, 2):
+        row1, half = rows[n1], n1 // 2
+        for n2 in range(max_order - n1 + 1):
+            inner = sum(
+                (2 if d else 1) * row1[half - d] * rows[n2][(n2 - d) // 2]
+                for d in range(n2 % 2, min(half, n2) + 1, 2)
+            )
+            if inner:
+                counts[(n1, n2)] = rows[n1 + n2][n1] * inner
+    return counts
+
+
+def reference_records(name, max_order, pbc_size=None, grid="auto"):
+    """``verify_identity``'s records made one at a time, each from its own index's arithmetic.
+
+    The same three routes and pass bound, run record by record: the
+    reference for the records built column by column.
+    """
+    from latticewalks import builtin, oracle, quadrature, series
+    from latticewalks.verify import CoefficientRecord
+
+    spec = builtin(name, pbc_size)
+    exact = series.expand(name, max_order, pbc_size)
+    tallies = oracle.closed_walks(spec, min(max_order, oracle.ORACLE_BOUNDS[spec.dimension]))
+    grid_points = quadrature.auto_grid_size(spec, max_order) if grid == "auto" else grid
+    fact = [math.factorial(m) for m in range(max_order + 1)]
+    sizes = []
+    for label in range(1, spec.hopping_count + 1):
+        z = sum(s.label == label and s.sublattice != "BtoA" for s in spec.steps)
+        sizes.append([z**m / fact[m] for m in range(max_order + 1)])
+    rounds, scale = spec.dimension * math.log2(grid_points), 4 * 2.0**-53 * spec.basis_size
+    records = []
+    for index, mean in quadrature.moments(spec, max_order, grid_points).items():
+        n = sum(index)
+        walks = exact.counts.get(index, 0)
+        count = tallies[n].counts.get(index, 0) if n < len(tallies) else None
+        numeric = mean / math.prod(map(fact.__getitem__, index))
+        approx = walks / fact[n]
+        abs_error = abs(numeric - approx)
+        rel_error = abs_error / abs(approx) if walks != 0 else None
+        bound = (n + rounds) * scale * math.prod(map(list.__getitem__, sizes, index))
+        passed = abs_error <= bound and (count is None or walks == count)
+        records.append(
+            CoefficientRecord(
+                index, Fraction(walks, fact[n]), count, grid_points, numeric, abs_error,
+                rel_error, passed,
+            )
+        )
+    return records
 
 
 def series_value(table, x):

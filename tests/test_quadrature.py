@@ -271,13 +271,13 @@ def _assert_full_grid_means(values, spec, order, n):
 
 
 def _row_shapes(spec, order, n):
-    """The set of ``row_shape`` arguments ``moments`` passes ``_term_on_grid``."""
+    """The row shapes, past the rows axis, of the slabs ``moments`` passes ``_term_on_grid``."""
     shapes = set()
     term_on_grid = quadrature._term_on_grid
 
-    def recording(harmonics, windows, grid_points, rows, row_shape):
-        shapes.add(row_shape)
-        return term_on_grid(harmonics, windows, grid_points, rows, row_shape)
+    def recording(harmonics, windows, grid_points, rows, out):
+        shapes.add(out.shape[1:])
+        return term_on_grid(harmonics, windows, grid_points, rows, out)
 
     with mock.patch.object(quadrature, "_term_on_grid", recording):
         moments(spec, order, n)
@@ -441,22 +441,23 @@ def _table_gather_moments_1d(spec, max_order, n):
     return {(m,): 0.0 if m % step else float(means[m // step]) for m in range(max_order + 1)}
 
 
-def _phase_gather_term(harmonics, windows, grid_points, rows, row_shape):
-    """One label's harmonics on the slab of ``rows`` by ``row_shape``, gathered point by point.
+def _phase_gather_term(harmonics, windows, grid_points, rows, out):
+    """One label's harmonics on a slab of ``out``'s shape, gathered point by point.
 
     Every slab point gets its own integer phase, reduced mod N, and reads
     its cosine from the table of all N phases, harmonic by harmonic into
-    one slab array; ``windows`` is not read.  On a halved 3-D grid the
-    harmonics come as ``moments`` reads them, ``(f0, f1 + f2, f2)``, so the
-    phase at slab point ``(a, b, d)`` is the one at grid point ``(a, b, b + d)``.
+    a fresh slab array; ``windows`` is not read and ``out`` not written.
+    On a halved 3-D grid the harmonics come as ``moments`` reads them,
+    ``(f0, f1 + f2, f2)``, so the phase at slab point ``(a, b, d)`` is the
+    one at grid point ``(a, b, b + d)``.
     """
     table = _cos_table(np.arange(grid_points), grid_points)
-    axes = np.ix_(rows, *(np.arange(points) for points in row_shape))
-    out = np.zeros((len(rows),) + row_shape)
+    axes = np.ix_(rows, *(np.arange(points) for points in out.shape[1:]))
+    slab = np.zeros(out.shape)
     for freq, amp in harmonics:
         phase = sum(axes[p] * freq[p] for p in range(len(axes)) if freq[p])
-        out += amp * table[np.mod(phase, grid_points)]
-    return out
+        slab += amp * table[np.mod(phase, grid_points)]
+    return slab
 
 
 def _phase_gather_moments(spec, max_order, n):

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CLOSED_FORMS, brute_tally, brute_total, ring_walk_counts
+from conftest import (
+    CLOSED_FORMS,
+    brute_tally,
+    brute_total,
+    nnn_reference_counts,
+    ring_walk_counts,
+)
 from latticewalks import (
     BUILTIN_NAMES,
     builtin,
@@ -162,6 +168,16 @@ def test_nnn_counts_match_full_binomial_sum():
     s = expand("chain-nnn", 400)
     for n1 in range(401):
         assert s.walk_count((n1, 400 - n1)) == _nnn_closed_form(n1, 400 - n1), n1
+
+
+@pytest.mark.parametrize("order", [*range(9), 60])
+def test_nnn_counts_match_the_per_displacement_sum(order):
+    # one strided dot product per cell, doubled with d = 0 taken off once, against one
+    # generator per cell: every count and the key order; orders 0-3 meet the empty odd
+    # fronts of n1 = 0
+    assert list(expand("chain-nnn", order).counts.items()) == list(
+        nnn_reference_counts(order).items()
+    )
 
 
 def test_nnn_full_table_against_brute_force():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import RECORD_CONSTRUCTIONS
+from conftest import RECORD_CONSTRUCTIONS, reference_records
 from latticewalks import (
     BUILTIN_NAMES,
     VerificationReport,
@@ -43,6 +43,31 @@ def test_moments_and_records_come_in_index_order(name, order):
     assert keys == sorted(keys)
     indices = [r.index for r in verify_identity(name, order).records]
     assert indices == sorted(indices) == keys
+
+
+def _fields(record):
+    # floats by their bits, None where it stands
+    return tuple(v.hex() if type(v) is float else v for v in record)
+
+
+_SINGLE_NAMES = [name for name in BUILTIN_NAMES if name != "chain-nn-finite"]
+
+
+@pytest.mark.parametrize(
+    "name, order, pbc, grid",
+    [(name, order, None, "auto") for name in _SINGLE_NAMES for order in (0, 1, 2, 3, 12, 60)]
+    + [("chain-nn-finite", order, ring, "auto") for ring in range(3, 9) for order in (0, 3, 12, 60)]
+    + [("chain-nnn", 100, None, "auto"), ("triangular", 12, None, 3), ("chain-nn", 12, None, 2)],
+)
+def test_records_match_the_one_at_a_time_reference(name, order, pbc, grid):
+    # the columns keep each record's own operands and association: every field the same,
+    # floats to the bit, passes and failures alike
+    report = verify_identity(name, order, pbc, grid)
+    assert type(report.records) is tuple
+    reference = reference_records(name, order, pbc, grid)
+    assert list(map(_fields, report.records)) == list(map(_fields, reference))
+    if grid != "auto":
+        assert report.failed > 0
 
 
 def test_tolerances_validate(monkeypatch):
