@@ -182,7 +182,7 @@ BUILTIN_NAMES = tuple(_GEOMETRY)
 def _integer_coords(coords: tuple[Fraction, ...]) -> tuple[int, ...]:
     if any(c.denominator != 1 for c in coords):
         raise ValueError(f"expected integral lattice coordinates, got {coords}")
-    return tuple(int(c) for c in coords)
+    return tuple(c.numerator for c in coords)
 
 
 def _integer_hops(spec: LatticeSpec) -> list[tuple[int, ...]]:

@@ -151,15 +151,15 @@ def _half_walks(spec: LatticeSpec, max_length: int):
     # largest move component along every axis; it holds the origin, so that
     # a label index is the label count
     half = (max_length + 1) // 2
-    groups = [np.array(group) for group in cycle]
-    extremes = np.array([[group.min(axis=0), group.max(axis=0)] for group in groups])
+    extremes = [[list(map(min, zip(*group))), list(map(max, zip(*group)))] for group in cycle]
     # the extremes summed over steps 1..t, t = 0..K; step t takes group (t - 1) % len(cycle)
-    sums = np.concatenate([0 * extremes[:1], np.resize(extremes, (half, 2, dim + 1))]).cumsum(0)
+    sums = np.zeros((half + 1, 2, dim + 1), np.int64)
+    np.cumsum(np.array(extremes)[np.arange(half) % len(cycle)], axis=0, out=sums[1:])
     lows, highs = np.minimum(sums[:, 0], 0), np.maximum(sums[:, 1], 0)
     low = lows.min(axis=0)
     shape = highs.max(axis=0) - low + 1
     # a box no wider than the torus holds no two cells that the torus makes one
-    reach = int(abs(extremes[..., :dim]).max())
+    reach = max(abs(c) for pair in extremes for side in pair for c in side[:dim])
     torus = spec.pbc_size or math.inf
     wrapped = [axis for axis in range(dim) if shape[axis] > torus]
     # an odd walk ends on B on two sublattices, where its integer part may be
@@ -187,7 +187,7 @@ def _half_walks(spec: LatticeSpec, max_length: int):
     strides = np.array(walks.strides[1:]) // walks.itemsize
     flat, rows = walks.reshape(2, -1), walks.reshape(2, -1, width)
     ranges = (corners @ strides).T.tolist()
-    offsets = [(group @ strides).tolist() for group in groups]
+    offsets = [(np.array(group) @ strides).tolist() for group in cycle]
     # a ghost cell goes back to the torus cell it stands for, along each wrapped axis
     slabs = [np.swapaxes(walks, 1, 1 + axis) for axis in wrapped]
     ghosts = [*range(reach), *range(reach + torus, torus + 2 * reach)] if slabs else []

@@ -38,7 +38,11 @@ its values along the last axis as whole rows of a window over that
 table times the harmonic's amplitude, the table repeated once more per
 unit of the harmonic's last frequency component (at most ``2N`` floats
 on the built-in lattices, never an ``N x N`` array): only the phases of
-the other axes, ``1/N`` of a slab, are computed point by point.  In 1-D a slab is a run of single points,
+the other axes, ``1/N`` of a slab, are computed point by point.  The
+leading harmonics whose last frequency component is 0 are constant along
+that axis, so they are summed one value per line and the sum is written
+to the slab once, before the other harmonics are added to it: the same
+floats as adding each to a zeroed slab.  In 1-D a slab is a run of single points,
 so it folds its own phases and no array is as long as the grid axis.
 
 Every dispersion is streamed, never held whole.  A slab is a run of
@@ -58,15 +62,17 @@ exact one, as a chain of single factors is.  Where the odd moments
 vanish, ``x`` is a square and the tables hold its powers only, half the
 rows: on two sublattices ``x`` is the kernel, and on one label whose
 harmonics all have odd component sums (chain-nn, an even ring, bcc)
-``x = eps**2``.  Such a band changes sign under the shift ``k -> k +
+``x = eps**2``, which each piece writes straight into the right table's
+row 1, where ``1 * x`` would put the same float.  Such a band changes sign under the shift ``k -> k +
 (1/2, ..., 1/2)`` by half a cell, so its odd moments are exact zeros on
 a grid that the shift maps onto itself (even ``N``) or on which no odd
 power's harmonic aliases to 0 (``N > n*h``); an odd grid that aliases
 them, as an odd ring's own does, keeps every power, since its odd
 moments count the torus's odd closed walks.  BLAS fixes the order of
 each product's sum, and the pieces' products are added by compensated
-(Kahan) summation, so their sum rounds about once however many pieces
-there are (about a thousand on bcc at order 170).  With two labels the
+(Kahan) summation, in place on four arrays allocated once per call, so
+their sum rounds about once however many pieces there are (about a
+thousand on bcc at order 170).  With two labels the
 tables are padded with higher powers to a multiple of 8 rows, and every
 piece's length, the inner side of its product, is below 392 or a
 multiple of 32: a slab of 392 points or more is padded to a multiple of
@@ -238,26 +244,39 @@ def _term_on_grid(
 
     One loop serves every dimension: the slab ``out`` is ``rows`` by the
     points of one row (none in 1-D).  The caller allocates it once and
-    passes a view of its first rows for each slab; it is zeroed here, and
-    each harmonic, a ``+-`` pair merged by :func:`_band`, is added to it
-    once, in the order of ``harmonics``.  In 1-D a term folds the slab's
-    own phases.  In 2-D and 3-D a harmonic ``(f, amp)`` is ``amp *
-    cos(2*pi*(s + c*k)/N)`` along the last axis ``k``, with ``c = f[-1]``
-    and ``s`` the integer phase of the other axes, so each of its rows
-    along that axis is row ``s mod N`` of ``windows[c, amp]``, which holds
-    the amplitude already, and a term that varies along few axes stays
-    small until it is added.
+    passes a view of its first rows for each slab, and every value of it
+    is written here.  Each harmonic, a ``+-`` pair merged by :func:`_band`,
+    is added once, in the order of ``harmonics``, to a sum that starts at
+    0.  In 1-D a term folds the slab's own phases.  In 2-D and 3-D a
+    harmonic ``(f, amp)`` is ``amp * cos(2*pi*(s + c*k)/N)`` along the
+    last axis ``k``, with ``c = f[-1]`` and ``s`` the integer phase of the
+    other axes, so each of its rows along that axis is row ``s mod N`` of
+    ``windows[c, amp]``, which holds the amplitude already, and a term
+    that varies along few axes stays small until it is added.  The
+    leading harmonics with ``c = 0`` are constant along that axis, so
+    their sum is one value per line, written to the slab once; the rest
+    are added to the slab.
     """
     import numpy as np
 
-    out.fill(0.0)
     axes = np.ix_(rows, *(np.arange(grid_points) for _ in range(out.ndim - 2)))
-    for freq, amp in harmonics:
+
+    def term(freq, amp):
         if out.ndim == 1:
-            out += amp * _cos_table(np.mod(rows * freq[0], grid_points), grid_points)
-        else:
-            phase = sum(axes[p] * freq[p] for p in range(out.ndim - 1) if freq[p])
-            out += windows[freq[-1], amp][np.mod(phase, grid_points)]
+            return amp * _cos_table(np.mod(rows * freq[0], grid_points), grid_points)
+        phase = sum(axes[p] * freq[p] for p in range(out.ndim - 1) if freq[p])
+        return windows[freq[-1], amp][np.mod(phase, grid_points)]
+
+    # in 2-D and 3-D the leading harmonics constant along the last axis are summed per line
+    lead = next(
+        (i for i, (freq, _) in enumerate(harmonics) if freq[-1] or out.ndim == 1), len(harmonics)
+    )
+    line = np.zeros(out.shape[:-1] + (1,))
+    for freq, amp in harmonics[:lead]:
+        line += term(freq, amp)
+    out[...] = line
+    for freq, amp in harmonics[lead:]:
+        out += term(freq, amp)
     return out
 
 
@@ -378,8 +397,10 @@ def moments(spec: LatticeSpec, max_order: int, grid_points: int) -> dict[MultiIn
         # tables' width, rounded up to a multiple of 32
         shape = tuple(-(-side // 8) * 8 for side in shape)
         width = -(-width // 32) * 32
-    buffer = _cache_aligned((sum(shape), width), 0.0)
-    products, carry = np.zeros(shape), np.zeros(shape)
+    # right[0] is the ones that every piece leaves as they are; every other row is rewritten
+    buffer = _cache_aligned((sum(shape), width), 1.0)
+    # the compensated sum's four arrays, each rewritten in place by every piece
+    products, carry, addend, total = (np.zeros(shape) for _ in range(4))
     # one slab array per label and one of weights, the size of the first slab: every slab
     # writes into their first rows
     slabs = [_cache_aligned((slab_rows,) + row_shape, 0.0) for _ in band]
@@ -391,8 +412,6 @@ def moments(spec: LatticeSpec, max_order: int, grid_points: int) -> dict[MultiIn
             _term_on_grid(h, windows, grid_points, rows, slab[: len(rows)]).ravel()
             for h, slab in zip(band, slabs)
         )
-        if squared:
-            eps *= eps
         # zero-weight points, which add exact zeros, pad a slab of 392 points or more, and so its
         # last piece, to a multiple of 32
         if second and len(weights) >= 392:
@@ -402,18 +421,24 @@ def moments(spec: LatticeSpec, max_order: int, grid_points: int) -> dict[MultiIn
             cut = slice(piece, piece + buffer.shape[1])
             tables = buffer[:, : len(weights[cut])]
             left, right = tables[: shape[0]], tables[shape[0] :]
-            left[0], right[0] = weights[cut], 1.0
-            right_factor = second[0][cut] if second else eps[cut]
-            for k in range(1, shape[1]):
-                np.multiply(right[k - 1], right_factor, out=right[k])
-            left_factor = eps[cut] if second else right[-1] * eps[cut]
+            left[0] = weights[cut]
+            x = second[0][cut] if second else eps[cut]
+            if squared and shape[1] > 1:
+                # 1.0 * x is x, so x = eps**2 is written straight into right[1]; a one-row right
+                # table leaves one left row, which reads no factor
+                x = np.multiply(x, x, out=right[1])
+            for k in range(1 + squared, shape[1]):
+                np.multiply(right[k - 1], x, out=right[k])
+            left_factor = eps[cut] if second else right[-1] * x
             for j in range(1, shape[0]):
                 np.multiply(left[j - 1], left_factor, out=left[j])
             # a compensated (Kahan) sum over the pieces: bcc takes about a thousand at order 170
-            addend = left @ right.T - carry
-            total = products + addend
-            carry = (total - products) - addend
-            products = total
+            np.matmul(left, right.T, out=addend)
+            np.subtract(addend, carry, out=addend)
+            np.add(products, addend, out=total)
+            np.subtract(total, products, out=carry)
+            np.subtract(carry, addend, out=carry)
+            products, total = total, products
     if len(band) == 2:
         means, cut = (weight * products[: max_order + 1] / size).tolist(), max_order + 1
         return {(i, j): v for i, row in enumerate(means) for j, v in enumerate(row[: cut - i])}

@@ -192,10 +192,11 @@ def verify_identity(
     agree = map(operator.eq, walks, map(checked.get, indices, walks))
     zero = Fraction(0)
     exacts = [Fraction(w, fact[n]) if w else zero for w, n in zip(walks, orders)]
-    records = tuple(map(
-        CoefficientRecord, indices, exacts, map(checked.get, indices), repeat(grid_points),
+    # tuple.__new__ over the zipped fields is the C loop of _make, with no Python __new__ a record
+    records = tuple(map(tuple.__new__, repeat(CoefficientRecord), zip(
+        indices, exacts, map(checked.get, indices), repeat(grid_points),
         numerics, abs_errors, rel_errors, map(operator.and_, within, agree),
-    ))
+    )))
     return VerificationReport(
         lattice=name,
         pbc_size=spec.pbc_size,
@@ -248,16 +249,22 @@ def verify_recurrence(max_total_order: int) -> RecurrenceReport:
     """
     if max_total_order < 0:
         raise ValueError("max_total_order must be >= 0")
-    count = series.expand("chain-nnn", max_total_order + 2).counts.get
+    top = max_total_order + 2
+    count = series.expand("chain-nnn", top).counts.get
+    # rows[n1][n2] is the count at (n1, n2), 0 where absent
+    rows = [
+        list(map(count, zip(repeat(n1), range(top - n1 + 1)), repeat(0))) for n1 in range(top + 1)
+    ]
     checked = 0
     violations = []
     for n1 in range(max_total_order + 1):
+        row, ahead = rows[n1], rows[n1 + 2]
         for n2 in range(max_total_order - n1 + 1):
             n = n1 + n2
             residual = (
-                (n1 + 2) * (n1 + 1) * count((n1 + 2, n2), 0)
-                - (n2 + 1) * (n + 2) * count((n1, n2 + 1), 0)
-                - 2 * (n + 2) * (n + 1) * count((n1, n2), 0)
+                (n1 + 2) * (n1 + 1) * ahead[n2]
+                - (n2 + 1) * (n + 2) * row[n2 + 1]
+                - 2 * (n + 2) * (n + 1) * row[n2]
             )
             checked += 1
             if residual != 0:

@@ -370,38 +370,59 @@ def test_moments_memory_stays_in_slabs():
         assert peak < 8 * 2**20, name
 
 
-def _table_gather_moments_1d(spec, max_order, n):
-    """1-D moments gathered from one table of all n cosines, with whole-axis row weights.
+def _table_gather_moments(spec, max_order, n):
+    """Moments gathered from one table of all n cosines, with whole-grid point weights.
 
-    The slabs, their pieces, the two power tables of each piece, their
-    product and the compensated sum over pieces are those of ``moments``,
-    so the floats must agree bit for bit; here each table is one
-    ``np.cumprod`` of its rows' factors.  So is the odd-moment rule: one
-    label whose frequencies are all odd, on an even grid or one past
-    ``max_order`` times the bandwidth, takes powers of ``eps**2``, and its
-    odd moments are exact zeros.  It is tier-1's only bit-level
-    guard on that compensated sum: with a plain ``+=`` over the pieces in
-    ``moments`` only the comparison with this helper fails, so it is no
-    duplicate of ``_phase_gather_moments``.
+    Each label's dispersion is gathered point by point over the whole
+    reduced grid (rows ``0..n//2``, and on a 3-D band that the swap of the
+    last two axes leaves alone, ``d`` in ``0..n//2`` of the last axis with
+    the harmonics read as ``(f0, f1 + f2, f2)``), then cut into the slabs
+    of ``moments``: whole axis-0 rows, about ``_SLAB_POINTS`` points.  The
+    slabs' pieces, the two power tables of each piece, their product and
+    the compensated sum over pieces are those of ``moments``, so the floats
+    must agree bit for bit; here each table is one ``np.cumprod`` of its
+    rows' factors.  So is the odd-moment rule: one label whose harmonics
+    all have odd component sums, on an even grid or one past ``max_order``
+    times the bandwidth, takes powers of ``eps**2``, and its odd moments
+    are exact zeros.  It is tier-1's only bit-level guard on the power
+    tables and on that compensated sum: with a plain ``+=`` over the
+    pieces, or ``x**w`` taken as ``np.power(x, w)``, in ``moments`` only
+    the comparison with this helper fails, so it is no duplicate of
+    ``_phase_gather_moments``, which checks the band alone.
     """
     table = _cos_table(np.arange(n), n)
     band = _band(spec)
+    dim = spec.dimension
+    bandwidth = max(abs(c) for harmonics in band for f, _ in harmonics for c in f)
+    squared = (
+        spec.basis_size == 1
+        and len(band) == 1
+        and all(sum(f) % 2 for f, _ in band[0])
+        and (n % 2 == 0 or n > max_order * bandwidth)
+    )
+    halved = dim == 3 and quadrature._swap_symmetric(band)
+    if halved:
+        band = tuple(tuple(((f0, f1 + f2, f2), amp) for (f0, f1, f2), amp in h) for h in band)
     half = n // 2
-    row_weights = np.full(half + 1, 2.0)
-    row_weights[0] = 1.0
-    if n % 2 == 0:
-        row_weights[half] = 1.0
+
+    def mirror_weights(points):
+        weights = np.full(points, 2.0)
+        weights[0] = 1.0
+        if n % 2 == 0 and points > half:
+            weights[half] = 1.0
+        return weights
+
+    sides = [half + 1] + [n] * (dim - 2) + ([half + 1 if halved else n] if dim > 1 else [])
+    axes = np.ix_(*(np.arange(side) for side in sides))
     terms = []
     for harmonics in band:
-        term = np.zeros(half + 1)
-        for (f,), amp in harmonics:
-            term += amp * table[np.mod(np.arange(half + 1) * f, n)]
-        terms.append(term)
-    freqs = [f for (f,), _ in band[0]]
-    odd = all(f % 2 for f in freqs) and (n % 2 == 0 or n > max_order * max(map(abs, freqs)))
-    step = 2 if len(band) == 1 and odd else 1
-    if step == 2:
-        terms[0] = terms[0] * terms[0]
+        term = np.zeros(sides)
+        for f, amp in harmonics:
+            term += amp * table[np.mod(sum(axis * c for axis, c in zip(axes, f)), n)]
+        terms.append(term.ravel())
+    in_row = np.broadcast_to(mirror_weights(sides[-1]) if halved else 1.0, sides[1:]).ravel()
+    point_weights = np.outer(mirror_weights(half + 1), in_row).ravel()
+    weight, step = (2.0, 2) if spec.basis_size == 2 else (1.0, 2 if squared else 1)
     powers = max_order // step + 1
     if len(band) == 2:
         shape = (max_order + 1, max_order + 1)
@@ -413,13 +434,17 @@ def _table_gather_moments_1d(spec, max_order, n):
         # every slab of 392 points or more to a multiple of 32, with zero-weight points
         shape = (-(-(max_order + 1) // 8) * 8,) * 2
         per_piece = -(-per_piece // 32) * 32
+    row_points = len(point_weights) // (half + 1)
+    slab_points = min(max(1, _SLAB_POINTS // row_points), half + 1) * row_points
     products, carry = np.zeros(shape), np.zeros(shape)
-    for slab in range(0, half + 1, _SLAB_POINTS):
-        end = min(slab + _SLAB_POINTS, half + 1)
+    for slab in range(0, len(point_weights), slab_points):
+        end = min(slab + slab_points, len(point_weights))
         pad = -(end - slab) % 32 if len(band) == 2 and end - slab >= 392 else 0
         slab_weights, *slab_terms = (
-            np.concatenate([a[slab:end], np.zeros(pad)]) for a in [row_weights, *terms]
+            np.concatenate([a[slab:end], np.zeros(pad)]) for a in [point_weights, *terms]
         )
+        if squared:
+            slab_terms[0] = slab_terms[0] * slab_terms[0]
         for start in range(0, end - slab + pad, per_piece):
             cut = slice(start, start + per_piece)
             eps, *second = (term[cut] for term in slab_terms)
@@ -435,9 +460,9 @@ def _table_gather_moments_1d(spec, max_order, n):
             carry = (total - products) - addend
             products = total
     if len(band) == 2:
-        means = products[: max_order + 1, : max_order + 1] / n
+        means = weight * products[: max_order + 1, : max_order + 1] / n**dim
         return {m: float(means[m]) for m in np.ndindex(means.shape) if sum(m) <= max_order}
-    means = products.ravel() / n
+    means = weight * products.ravel() / n**dim
     return {(m,): 0.0 if m % step else float(means[m // step]) for m in range(max_order + 1)}
 
 
@@ -600,8 +625,25 @@ def test_one_dimensional_slabs_fold_the_table_values():
         for name, pbc, order in cases:
             spec = make(name, pbc)
             got = {m: v.hex() for m, v in moments(spec, order, n).items()}
-            want = {m: v.hex() for m, v in _table_gather_moments_1d(spec, order, n).items()}
+            want = {m: v.hex() for m, v in _table_gather_moments(spec, order, n).items()}
             assert got == want, (name, n)
+
+
+@pytest.mark.parametrize(
+    "name, order, n",
+    [("bcc", order, None) for order in (0, 1, 2, 12, 40)]
+    + [("diamond", order, None) for order in (0, 1, 2, 12, 40)]
+    + [("triangular", 20, None), ("honeycomb", 20, None)]
+    # powers of eps**2 on an even hand-set grid, and bcc's rows in several slabs
+    + [("bcc", 40, 42), ("bcc", 12, 3), ("bcc", 4, 120)],
+)
+def test_slab_power_tables_match_the_table_gather(name, order, n):
+    # in 2-D and 3-D, halved last axes included, the power tables and the compensated sum over
+    # the pieces give the floats of a gather from the whole-grid table, bit for bit
+    spec = make(name)
+    n = n or auto_grid_size(spec, order)
+    got = {m: v.hex() for m, v in moments(spec, order, n).items()}
+    assert got == {m: v.hex() for m, v in _table_gather_moments(spec, order, n).items()}
 
 
 def test_grid_work_bound():
