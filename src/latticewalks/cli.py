@@ -22,11 +22,11 @@ denominator is 1), and prints an empty or ``None`` cell as blank.
 Everything is deterministic: there is no randomness anywhere, so a
 repeated invocation produces byte-identical output.  The environment
 variable ``LATTICEWALKS_OUTDIR`` sets the base directory for relative
-output paths.  Numeric options must be finite, ``appendix-b``'s
-tolerances positive, counts at least 0 and ring sizes at least 3; a
-usage error names the flag at fault, and JSON output never contains
-``NaN`` or ``Infinity``.  ``verify`` takes no tolerance: it works out
-its pass bound from the run.
+output paths.  Numeric options must be finite, counts at least 0 and
+ring sizes at least 3; a usage error names the flag at fault, and JSON
+output never contains ``NaN`` or ``Infinity``.  ``verify`` and
+``appendix-b`` take no tolerance: each works out its pass bound from
+the run.
 
 ``--pbc`` is the ring's size and reaches the library as typed: the ring
 (``chain-nn-finite``) requires it and every other lattice refuses it,
@@ -201,8 +201,6 @@ def cmd_appendix_b(args) -> int:
         args.rho,
         d_values=[args.d] if args.d is not None else None,
         phi_half=args.phi_half,
-        tol_match=args.tol_match,
-        tol_selection=args.tol_selection,
     )
     records = report["records"]
     _render(args, report, records)
@@ -221,13 +219,6 @@ def _finite_float(text: str) -> float:
         raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    value = _finite_float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"{text!r} is not positive")
     return value
 
 
@@ -322,8 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     appendix.add_argument("--rho", type=_finite_float, required=True)
     appendix.add_argument("--d", type=_nonnegative_int, help="check a single Fourier index")
     appendix.add_argument("--phi-half", action="store_true", help="include the phase pi/2 identity")
-    appendix.add_argument("--tol-match", type=_positive_float, default=1e-9)
-    appendix.add_argument("--tol-selection", type=_positive_float, default=1e-10)
     _add_output_options(appendix)
     appendix.set_defaults(handler=cmd_appendix_b)
 

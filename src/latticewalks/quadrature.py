@@ -550,8 +550,6 @@ def appendix_b_report(
     rho: float,
     d_values: Sequence[int] | None = None,
     phi_half: bool = False,
-    tol_match: float = 1e-9,
-    tol_selection: float = 1e-10,
 ) -> dict:
     """Numeric checks of the complex-hopping ring identities.
 
@@ -565,22 +563,38 @@ def appendix_b_report(
     the same at phase pi/2, on any ring, odd ones included, since the
     series holds at every phase.  Residuals are taken
     on the ring sum's own scale: divided by e^{2|rho|}, which bounds
-    |Z(rho, phi)| and so every value and reference.  Each record passes
-    when its residual is within ``tol_selection`` (selection-rule
-    records) or ``tol_match`` (all others).  A run whose ``max(d) + 1``
-    phases times ``pbc_size`` pass ``MAX_PHASE_CELLS`` is a
-    ``ValueError`` before any harmonic or ring sum is computed, and so is
-    a tolerance that is not finite and positive (``inf`` and ``nan``
-    included).  A ``rho`` whose scale e^{2|rho|} is no finite float,
-    ``inf`` and ``nan`` included, is an ``OverflowError``, raised before
-    any table is built.
+    |Z(rho, phi)| and so every value and reference.  A record passes
+    when its residual is within
+
+        ``C * (2|rho| + d + log2(N*M) + 1) * u``,  ``C = 4``,
+
+    with ``N = pbc_size``, ``M = phi_points``, ``d`` the record's Fourier
+    index (0 on the two phase records) and ``u = 2**-53`` the unit
+    roundoff.
+
+    The bound follows Higham, *Accuracy and Stability of Numerical
+    Algorithms* (2nd ed., SIAM 2002).  Each ring-sum term
+    ``exp(-2 rho cos(k + phi))`` is at most e^{2|rho|} in size.  Its
+    argument errs by about ``2|rho|*u``, ``2|rho|`` times the cosine's
+    rounding, and the exponential turns that absolute error into the same
+    relative error of the term (§3.1).  A Fourier integral weights each
+    phase by ``cos(d*phi)``, whose argument carries ``d`` times the
+    rounding of ``phi``, so the weight errs by about ``d*u``.  The ring
+    sum's ``N`` terms and the phase sum's ``M`` products are summed
+    pairwise, each sum erring by at most ``gamma_{log2 N}`` or
+    ``gamma_{log2 M}``, about ``log2(N)*u`` and ``log2(M)*u``, of the sum
+    of its terms' sizes (§4.2), which the scale bounds.  Each product of
+    a ring sum and a weight rounds once, the ``+ 1``.  ``C = 4`` covers
+    the few single roundings that these terms leave out: of the momenta
+    and phases, of the divisions by ``N`` and ``M``, of the doubling of
+    ``a_d`` and of the reference, whose series stop below one ulp.  It is
+    not fitted to measured errors.  A run whose ``max(d) + 1`` phases
+    times ``pbc_size`` pass ``MAX_PHASE_CELLS`` is a ``ValueError``
+    before any harmonic or ring sum is computed.  A ``rho`` whose scale
+    e^{2|rho|} is no finite float, ``inf`` and ``nan`` included, is an
+    ``OverflowError``, raised before any table is built.
     """
     _check_ring_size(pbc_size)
-    # a nan fails both comparisons; an inf tolerance would pass any residual
-    if not 0 < tol_match < math.inf:
-        raise ValueError(f"tol_match must be finite and positive, got {tol_match}")
-    if not 0 < tol_selection < math.inf:
-        raise ValueError(f"tol_selection must be finite and positive, got {tol_selection}")
     try:
         scale = math.exp(2.0 * abs(rho))
         # math.exp raises past the float range, but returns inf or nan at an inf or nan rho
@@ -609,10 +623,10 @@ def appendix_b_report(
         value = complex_chain_z(pbc_size, rho, phi)
         reference = sum(a * math.cos(m * phi) for m, a in harmonics.items())
         records.append({"kind": kind, "d": None, "value": value, "reference": reference})
+    rounds = 2.0 * abs(rho) + math.log2(pbc_size * phi_points) + 1.0
     for record in records:
         record["residual"] = abs(record["value"] - record["reference"]) / scale
-        limit = tol_selection if record["kind"] == "fourier_a_selection" else tol_match
-        record["pass"] = record["residual"] <= limit
+        record["pass"] = record["residual"] <= 4 * (rounds + (record["d"] or 0)) * 2.0**-53
     return {
         "pbc_size": pbc_size,
         "rho": rho,

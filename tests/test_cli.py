@@ -432,20 +432,20 @@ def test_out_of_memory_is_a_usage_error(capsys, monkeypatch):
         pytest.param(
             ["--rho", "1", "--series-n-max", "30"], "unrecognized arguments: --series-n-max", id="argv5-series_n_max"
         ),
-        # a tolerance that is not positive is refused by the parser, naming the flag
-        pytest.param(["--rho", "0.5", "--tol-match", "0"], "argument --tol-match", id="argv6-tol_match"),
-        pytest.param(["--rho", "0.5", "--tol-selection", "-1"], "argument --tol-selection", id="argv7-tol_selection"),
+        # the pass bound is worked out from the run, so there is no tolerance to set
         pytest.param(
-            ["--rho", "0.5", "--tol-match", "-0.5", "--phi-half"], "argument --tol-match", id="argv8-tol_match"
+            ["--rho", "0.5", "--tol-match", "1e-9"], "unrecognized arguments: --tol-match", id="argv6-tol_match"
         ),
         pytest.param(
-            ["--rho", "0.5", "--tol-match", "-1e-9"],
-            "argument --tol-match: '-1e-9' is not positive",
-            id="argv9-tol_match must be positive",
+            ["--rho", "0.5", "--tol-selection", "1e-10"],
+            "unrecognized arguments: --tol-selection",
+            id="argv7-tol_selection",
         ),
         # e^{2|rho|} bounds the ring sum: past the float range every run stops here
-        (["--rho", "354.95"], "ring sum is not finite"),
-        (["--rho", "-354.95", "--phi-half"], "ring sum is not finite"),
+        pytest.param(["--rho", "354.95"], "ring sum is not finite", id="argv10-ring sum is not finite"),
+        pytest.param(
+            ["--rho", "-354.95", "--phi-half"], "ring sum is not finite", id="argv11-ring sum is not finite"
+        ),
     ],
 )
 def test_appendix_b_overflow_and_negative_counts_are_usage_errors(capsys, argv, message, fmt):
@@ -540,6 +540,26 @@ def test_appendix_b_truncated_reference_fails(capsys, monkeypatch):
     assert code == 1
     a0 = json.loads(out)["records"][0]
     assert a0["kind"] == "fourier_a" and not a0["pass"] and a0["residual"] > 0.01
+
+
+@pytest.mark.parametrize("pbc, rho", [(6, "1"), (3, "1"), (8, "10"), (64, "0.5")])
+def test_appendix_b_scaled_ring_sum_fails(capsys, monkeypatch, pbc, rho):
+    # a ring sum 1 + 1e-12 times too large is off by about 9000 roundings of its size
+    ring_sum = quadrature.complex_chain_z
+    monkeypatch.setattr(quadrature, "complex_chain_z", lambda *args: ring_sum(*args) * (1 + 1e-12))
+    code, out, _ = run(capsys, "appendix-b", "--pbc", str(pbc), "--rho", rho, "--phi-half")
+    assert code == 1
+    assert not all(r["pass"] for r in json.loads(out)["records"])
+
+
+@pytest.mark.parametrize("pbc, d", [(100, 200), (3, 9000)])
+def test_appendix_b_bound_grows_with_the_fourier_index(pbc, d):
+    # cos(d*phi) carries d times the rounding of phi: at rho = 0 the residual is past the
+    # bound without the d term, and within the one with it
+    report = quadrature.appendix_b_report(pbc, 0.0, d_values=[d])
+    record = report["records"][0]
+    assert (record["d"], record["pass"]) == (d, True)
+    assert record["residual"] > 4 * (math.log2(pbc * report["phi_points"]) + 1) * 2.0**-53
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
@@ -682,9 +702,8 @@ def _cli_argv(draw):
         argv += ["--n", str(draw(st.integers(-1, 13)))]
     if command == "appendix-b":
         argv += ["--pbc", str(draw(st.integers(2, 7))), "--rho", draw(_NUMBERS)]
-        argv += ["--tol-match", draw(_NUMBERS)]
         if draw(st.booleans()):
-            argv += ["--d", str(draw(st.integers(-2, 9) | st.sampled_from([256, 300])))]
+            argv += ["--d", str(draw(st.integers(-2, 9) | st.sampled_from([256, 300, 9000])))]
         if draw(st.booleans()):
             argv.append("--phi-half")
     fmt = draw(st.sampled_from(["json", "csv", "pretty"]))

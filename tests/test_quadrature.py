@@ -769,7 +769,8 @@ def test_appendix_b_report_refuses_a_large_phase_grid_before_allocating():
 @pytest.mark.parametrize("option", ["tol_match", "tol_selection"])
 @pytest.mark.parametrize("value", [0.0, -1e-9, math.nan, math.inf])
 def test_appendix_b_report_refuses_non_positive_tolerances(option, value):
-    with pytest.raises(ValueError, match=f"^{option} must be finite and positive, got {value}$"):
+    # the pass bound is worked out from the run: no tolerance gets in, so none can pass every record
+    with pytest.raises(TypeError, match=f"unexpected keyword argument '{option}'"):
         appendix_b_report(6, 1.0, **{option: value})
 
 

@@ -308,9 +308,11 @@ def test_appendix_b_report_contents():
     assert kinds.count("fourier_a") == 3  # d = 0, 4, 8
     assert kinds.count("fourier_a_selection") == 6
     assert "phi_half" in kinds and "phi_pi" in kinds
+    # the bound of appendix_b_report's docstring, with N = 4 sites and rho = 0.5
+    rounds = 2 * 0.5 + math.log2(4 * report["phi_points"]) + 1
     for record in report["records"]:
-        limit = 1e-10 if record["kind"] == "fourier_a_selection" else 1e-9
-        assert record["residual"] <= limit
+        assert record["pass"]
+        assert record["residual"] <= 4 * (rounds + (record["d"] or 0)) * 2.0**-53
 
 
 def test_appendix_b_odd_ring_carries_phi_half():
