@@ -106,12 +106,12 @@ The complex-hopping helpers treat the ring partition sum
 ``Z(rho, phi) = mean_k exp(-2 rho cos(k + phi))`` as a periodic function
 of the hopping phase ``phi``.  Regrouped by the winding number ``c`` of
 its closed walks it is ``sum_c I_{|c|N}(-2 rho) cos(c N phi)`` (DLMF
-10.35.1), so one table, :func:`ring_harmonics`, holds its cosine-Fourier
+10.35.1), so one table, :func:`_ring_harmonics`, holds its cosine-Fourier
 coefficients ``a_m`` up to the first winding past ``2|rho|`` that is below
 one ulp; every modified Bessel value comes from one term-ratio recurrence of its power
-series (DLMF 10.25.2), :func:`bessel_i`.  The table's largest harmonic
+series (DLMF 10.25.2), :func:`_bessel_i`.  The table's largest harmonic
 ``H`` is the sum's bandwidth, so a uniform grid of ``M = d + H + 1``
-phases gives :func:`complex_fourier_a` an alias-free ``a_d``: every
+phases gives :func:`_complex_fourier_a` an alias-free ``a_d``: every
 harmonic the grid folds onto ``d`` has ``|m| >= M - d > H``.
 :func:`appendix_b_report` sizes that grid, bounds it by
 ``MAX_PHASE_CELLS`` and checks every ``a_d`` and the ring sum at fixed
@@ -451,20 +451,22 @@ def moments(spec: LatticeSpec, max_order: int, grid_points: int) -> dict[MultiIn
 # ---------------------------------------------------------------------------
 
 
-def complex_chain_z(pbc_size: int, rho: float, phi) -> np.ndarray | float:
+def _complex_chain_z(pbc_size: int, rho: float, phi) -> np.ndarray | float:
     """Ring partition sum with complex hopping: mean_k exp(-2 rho cos(k+phi)).
 
     The mean runs over the ring's quasimomenta ``k = 2*pi*m/pbc_size``
     for ``m = -((pbc_size - 1) // 2), ..., pbc_size // 2``.
     ``phi`` may be a scalar or an array; the result matches its shape.
+    The ring has at least 3 sites, as :func:`appendix_b_report` checks.
     Each term is divided by the momentum count before the sum, so the
     sum stays in the float range whenever its terms do.  A sum that
     leaves the float range is an ``OverflowError``, raised before any
-    ``inf`` or ``nan`` reaches a caller or a warning is shown.
+    ``inf`` or ``nan`` reaches a caller or a warning is shown: numpy's
+    ``exp`` may round to ``inf`` an ulp before the report's ``math.exp``
+    guard does.
     """
     import numpy as np
 
-    _check_ring_size(pbc_size)
     k = 2.0 * math.pi * (np.arange(pbc_size) - (pbc_size - 1) // 2) / pbc_size
     with np.errstate(over="ignore", invalid="ignore"):
         terms = np.exp(-2.0 * rho * np.cos(k + np.asarray(phi, dtype=float)[..., None]))
@@ -474,7 +476,7 @@ def complex_chain_z(pbc_size: int, rho: float, phi) -> np.ndarray | float:
     return float(vals) if np.ndim(phi) == 0 else vals
 
 
-def complex_fourier_a(
+def _complex_fourier_a(
     pbc_size: int, rho: float, d_values: Sequence[int], phi_points: int
 ) -> list[float]:
     """Cosine-Fourier coefficients a_d of the ring sum, one per d, from ``phi_points`` phases.
@@ -485,21 +487,18 @@ def complex_fourier_a(
     d > 0 the doubled cosine normalisation.  The ring sum is evaluated
     once on the phase grid and every a_d is taken from it; the 1/M of
     the mean sits in the weights, so the sum never leaves the ring sum's
-    own range.
+    own range.  Every ``d`` is at least 0 and ``phi_points`` at least 1,
+    as :func:`appendix_b_report` makes them.
     """
     import numpy as np
 
-    if any(d < 0 for d in d_values):
-        raise ValueError("d must be >= 0")
-    if phi_points < 1:
-        raise ValueError("phi_points must be >= 1")
     phis = -math.pi + 2.0 * math.pi * np.arange(phi_points) / phi_points
-    z = complex_chain_z(pbc_size, rho, phis)
+    z = _complex_chain_z(pbc_size, rho, phis)
     means = [float(np.sum(z * (np.cos(d * phis) / phi_points))) for d in d_values]
     return [mean if d == 0 else 2.0 * mean for d, mean in zip(d_values, means)]
 
 
-def bessel_i(m: int, x: float) -> float:
+def _bessel_i(m: int, x: float) -> float:
     """Modified Bessel function I_m(x) of integer order m >= 0 (DLMF 10.25.2).
 
     Sums (x/2)**(m+2k) / (k! (m+k)!) from its first term prod_{j<=m} (x/2)/j
@@ -507,9 +506,11 @@ def bessel_i(m: int, x: float) -> float:
     float; a negative x needs no care, (x/2)**m carries the sign.  Once the
     ratio is below 1/2 the rest of the series is smaller than the current
     term, so the sum stops at the first such term below one ulp of the total.
+    Its one caller, :func:`_ring_harmonics`, passes ``m = 0, N, 2N, ...``
+    and ``|x| = 2|rho|``, which :func:`appendix_b_report` keeps within
+    ``log(max float)``: the terms have one sign, so every partial sum is at
+    most ``I_m(|x|) <= I_0(|x|)``, below 3e306 there, and stays finite.
     """
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
     half = x / 2.0
     term = math.prod((half / j for j in range(1, m + 1)), start=1.0)
     total, k = term, 0
@@ -520,26 +521,25 @@ def bessel_i(m: int, x: float) -> float:
         term *= ratio
         total += term
         k += 1
-        if not math.isfinite(total):
-            raise OverflowError("Bessel series is not finite")
 
 
-def ring_harmonics(pbc_size: int, rho: float) -> dict[int, float]:
+def _ring_harmonics(pbc_size: int, rho: float) -> dict[int, float]:
     """{m: a_m}, the cosine-Fourier coefficients of Z(rho, .) in the hopping phase.
 
     A walk of winding c picks up the phase c N phi, so a_0 = I_0(-2 rho),
     a_{cN} = 2 I_{cN}(-2 rho) and every other a_m is 0 (DLMF 10.35.1).
     Once cN passes 2|rho| each term is below half the one before, so the
-    table stops, like :func:`bessel_i`, at the first such term below one
-    ulp of a_0; its largest key is the sum's bandwidth.
+    table stops, like :func:`_bessel_i`, at the first such term below one
+    ulp of a_0; its largest key is the sum's bandwidth.  The ring has at
+    least 3 sites and ``e^{2|rho|}`` is a finite float, as
+    :func:`appendix_b_report` checks.
     """
-    _check_ring_size(pbc_size)
     x = -2.0 * rho
-    table = {0: bessel_i(0, x)}
+    table = {0: _bessel_i(0, x)}
     m = 0
     while True:
         m += pbc_size
-        term = 2.0 * bessel_i(m, x)
+        term = 2.0 * _bessel_i(m, x)
         if m > abs(x) and abs(term) < math.ulp(table[0]):
             return table
         table[m] = term
@@ -554,7 +554,7 @@ def appendix_b_report(
     """Numeric checks of the complex-hopping ring identities.
 
     Every reference comes from one table of the ring sum's winding
-    harmonics, :func:`ring_harmonics`.  Per ``d``: the Fourier integral
+    harmonics, :func:`_ring_harmonics`.  Per ``d``: the Fourier integral
     a_d either matches its table entry (when the ring size divides d) or
     vanishes (selection rule), on one phase grid of ``max(d) + H + 1``
     points, alias-free for every d since no harmonic past the table's
@@ -590,7 +590,8 @@ def appendix_b_report(
     ``a_d`` and of the reference, whose series stop below one ulp.  It is
     not fitted to measured errors.  A run whose ``max(d) + 1`` phases
     times ``pbc_size`` pass ``MAX_PHASE_CELLS`` is a ``ValueError``
-    before any harmonic or ring sum is computed.  A ``rho`` whose scale
+    before any harmonic or ring sum is computed, and a negative ``d``,
+    checked next, is one too.  A ``rho`` whose scale
     e^{2|rho|} is no finite float, ``inf`` and ``nan`` included, is an
     ``OverflowError``, raised before any table is built.
     """
@@ -610,9 +611,11 @@ def appendix_b_report(
         )
     if d_values is None:
         d_values = range(top + 1)
-    harmonics = ring_harmonics(pbc_size, rho)
+    if any(d < 0 for d in d_values):
+        raise ValueError("d must be >= 0")
+    harmonics = _ring_harmonics(pbc_size, rho)
     phi_points = top + max(harmonics) + 1
-    values = complex_fourier_a(pbc_size, rho, d_values, phi_points)
+    values = _complex_fourier_a(pbc_size, rho, d_values, phi_points)
     records = []
     for d, value in zip(d_values, values):
         reference = harmonics.get(d, 0.0)
@@ -620,7 +623,7 @@ def appendix_b_report(
         records.append({"kind": kind, "d": int(d), "value": value, "reference": reference})
     phases = [("phi_half", math.pi / 2)] if phi_half else []
     for kind, phi in phases + [("phi_pi", math.pi)]:
-        value = complex_chain_z(pbc_size, rho, phi)
+        value = _complex_chain_z(pbc_size, rho, phi)
         reference = sum(a * math.cos(m * phi) for m, a in harmonics.items())
         records.append({"kind": kind, "d": None, "value": value, "reference": reference})
     rounds = 2.0 * abs(rho) + math.log2(pbc_size * phi_points) + 1.0

@@ -21,7 +21,7 @@ from latticewalks import (
     moments,
     verify_recurrence,
 )
-from latticewalks.quadrature import complex_chain_z, complex_fourier_a, ring_harmonics
+from latticewalks.quadrature import _complex_chain_z, _complex_fourier_a, _ring_harmonics
 
 
 def _indices(labels, total):
@@ -135,7 +135,7 @@ def test_criterion_6_finite_chain_triple_agreement():
                 assert combinatorial.denominator == 1
                 assert combinatorial.numerator == finite_chain_trace(lam, n)
             for xi in (-1.0, -0.5, -0.1, 0.0, 0.25, 0.7, 1.0):
-                gap = abs(complex_chain_z(lam, xi, math.pi) - float(series_value(table, xi)))
+                gap = abs(_complex_chain_z(lam, xi, math.pi) - float(series_value(table, xi)))
                 assert gap <= 1e-10, (lam, xi, gap)
 
 
@@ -170,9 +170,9 @@ def test_criterion_9_complex_hopping_checks():
         for lam in (4, 6):
             for rho in (0.3, 1.0):
                 ds = [d for d in range(1, 2 * lam + 1) if d % lam]
-                for d, value in zip(ds, complex_fourier_a(lam, rho, ds, 256)):
+                for d, value in zip(ds, _complex_fourier_a(lam, rho, ds, 256)):
                     assert abs(value) <= 1e-10, (lam, rho, d)
             for rho in (0.25, 0.5, 1.0):
-                harmonics = ring_harmonics(lam, rho)
+                harmonics = _ring_harmonics(lam, rho)
                 winding = sum(a * math.cos(m * math.pi / 2) for m, a in harmonics.items())
-                assert abs(complex_chain_z(lam, rho, math.pi / 2) - winding) <= 1e-9, (lam, rho)
+                assert abs(_complex_chain_z(lam, rho, math.pi / 2) - winding) <= 1e-9, (lam, rho)

@@ -24,7 +24,7 @@ from latticewalks import (
     builtin,
     expand,
 )
-from latticewalks.quadrature import _band, complex_chain_z, ring_harmonics
+from latticewalks.quadrature import _band
 
 
 def make(name):
@@ -118,15 +118,10 @@ def test_one_rule_for_lattice_names_and_ring_sizes(name, pbc):
     assert (refused is None) == valid
     if pbc is None:
         return
-    # the ring functions refuse a ring size with the ring's text, exactly when it is below 3
+    # the appendix-B report refuses a ring size with the ring's text, exactly when it is below 3
     ring_refused = _refusal(lambda: builtin("chain-nn-finite", pbc))
     assert (ring_refused is not None) == (pbc < 3)
-    for call in (
-        lambda: complex_chain_z(pbc, 0.5, 0.0),
-        lambda: ring_harmonics(pbc, 0.5),
-        lambda: appendix_b_report(pbc, 0.5),
-    ):
-        assert _refusal(call) == ring_refused
+    assert _refusal(lambda: appendix_b_report(pbc, 0.5)) == ring_refused
 
 
 def test_steps_closed_under_negation():

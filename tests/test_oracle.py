@@ -165,6 +165,12 @@ def test_counts_exact_on_both_sides_of_int64(name, z, n):
     assert enumerate_walks(make(name, pbc), n, bound=n) == tallies[-1]
 
 
+def test_one_cell_torus_counts_every_walk_past_int64():
+    # on a torus of one cell every walk closes, so the count at length 63 is z**63 == 2**63
+    # itself, the first count an int64 cell cannot hold
+    assert closed_walks(make("chain-nn")._replace(pbc_size=1), 63)[-1].total == 2**63
+
+
 @pytest.mark.parametrize(
     "name, pbc",
     [(name, None) for name in BUILTIN_NAMES if name != "chain-nn-finite"]

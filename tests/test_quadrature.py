@@ -27,12 +27,12 @@ from latticewalks.quadrature import (
     _SLAB_POINTS,
     MAX_GRID_WORK,
     _band,
+    _bessel_i,
     _cache_aligned,
+    _complex_chain_z,
+    _complex_fourier_a,
     _cos_table,
-    bessel_i,
-    complex_chain_z,
-    complex_fourier_a,
-    ring_harmonics,
+    _ring_harmonics,
 )
 
 
@@ -658,6 +658,23 @@ def test_grid_work_bound():
         moments(make("chain-nnn"), 170, 10**7)
 
 
+def test_grid_work_bound_at_its_edge(monkeypatch):
+    # chain-nn to order 2 has two moments past the constant one: MAX_GRID_WORK // 2 points pass
+    # the check and reach the band, and one point more is refused before it
+    class Reached(Exception):
+        pass
+
+    def reached(spec):
+        raise Reached
+
+    monkeypatch.setattr(quadrature, "_band", reached)
+    edge = MAX_GRID_WORK // 2
+    with pytest.raises(Reached):
+        moments(make("chain-nn"), 2, edge)
+    with pytest.raises(ValueError, match="bound"):
+        moments(make("chain-nn"), 2, edge + 1)
+
+
 def test_ring_grid_reproduces_winding_counts():
     # on the ring's own grid the aliased mean equals the winding tally
     for lam in (3, 4, 6):
@@ -674,7 +691,7 @@ def test_ring_grid_reproduces_winding_counts():
 
 
 def _ring_mean(momenta, rho, phi):
-    """The mean of exp(-2 rho cos(k + phi)) over ``momenta``, as ``complex_chain_z`` sums it."""
+    """The mean of exp(-2 rho cos(k + phi)) over ``momenta``, as ``_complex_chain_z`` sums it."""
     return float((np.exp(-2.0 * rho * np.cos(momenta + phi)) / len(momenta)).sum())
 
 
@@ -685,9 +702,7 @@ def test_momenta_sets():
     for momenta in (k4, k5):
         for rho, phi in ((0.3, 0.0), (-0.7, 0.4), (1.5, math.pi / 3)):
             expected = _ring_mean(np.array(momenta), rho, phi)
-            assert complex_chain_z(len(momenta), rho, phi) == pytest.approx(expected, abs=1e-14)
-    with pytest.raises(ValueError):
-        complex_chain_z(2, 0.5, 0.0)
+            assert _complex_chain_z(len(momenta), rho, phi) == pytest.approx(expected, abs=1e-14)
 
 
 def test_momenta_match_the_set_built_per_parity():
@@ -701,25 +716,25 @@ def test_momenta_match_the_set_built_per_parity():
         reference = 2.0 * math.pi * ms / size
         # the same momenta, in the same order, give the same floats bit for bit
         for rho, phi in ((0.7, 0.3), (-1.9, 2.0)):
-            assert complex_chain_z(size, rho, phi) == _ring_mean(reference, rho, phi)
+            assert _complex_chain_z(size, rho, phi) == _ring_mean(reference, rho, phi)
 
 
 def test_ksum_examples():
-    assert complex_chain_z(3, 0.0, math.pi) == pytest.approx(1.0, abs=1e-15)
+    assert _complex_chain_z(3, 0.0, math.pi) == pytest.approx(1.0, abs=1e-15)
     expected = (math.exp(0.2) + 2 * math.exp(-0.1)) / 3
-    assert complex_chain_z(3, 0.1, math.pi) == pytest.approx(expected, abs=1e-15)
+    assert _complex_chain_z(3, 0.1, math.pi) == pytest.approx(expected, abs=1e-15)
     with pytest.raises(OverflowError):
-        complex_chain_z(3, float("nan"), math.pi)
+        _complex_chain_z(3, float("nan"), math.pi)
     with pytest.raises(OverflowError):
-        complex_chain_z(3, 400.0, math.pi)
+        _complex_chain_z(3, 400.0, math.pi)
 
 
 @settings(max_examples=30, deadline=None)
 @given(xi=st.floats(-1, 1, allow_nan=False))
 def test_ksum_even_in_xi_for_even_rings(xi):
     for lam in (4, 6):
-        assert complex_chain_z(lam, xi, math.pi) == pytest.approx(
-            complex_chain_z(lam, -xi, math.pi), abs=1e-12
+        assert _complex_chain_z(lam, xi, math.pi) == pytest.approx(
+            _complex_chain_z(lam, -xi, math.pi), abs=1e-12
         )
 
 
@@ -727,7 +742,7 @@ def test_ksum_matches_series_evaluation():
     for lam in range(3, 13):
         table = expand("chain-nn-finite", 30, lam)
         for xi in (-1.0, -0.4, 0.1, 0.6, 1.0):
-            assert abs(complex_chain_z(lam, xi, math.pi) - float(series_value(table, xi))) <= 1e-10
+            assert abs(_complex_chain_z(lam, xi, math.pi) - float(series_value(table, xi))) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -737,11 +752,11 @@ def test_ksum_matches_series_evaluation():
 
 def _fourier_a(lam, rho, d):
     # the alias-free phase grid of appendix_b_report: d + bandwidth + 1
-    return complex_fourier_a(lam, rho, [d], d + max(ring_harmonics(lam, rho)) + 1)[0]
+    return _complex_fourier_a(lam, rho, [d], d + max(_ring_harmonics(lam, rho)) + 1)[0]
 
 
 def _winding_form(lam, rho, phi):
-    return sum(a * math.cos(m * phi) for m, a in ring_harmonics(lam, rho).items())
+    return sum(a * math.cos(m * phi) for m, a in _ring_harmonics(lam, rho).items())
 
 
 def test_fourier_selection_rule():
@@ -780,72 +795,103 @@ def test_appendix_b_report_refuses_an_unbounded_scale_before_any_table(rho, monk
     def no_table(*args):
         raise AssertionError("a harmonic table was built")
 
-    monkeypatch.setattr(quadrature, "ring_harmonics", no_table)
+    monkeypatch.setattr(quadrature, "_ring_harmonics", no_table)
     with pytest.raises(OverflowError, match="^ring sum is not finite$"):
         appendix_b_report(4, rho)
 
 
+# the largest |rho| whose scale e^{2|rho|} is a float
+_RHO_EDGE = 354.891356446692
+
+
+@pytest.mark.parametrize("lam", [3, 4, 6, 7, 100])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_appendix_b_report_passes_at_the_float_edge_and_refuses_past_it(lam, sign):
+    # at the edge every Bessel series, ring sum and Fourier integral stays finite and passes;
+    # the next float up is refused by the report's one guard, before any of them
+    assert math.isfinite(math.exp(2 * _RHO_EDGE))
+    report = appendix_b_report(lam, sign * _RHO_EDGE, phi_half=True)
+    for record in report["records"]:
+        assert math.isfinite(record["value"]) and math.isfinite(record["reference"]), record
+        assert record["pass"], record
+    with pytest.raises(OverflowError, match="^ring sum is not finite$"):
+        appendix_b_report(lam, sign * math.nextafter(_RHO_EDGE, math.inf), phi_half=True)
+
+
+@pytest.mark.parametrize("fraction, passes", [(0.88, True), (1.12, False)])
+def test_appendix_b_bound_counts_the_rounding_of_each_product(monkeypatch, fraction, passes):
+    # the a_0 record of a 6-site ring at rho = 0.5, moved to a residual of 0.88 of the pass bound
+    # 4*(2|rho| + log2(N*M) + 1)*u, passes and at 1.12 fails; without the + 1 the bound is 0.78
+    # of itself
+    rho = 0.5
+    phi_points = appendix_b_report(6, rho)["phi_points"]
+    bound = 4 * (2 * rho + math.log2(6 * phi_points) + 1) * 2.0**-53
+    fourier_a = quadrature._complex_fourier_a
+
+    def shifted(*args):
+        values = fourier_a(*args)
+        values[0] = _bessel_i(0, -2 * rho) + fraction * bound * math.exp(2 * rho)
+        return values
+
+    monkeypatch.setattr(quadrature, "_complex_fourier_a", shifted)
+    record = appendix_b_report(6, rho)["records"][0]
+    assert record["d"] == 0 and record["residual"] == pytest.approx(fraction * bound, rel=0.02)
+    assert record["pass"] is passes
+
+
 def test_fourier_trivial_values():
-    assert complex_fourier_a(3, 0.0, [0], 1) == pytest.approx([1.0], abs=1e-14)
-    assert complex_fourier_a(4, 0.0, [4], 5) == pytest.approx([0.0], abs=1e-14)
+    assert _complex_fourier_a(3, 0.0, [0], 1) == pytest.approx([1.0], abs=1e-14)
+    assert _complex_fourier_a(4, 0.0, [4], 5) == pytest.approx([0.0], abs=1e-14)
 
 
 def test_fourier_matches_series_on_winding_multiples():
     for lam, d in [(4, 0), (4, 4), (4, 8), (3, 3), (6, 6)]:
         for rho in (0.25, 0.5, 1.0):
             integral = _fourier_a(lam, rho, d)
-            reference = (1 if d == 0 else 2) * bessel_i(d, -2 * rho)
+            reference = (1 if d == 0 else 2) * _bessel_i(d, -2 * rho)
             assert integral == pytest.approx(reference, abs=1e-9)
     # far past any fixed truncation: the sum runs until it has converged
     for lam, d in [(6, 0), (6, 6), (3, 12)]:
         for rho in (-50.0, 50.0, 300.0):
             integral = _fourier_a(lam, rho, d)
-            reference = (1 if d == 0 else 2) * bessel_i(d, -2 * rho)
+            reference = (1 if d == 0 else 2) * _bessel_i(d, -2 * rho)
             assert integral == pytest.approx(reference, rel=1e-13)
 
 
 def test_fourier_validation():
-    with pytest.raises(ValueError):
-        complex_fourier_a(4, 0.5, [0, -1], 256)
-    with pytest.raises(ValueError):
-        complex_fourier_a(4, 0.5, [0], phi_points=0)
-    with pytest.raises(ValueError):
-        bessel_i(-2, 0.5)
-    with pytest.raises(OverflowError):
-        bessel_i(0, 1500.0)
+    with pytest.raises(ValueError, match="^d must be >= 0$"):
+        appendix_b_report(4, 0.5, d_values=[0, -1])
 
 
 @pytest.mark.parametrize("lam", [3, 4, 7])
 @pytest.mark.parametrize("rho", [0.0, 0.5, -3.0, 50.0, -300.0])
 def test_ring_harmonics_regroup_the_ring_sum(lam, rho):
-    table = ring_harmonics(lam, rho)
-    assert table[0] == bessel_i(0, -2 * rho)
-    assert all(m % lam == 0 and a == 2 * bessel_i(m, -2 * rho) for m, a in table.items() if m)
+    table = _ring_harmonics(lam, rho)
+    assert table[0] == _bessel_i(0, -2 * rho)
+    assert all(m % lam == 0 and a == 2 * _bessel_i(m, -2 * rho) for m, a in table.items() if m)
     # the first winding past the table is below one ulp of a_0 and past 2|rho|
     bandwidth = max(table)
-    assert bandwidth + lam > 2 * abs(rho) and 2 * abs(bessel_i(bandwidth + lam, -2 * rho)) < math.ulp(table[0])
+    assert bandwidth + lam > 2 * abs(rho) and 2 * abs(_bessel_i(bandwidth + lam, -2 * rho)) < math.ulp(table[0])
     for phi in (0.0, 0.3, math.pi / 2, 2.0, math.pi):
-        residual = abs(complex_chain_z(lam, rho, phi) - _winding_form(lam, rho, phi))
+        residual = abs(_complex_chain_z(lam, rho, phi) - _winding_form(lam, rho, phi))
         assert residual <= 1e-14 * math.exp(2 * abs(rho)), phi
-    with pytest.raises(ValueError):
-        ring_harmonics(2, rho)
 
 
 def test_bessel_i_known_values():
-    assert bessel_i(0, 2.0) == pytest.approx(2.2795853023360673, rel=1e-14)
-    assert bessel_i(1, 2.0) == pytest.approx(1.590636854637329, rel=1e-14)
-    assert bessel_i(0, 100.0) == pytest.approx(1.0737517071310736e42, rel=1e-14)
-    assert bessel_i(0, 0.0) == 1.0
-    assert bessel_i(3, 0.0) == 0.0
+    assert _bessel_i(0, 2.0) == pytest.approx(2.2795853023360673, rel=1e-14)
+    assert _bessel_i(1, 2.0) == pytest.approx(1.590636854637329, rel=1e-14)
+    assert _bessel_i(0, 100.0) == pytest.approx(1.0737517071310736e42, rel=1e-14)
+    assert _bessel_i(0, 0.0) == 1.0
+    assert _bessel_i(3, 0.0) == 0.0
 
 
 @pytest.mark.parametrize("x", [1e-3, 0.7, 2.0, 25.0, 100.0, 700.0])
 def test_bessel_i_parity_and_recurrence(x):
     for m in range(0, 40):
-        assert bessel_i(m, -x) == (-1) ** m * bessel_i(m, x)
+        assert _bessel_i(m, -x) == (-1) ** m * _bessel_i(m, x)
     for m in range(1, 40):
-        lhs = bessel_i(m - 1, x) - bessel_i(m + 1, x)
-        assert abs(lhs - 2 * m / x * bessel_i(m, x)) <= 1e-13 * bessel_i(m - 1, x), (m, x)
+        lhs = _bessel_i(m - 1, x) - _bessel_i(m + 1, x)
+        assert abs(lhs - 2 * m / x * _bessel_i(m, x)) <= 1e-13 * _bessel_i(m - 1, x), (m, x)
 
 
 def test_complex_z_reduces_to_real_cases():
@@ -853,18 +899,18 @@ def test_complex_z_reduces_to_real_cases():
     for lam in (3, 4, 7):
         for rho in (0.2, 0.9):
             real = np.mean(np.exp(2 * rho * np.cos(2 * math.pi * np.arange(lam) / lam)))
-            assert complex_chain_z(lam, rho, math.pi) == pytest.approx(real, abs=1e-14)
+            assert _complex_chain_z(lam, rho, math.pi) == pytest.approx(real, abs=1e-14)
     # vectorised phase argument
-    vals = complex_chain_z(4, 0.5, np.array([0.0, math.pi]))
+    vals = _complex_chain_z(4, 0.5, np.array([0.0, math.pi]))
     assert vals.shape == (2,)
-    assert vals[1] == pytest.approx(complex_chain_z(4, 0.5, math.pi), abs=1e-14)
+    assert vals[1] == pytest.approx(_complex_chain_z(4, 0.5, math.pi), abs=1e-14)
 
 
 def test_phi_half_identity(capsys):
     # the ring sum at phase pi/2 against its winding form, in which a walk of
     # winding c picks up the phase cos(c N pi/2)
     def residual(lam, rho):
-        return abs(complex_chain_z(lam, rho, math.pi / 2) - _winding_form(lam, rho, math.pi / 2))
+        return abs(_complex_chain_z(lam, rho, math.pi / 2) - _winding_form(lam, rho, math.pi / 2))
 
     assert residual(4, 0.0) == pytest.approx(0.0, abs=1e-15)
     assert residual(4, 0.5) <= 1e-10
@@ -875,10 +921,6 @@ def test_phi_half_identity(capsys):
         assert cmd_appendix_b(args) == 0
         records = json.loads(capsys.readouterr().out)["records"]
         assert [r["pass"] for r in records if r["kind"] == "phi_half"] == [True]
-    with pytest.raises(ValueError):
-        complex_chain_z(2, 0.5, math.pi / 2)
-    with pytest.raises(ValueError):
-        ring_harmonics(2, 0.5)
 
 
 def test_phi_half_against_closed_form():
@@ -887,5 +929,8 @@ def test_phi_half_against_closed_form():
         lhs = (2.0 + 2.0 * math.cosh(2 * rho)) / 4.0
         k = np.arange(4) * math.pi / 2
         assert float(np.mean(np.exp(2 * rho * np.sin(k)))) == pytest.approx(lhs, abs=1e-14)
-        assert complex_chain_z(4, rho, math.pi / 2) == pytest.approx(lhs, abs=1e-14)
+        assert _complex_chain_z(4, rho, math.pi / 2) == pytest.approx(lhs, abs=1e-14)
         assert abs(_winding_form(4, rho, math.pi / 2) - lhs) <= 1e-12
+        # the report's phi_half record is the ring sum at that phase
+        record = appendix_b_report(4, rho, phi_half=True)["records"][-2]
+        assert record["kind"] == "phi_half" and record["value"] == pytest.approx(lhs, abs=1e-14)

@@ -184,6 +184,12 @@ def test_verify_identity_coarse_grid_fails():
     assert report.failed > 0 and report.grid_policy == "3"
 
 
+def test_verify_summary_counts_a_failing_report():
+    # a 4-point grid aliases bcc's moments past order 6: 5 of its 13 records fail
+    summary = verify_identity("bcc", 12, grid=4).to_json_dict()["summary"]
+    assert (summary["checked"], summary["passed"], summary["failed"]) == (13, 8, 5)
+
+
 def test_verify_identity_deterministic():
     a = verify_identity("bcc", 8)
     b = verify_identity("bcc", 8)
