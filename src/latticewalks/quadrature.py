@@ -83,20 +83,39 @@ two.  The dispersion is even, ``eps(k) = eps(-k)``, and ``k -> -k`` maps
 every uniform grid onto itself, aliased or not, so the trapezoid rule on the
 inversion-reduced cell (Monkhorst & Pack, Phys. Rev. B 13 (1976) 5188)
 gives the same sums from rows ``0..N//2``: each row but 0 and (for even
-``N``) ``N/2`` stands for its mirror too and has weight 2.  A 3-D band
-unchanged by exchanging the last two axes (:func:`_swap_symmetric`;
-bcc's and diamond's) halves the last axis the same way.  In the
-coordinates ``(a, b, d)`` of the grid point ``(a, b, b + d)``, a
-unimodular change of variables that maps the grid onto itself, the
-exchange is ``(a, b, d) -> (a, b + d, -d)``, so the sum over ``b`` at
-``(a, d)`` is the one at ``(a, -d)``, and ``d`` takes ``0..N//2`` with
-the rows' weights; a harmonic ``f`` reads ``(f0, f1 + f2, f2)`` there,
-and every value is the float at ``(a, b, b + d)``.  The left table's
-first row holds each point's weight, the product of its two.  Memory is
-then one slab array per label and one of weights, allocated once and
-refilled slab by slab, and the buffer (the 2-D and 3-D table and its
-windows are a few rows of a slab), whatever the order or grid; the
-work, grid points times moments, is bounded by ``MAX_GRID_WORK``.
+``N``) ``N/2`` stands for its mirror too and has weight 2.
+
+A 3-D band unchanged by every permutation of its three axes
+(:func:`_permutation_symmetric`; bcc's and diamond's) is summed over the
+fundamental domain of those permutations and the inversion, the
+symmetry-reduced cell of the same paper: about ``N**3/12`` points.
+Write ``|x|`` for the distance of ``x`` to 0 mod ``N``.  Give a grid
+point the weight ``3/t`` when its last coordinate has the smallest
+``|.|``, ``t`` the number of coordinates at that smallest value, and 0
+otherwise.  Over the point's three rotations these weights sum to ``t *
+3/t = 3``, since each coordinate comes last once, so for a band
+unchanged by the 3-cycle the weighted sum is the plain grid sum.  The
+weights are unchanged by the swap of the first two axes and by the
+inversion, so these two halve the sum as the inversion alone halves the
+rows: the domain is the rows ``a = 0..N//2``, in row ``a`` the lines
+``b`` with ``|b| >= a`` (every ``b`` at ``a = 0``, else ``b = a..N-a``),
+and on each line the ``min(2a + 1, N)`` points ``c = -a..a`` mod ``N``.
+The point ``(a, b, c)`` weighs ``rw * s * 3/t``, with ``rw = 1`` where
+``2a = 0`` mod ``N`` and else 2 (the inversion) and ``s = 1`` where
+``|b| = a`` and else 2 (the swap).  Every weight is one of 1, 2, 3, 4, 6
+and 12 (``3/t`` is 3/2 only where ``s = 2``), an exact float, and they
+sum to ``N**3``.  Each row is one dense block, lines by points, and
+whole rows are packed into flat slabs; a harmonic ``f`` reads a line's
+points from row ``f0*a + f1*b - f2*a`` of its window, the phase at ``c =
+-a``, and the harmonics constant along ``c`` are one value per line
+(:func:`_term_on_domain`).
+
+The left table's first row holds each point's weight.  Memory is then
+one slab array per label and one of weights, allocated once and refilled
+slab by slab, and the buffer (the 2-D and 3-D table and its windows are
+a few rows of a slab), whatever the order; on the domain add a few
+values for each of its ``N**2/4`` lines.  The work, grid points times
+moments, is bounded by ``MAX_GRID_WORK``.
 
 For the finite ring the physically meaningful grid is the ring's own
 ``pbc_size`` quasimomenta: on that grid the deliberate aliasing of the
@@ -126,7 +145,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .lattices import LatticeSpec, MultiIndex, _check_labels, _check_ring_size, _integer_hops
 
@@ -219,22 +238,20 @@ def _cache_aligned(shape: tuple[int, ...], fill: float) -> np.ndarray:
     return out
 
 
-def _swap_symmetric(band: tuple[Harmonics, ...]) -> bool:
-    """Whether every label's band is unchanged by exchanging the last two frequency components.
+def _permutation_symmetric(band: tuple[Harmonics, ...]) -> bool:
+    """Whether every label's band is unchanged by every permutation of its frequency components.
 
     Each harmonic is taken up to sign, with its amplitude, as ``cos`` is
     even; the test passes when the multiset of these is the same after the
-    exchange.
+    exchange of the first two components and after their cyclic shift,
+    which between them make every permutation.
     """
 
-    def unsigned(freq):
-        return max(freq, tuple(-f for f in freq))
+    def multiset(harmonics, i, j, k):
+        permuted = [((f[i], f[j], f[k]), (-f[i], -f[j], -f[k])) for f, _ in harmonics]
+        return sorted(zip(map(max, permuted), (amp for _, amp in harmonics)))
 
-    return all(
-        sorted((unsigned(f), amp) for f, amp in harmonics)
-        == sorted((unsigned(f[:-2] + (f[-1], f[-2])), amp) for f, amp in harmonics)
-        for harmonics in band
-    )
+    return all(multiset(h, 0, 1, 2) == multiset(h, 1, 0, 2) == multiset(h, 1, 2, 0) for h in band)
 
 
 def _term_on_grid(
@@ -280,6 +297,128 @@ def _term_on_grid(
     return out
 
 
+def _term_on_domain(
+    harmonics: Harmonics,
+    windows: dict,
+    grid_points: int,
+    lines: np.ndarray,
+    slabs: list,
+    out: np.ndarray,
+) -> Iterator[np.ndarray]:
+    """Yield one label's harmonics on each slab of the fundamental domain, written into ``out``.
+
+    ``lines`` holds every line's ``a`` and ``b``, and each slab of
+    ``slabs`` its rows as ``(a, lo, hi, m, pos)`` (:func:`_domain_slabs`).
+    Once per call each harmonic ``f`` gets its phase at ``c = -a`` on every
+    line, ``f0*a + f1*b - f2*a``, and the harmonics constant along ``c``
+    are summed per line, in their order, from 0.  Each row's block then
+    starts as that sum, and each other harmonic adds, in its order, the
+    first ``m`` values of the rows of ``windows[f2, amp]`` at its lines'
+    phases: a few numpy calls a row.
+    """
+    import numpy as np
+
+    shifts = np.array([(f0 - f2, f1) for (f0, f1, f2), _ in harmonics], dtype=np.int64)
+    phases = np.mod(shifts.reshape(-1, 2) @ lines, grid_points)
+    line = np.zeros((lines.shape[1], 1))
+    rest = []
+    for phase, ((_, _, f2), amp) in zip(phases, harmonics):
+        if f2:
+            rest.append((phase, windows[f2, amp]))
+        else:
+            line += windows[0, amp][phase]
+    for slab in slabs:
+        for _, lo, hi, m, pos in slab:
+            block = out[pos : pos + (hi - lo) * m].reshape(hi - lo, m)
+            block[...] = line[lo:hi]
+            for phase, window in rest:
+                block += window[:, :m].take(phase[lo:hi], axis=0)
+        yield out[: pos + (hi - lo) * m]
+
+
+def _domain_slabs(
+    band: tuple[Harmonics, ...], windows: dict, grid_points: int
+) -> tuple[int, Iterator[tuple[np.ndarray, ...]]]:
+    """The largest slab's points, and a stream of ``(weights, *terms)`` over the fundamental domain.
+
+    The domain is the module docstring's: row ``a = 0..N//2`` holds the
+    lines ``b`` with ``|b| >= a``, each of ``m = min(2a + 1, N)`` points.
+    Whole rows are packed into flat slabs of about ``_SLAB_POINTS``
+    points, at least one row each; a row is ``(a, lo, hi, m, pos)``, lines
+    ``lo:hi`` of the domain as one dense ``(hi - lo, m)`` block from point
+    ``pos`` of its slab.  Each line's ``a``, ``b`` and weights are made
+    once per call: ``3 * rw * s`` between the line's ends, and ``rw * s *
+    3/t`` at ``c = +-a``, where ``t`` is 3 if ``|b| = a`` too and else 2.
+    Each row's weights are then two assignments.
+    """
+    import numpy as np
+
+    n, slabs, sizes, lo, pos = grid_points, [[]], [], 0, 0
+    for a in range(n // 2 + 1):
+        count, m = n - 2 * a + 1 if a else n, min(2 * a + 1, n)
+        if slabs[-1] and pos + count * m > _SLAB_POINTS:
+            slabs.append([])
+            sizes.append(pos)
+            pos = 0
+        slabs[-1].append((a, lo, lo + count, m, pos))
+        lo, pos = lo + count, pos + count * m
+    sizes.append(pos)
+    rows = [row for slab in slabs for row in slab]
+    # b runs from a in each row, and from 0 in row 0
+    lines = np.repeat([(a, a - lo) for a, lo, *_ in rows], [hi - lo for _, lo, hi, *_ in rows], 0).T
+    lines[1] += np.arange(lines.shape[1])
+    a, b = lines
+    edge = np.minimum(b, n - b) == a
+    pair = np.where(2 * a % n, 2.0, 1.0) * np.where(edge, 1.0, 2.0)
+    inner, corner = 3.0 * pair[:, None], np.where(edge, pair, 1.5 * pair)[:, None]
+
+    def stream():
+        arrays = [_cache_aligned((max(sizes),), 0.0) for _ in band]
+        weights = np.empty(max(sizes))
+        terms = [_term_on_domain(h, windows, n, lines, slabs, out) for h, out in zip(band, arrays)]
+        for slab, size, *values in zip(slabs, sizes, *terms):
+            for row, lo, hi, m, pos in slab:
+                block = weights[pos : pos + (hi - lo) * m].reshape(hi - lo, m)
+                block[...] = inner[lo:hi]
+                # c = -a and c = a, columns 0 and 2a: one column where they are one point
+                block[:, :: 2 * row or 1] = corner[lo:hi]
+            yield (weights[:size], *values)
+
+    return max(sizes), stream()
+
+
+def _row_slabs(
+    band: tuple[Harmonics, ...], windows: dict, grid_points: int, dimension: int
+) -> tuple[int, Iterator[tuple[np.ndarray, ...]]]:
+    """The largest slab's points, and a stream of ``(weights, *terms)`` over rows ``0..N//2``.
+
+    A slab is a run of whole axis-0 rows of about ``_SLAB_POINTS`` points,
+    each label's term evaluated by :func:`_term_on_grid`.
+    """
+    import numpy as np
+
+    n, half = grid_points, grid_points // 2
+    row_shape = (n,) * (dimension - 1)
+    row_points = math.prod(row_shape)
+    slab_rows = min(max(1, _SLAB_POINTS // row_points), half + 1)
+
+    def stream():
+        # one slab array per label and one of weights, the size of the first slab: every slab
+        # writes into their first rows
+        arrays = [_cache_aligned((slab_rows,) + row_shape, 0.0) for _ in band]
+        weights = np.empty((slab_rows, row_points))
+        for start in range(0, half + 1, slab_rows):
+            rows = np.arange(start, min(start + slab_rows, half + 1))
+            # rows 0 and N/2 are their own mirrors; every other one stands for two
+            weights[: len(rows)] = np.where(2 * rows % n == 0, 1.0, 2.0)[:, None]
+            yield (weights[: len(rows)].ravel(), *(
+                _term_on_grid(h, windows, n, rows, out[: len(rows)]).ravel()
+                for h, out in zip(band, arrays)
+            ))
+
+    return slab_rows * row_points, stream()
+
+
 def _bandwidth(band: tuple[Harmonics, ...]) -> int:
     """The largest frequency component of any harmonic."""
     return max((abs(c) for harmonics in band for freq, _ in harmonics for c in freq), default=0)
@@ -315,10 +454,10 @@ def moments(spec: LatticeSpec, max_order: int, grid_points: int) -> dict[MultiIn
     are exact ``0.0`` and the tables take powers of ``eps**2``.
 
     The grid is streamed in slabs over rows ``0..N//2`` with inversion
-    weights, and, where :func:`_swap_symmetric` passes the 3-D band,
-    over ``d = c - b`` in ``0..N//2`` of the last axis with the same
-    weights, so bcc and diamond sum about a quarter of the grid.  Every
-    moment of a piece of a slab comes from one
+    weights, or, where :func:`_permutation_symmetric` passes the 3-D band,
+    over the fundamental domain of the axis permutations and the
+    inversion (see the module docstring), so bcc and diamond sum about a
+    twelfth of the grid.  Every moment of a piece of a slab comes from one
     matrix product of two power tables (see the module docstring): with
     one label, the ``P`` powers ``x**p`` of its dispersion ``x`` are
     ``(x**w)**j * x**k`` for ``w = isqrt(P - 1) + 1``; with two, the
@@ -351,14 +490,6 @@ def moments(spec: LatticeSpec, max_order: int, grid_points: int) -> dict[MultiIn
         and all(sum(freq) % 2 for freq, _ in band[0])
         and (grid_points % 2 == 0 or grid_points > max_order * _bandwidth(band))
     )
-    half = grid_points // 2
-    # a 3-D band unchanged by exchanging the last two axes has, at (a, b, b + d), the same sum
-    # over b at d and -d: its harmonic f reads (f0, f1 + f2, f2) there, and d takes 0..N//2
-    halved = spec.dimension == 3 and _swap_symmetric(band)
-    if halved:
-        band = tuple(tuple(((f0, f1 + f2, f2), amp) for (f0, f1, f2), amp in h) for h in band)
-    last = half + 1 if halved else grid_points
-    row_shape = (grid_points,) * (spec.dimension - 2) + (last,) if spec.dimension > 1 else ()
     windows = {}
     if spec.dimension > 1:
         table = _cos_table(np.arange(grid_points), grid_points)
@@ -366,16 +497,16 @@ def moments(spec: LatticeSpec, max_order: int, grid_points: int) -> dict[MultiIn
             # windows[c, amp][j, k] = amp * table[(j + c*k) % N]: from j on, read with stride c
             windows[c, amp] = np.lib.stride_tricks.as_strided(
                 np.tile(amp * table, c + 1),
-                (grid_points, last if c else 1),
+                (grid_points, grid_points if c else 1),
                 (table.itemsize, c * table.itemsize),
                 writeable=False,
             )
-
-    def mirror_weights(points):
-        # points 0 and N/2 are their own mirrors; every other one stands for two
-        return np.where(2 * points % grid_points == 0, 1.0, 2.0)
-
-    in_row = np.broadcast_to(mirror_weights(np.arange(last)) if halved else 1.0, row_shape).ravel()
+    # a 3-D band unchanged by every permutation of its axes is summed over their fundamental
+    # domain with the inversion, every other band over rows 0..N//2
+    if spec.dimension == 3 and _permutation_symmetric(band):
+        slab_points, slabs = _domain_slabs(band, windows, grid_points)
+    else:
+        slab_points, slabs = _row_slabs(band, windows, grid_points, spec.dimension)
     # odd moments vanish on two sublattices too, where x is the kernel and both subbands count
     weight, step = (2.0, 2) if spec.basis_size == 2 else (1.0, 2 if squared else 1)
     if len(band) == 2:
@@ -386,11 +517,9 @@ def moments(spec: LatticeSpec, max_order: int, grid_points: int) -> dict[MultiIn
         powers = max_order // step + 1
         w = math.isqrt(powers - 1) + 1
         shape = (-(-powers // w), w)
-    row_points = len(in_row)
-    slab_rows = min(max(1, _SLAB_POINTS // row_points), half + 1)
     # both tables of a piece of a slab: about _SLAB_POINTS floats, or the whole slab if that
     # is less, each row whole cache lines
-    width = min(max(1, _SLAB_POINTS // (8 * sum(shape))), -(-slab_rows * row_points // 8)) * 8
+    width = min(max(1, _SLAB_POINTS // (8 * sum(shape))), -(-slab_points // 8)) * 8
     if len(band) == 2:
         # outer sides a multiple of 8, and inner ones below 392 or a multiple of 32, make
         # OpenBLAS round the product alike on 1 and 2 threads; the pieces keep the unpadded
@@ -401,17 +530,7 @@ def moments(spec: LatticeSpec, max_order: int, grid_points: int) -> dict[MultiIn
     buffer = _cache_aligned((sum(shape), width), 1.0)
     # the compensated sum's four arrays, each rewritten in place by every piece
     products, carry, addend, total = (np.zeros(shape) for _ in range(4))
-    # one slab array per label and one of weights, the size of the first slab: every slab
-    # writes into their first rows
-    slabs = [_cache_aligned((slab_rows,) + row_shape, 0.0) for _ in band]
-    slab_weights = np.empty((slab_rows, row_points))
-    for start in range(0, half + 1, slab_rows):
-        rows = np.arange(start, min(start + slab_rows, half + 1))
-        weights = np.outer(mirror_weights(rows), in_row, out=slab_weights[: len(rows)]).ravel()
-        eps, *second = (
-            _term_on_grid(h, windows, grid_points, rows, slab[: len(rows)]).ravel()
-            for h, slab in zip(band, slabs)
-        )
+    for weights, eps, *second in slabs:
         # zero-weight points, which add exact zeros, pad a slab of 392 points or more, and so its
         # last piece, to a multiple of 32
         if second and len(weights) >= 392:

@@ -184,9 +184,9 @@ def generated_specs(draw, closed_under_swap=False, odd_sums=False):
 
     The torus, of 1 to 7 cells a side, may be narrower than a move.  The
     routes never read the bases, so they are the unit cell.  With
-    ``closed_under_swap`` the spec is 3-D and each move ``(x, y, z)`` of a
-    label brings ``(x, z, y)`` too, so every band is unchanged by
-    exchanging the last two axes.  With ``odd_sums`` the spec has one label
+    ``closed_under_swap`` the spec is 3-D and each move of a label brings
+    every permutation of its components too, so every band is unchanged
+    by every permutation of the axes.  With ``odd_sums`` the spec has one label
     and every move an odd component sum, so its band changes sign under
     the shift by half a cell.
     """
@@ -199,7 +199,7 @@ def generated_specs(draw, closed_under_swap=False, odd_sums=False):
     for label in range(1, labels + 1):
         moves = draw(st.lists(move, min_size=1, max_size=3))
         if closed_under_swap:
-            moves += [(x, z, y) for x, y, z in moves]
+            moves = [p for move in moves for p in sorted(set(itertools.permutations(move)))]
         for coords in moves:
             steps += [
                 StepVector(tuple(map(Fraction, coords)), label),
@@ -227,10 +227,10 @@ def two_sublattice_specs(draw, closed_under_swap=False):
     denominator 2 to 4) and comes first; each of up to two more A->B steps
     adds an integer translation ``t`` in [-1, 1]**D to it.  One label; the
     bases are the unit cell, as in :func:`generated_specs`.  With
-    ``closed_under_swap`` the spec is 3-D, ``e0``'s last two components
-    are equal and each ``t = (x, y, z)`` brings ``(x, z, y)`` too, so the
-    A->B steps, and with them the band, are unchanged by exchanging the
-    last two axes.
+    ``closed_under_swap`` the spec is 3-D, ``e0``'s three components are
+    equal and each ``t`` brings every permutation of its components too, so the
+    A->B steps, and with them the band, are unchanged by every permutation
+    of the axes.
     """
     dimension = 3 if closed_under_swap else draw(st.integers(1, 3))
     q = draw(st.integers(2, 4))
@@ -241,8 +241,8 @@ def two_sublattice_specs(draw, closed_under_swap=False):
         st.lists(st.tuples(*[st.integers(-1, 1)] * dimension), max_size=2)
     )
     if closed_under_swap:
-        e0 = e0[:2] + e0[1:2]
-        shifts += [(x, z, y) for x, y, z in shifts[1:]]
+        e0 = e0[:1] * 3
+        shifts = [p for shift in shifts for p in sorted(set(itertools.permutations(shift)))]
     steps = []
     for shift in shifts:
         forward = tuple(e + t for e, t in zip(e0, shift))

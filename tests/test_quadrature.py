@@ -1,6 +1,8 @@
+import itertools
 import json
 import math
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
@@ -259,7 +261,7 @@ def test_halved_slab_sums_match_the_full_grid_mean(name, n, order):
     order=st.integers(0, 6),
 )
 def test_generated_halved_slab_sums_match_the_full_grid_mean(spec, n, order):
-    # 3-D bands unchanged by exchanging the last two axes: the last axis is halved too
+    # 3-D bands unchanged by every permutation of the axes: the sums over the fundamental domain
     _assert_full_grid_means(moments(spec, order, n), spec, order, n)
 
 
@@ -270,58 +272,121 @@ def _assert_full_grid_means(values, spec, order, n):
         assert values[index] == pytest.approx(mean, rel=0.0, abs=1e-13 * max(scale, 1.0)), index
 
 
-def _row_shapes(spec, order, n):
-    """The row shapes, past the rows axis, of the slabs ``moments`` passes ``_term_on_grid``."""
-    shapes = set()
-    term_on_grid = quadrature._term_on_grid
+def _paths(spec, order, n):
+    """How ``moments`` walks the grid: the row shapes, past the rows axis, of the slabs it passes
+    ``_term_on_grid``, and ``"domain"`` where it passes ``_term_on_domain`` slabs."""
+    paths = set()
+    term_on_grid, term_on_domain = quadrature._term_on_grid, quadrature._term_on_domain
 
-    def recording(harmonics, windows, grid_points, rows, out):
-        shapes.add(out.shape[1:])
+    def rows(harmonics, windows, grid_points, rows, out):
+        paths.add(out.shape[1:])
         return term_on_grid(harmonics, windows, grid_points, rows, out)
 
-    with mock.patch.object(quadrature, "_term_on_grid", recording):
+    def domain(*args):
+        paths.add("domain")
+        return term_on_domain(*args)
+
+    with mock.patch.object(quadrature, "_term_on_grid", rows), mock.patch.object(
+        quadrature, "_term_on_domain", domain
+    ):
         moments(spec, order, n)
-    return shapes
+    return paths
+
+
+def _domain_points(n, rows=None):
+    """The fundamental domain's points ``(a, b, c mod n)``, row by row and line by line.
+
+    Row ``a = 0..n//2`` holds the lines ``b`` with ``|b| >= a``, every
+    ``b`` at ``a = 0`` and else ``b = a..n-a``, and each line the ``min(2a
+    + 1, n)`` points ``c = -a, -a + 1, ...``.
+    """
+    return [
+        (a, b, c % n)
+        for a in (range(n // 2 + 1) if rows is None else rows)
+        for b in (range(n) if a == 0 else range(a, n - a + 1))
+        for c in range(-a, -a + min(2 * a + 1, n))
+    ]
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_domain_weights_give_each_orbit_its_size(n):
+    # by brute force over the n**3 points: the domain's weights, in exact arithmetic, total
+    # each orbit of the 12 maps (the axis permutations, with and without x -> -x) to its size
+    _, stream = quadrature._domain_slabs(((),), {}, n)
+    weights = [Fraction(w) for slab, _ in stream for w in slab.tolist()]
+    points = _domain_points(n)
+    assert len(weights) == len(points)
+    assert set(weights) <= {1, 2, 3, 4, 6, 12}
+    assert sum(weights) == n**3
+
+    def orbit(point):
+        return {
+            tuple(sign * point[axis] % n for axis in axes)
+            for axes in itertools.permutations(range(3))
+            for sign in (1, -1)
+        }
+
+    totals = Counter()
+    for point, w in zip(points, weights):
+        totals[min(orbit(point))] += w
+    for point in itertools.product(range(n), repeat=3):
+        images = orbit(point)
+        if point == min(images):
+            assert totals.pop(point, 0) == len(images), point
+    assert not totals
 
 
 # steps whose band the exchange of the last two axes changes
 _ASYMMETRIC_3D = ((1, -2, 3), (0, 2, -1), (2, 0, 0), (1, 1, 1))
+# steps whose band the exchange of the last two axes leaves alone and the 3-cycle changes
+_SWAP_ONLY_3D = ((2, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 8, 101])
 def test_only_bands_unchanged_by_the_swap_halve_the_last_axis(n):
-    # the band decides, never the name: bcc's and diamond's bands pass the swap test,
-    # bcc's name with asymmetric steps does not
+    # the band decides, never the name: bcc's and diamond's bands pass the permutation test and
+    # take the fundamental domain; bcc's name with steps that a permutation changes does not
     for name in ("bcc", "diamond"):
-        assert _row_shapes(make(name), 4, n) == {(n, n // 2 + 1)}, name
-    asymmetric = make("bcc")._replace(steps=_steps(*_ASYMMETRIC_3D))
-    assert _row_shapes(asymmetric, 4, n) == {(n, n)}
+        assert _paths(make(name), 4, n) == {"domain"}, name
+    for steps in (_ASYMMETRIC_3D, _SWAP_ONLY_3D):
+        assert _paths(make("bcc")._replace(steps=_steps(*steps)), 4, n) == {(n, n)}
     for name in ("triangular", "honeycomb"):
-        assert _row_shapes(make(name), 4, n) == {(n,)}, name
+        assert _paths(make(name), 4, n) == {(n,)}, name
     for name in ("chain-nn", "chain-nnn"):
-        assert _row_shapes(make(name), 4, n) == {()}, name
+        assert _paths(make(name), 4, n) == {()}, name
 
 
-def test_swap_test_takes_harmonics_up_to_sign_with_their_amplitudes():
-    # (1, 2, 3) exchanges to (1, 3, 2), which is -(-1, -3, -2)
-    assert quadrature._swap_symmetric(((((1, 2, 3), 1), ((-1, -3, -2), 1)),))
+def test_permutation_test_takes_harmonics_up_to_sign_with_their_amplitudes():
+    symmetric = quadrature._permutation_symmetric
+    # every permutation of (1, 2, 3), two of them written with the other sign
+    permutations = ((1, 2, 3), (-1, -3, -2), (2, 1, 3), (2, 3, 1), (-3, -1, -2), (3, 2, 1))
+    assert symmetric((tuple((f, 1) for f in permutations),))
+    assert symmetric(_band(make("bcc"))) and symmetric(_band(make("diamond")))
     # the amplitudes differ, or the multiset does
-    assert not quadrature._swap_symmetric(((((0, 1, 0), 1), ((0, 0, 1), 2)),))
-    assert not quadrature._swap_symmetric(((((0, 1, 0), 1), ((0, 0, 1), 1), ((0, 0, -1), 1)),))
+    assert not symmetric(((((1, 0, 0), 1), ((0, 1, 0), 1), ((0, 0, 1), 2)),))
+    axes = (((1, 0, 0), 1), ((0, 1, 0), 1), ((0, 0, 1), 1))
+    assert not symmetric((axes + (((0, 0, -1), 1),),))
+    # unchanged by one generator of the permutations only: the swap of the first two axes,
+    # the 3-cycle, the swap of the last two
+    assert not symmetric(((((1, 0, 0), 1), ((0, 1, 0), 1)),))
+    assert not symmetric(((((1, 2, 3), 1), ((2, 3, 1), 1), ((3, 1, 2), 1)),))
+    assert not symmetric((tuple((f, 1) for f in _SWAP_ONLY_3D),))
     # every label must pass: one symmetric label and one not
-    symmetric, lopsided = (((0, 1, 0), 1), ((0, 0, 1), 1)), (((0, 1, 0), 1),)
-    assert quadrature._swap_symmetric((symmetric, symmetric))
-    assert not quadrature._swap_symmetric((symmetric, lopsided))
+    assert symmetric((axes, axes))
+    assert not symmetric((axes, axes[:1]))
 
 
-def test_halving_a_band_the_swap_changes_fails_the_full_grid_mean():
-    # the mutant: the asymmetric spec forced onto the halved last axis
-    spec = make("bcc")._replace(steps=_steps(*_ASYMMETRIC_3D))
-    with mock.patch.object(quadrature, "_swap_symmetric", lambda band: True):
+def test_the_domain_on_a_band_the_3_cycle_changes_fails_the_full_grid_mean():
+    # the mutant: a band that only the swap of the last two axes leaves alone, forced onto the
+    # fundamental domain of every permutation
+    spec = make("bcc")._replace(steps=_steps(*_SWAP_ONLY_3D))
+    with mock.patch.object(quadrature, "_permutation_symmetric", lambda band: True):
         for n in (5, 6, 7, 12):
-            assert _row_shapes(spec, 4, n) == {(n, n // 2 + 1)}
+            assert _paths(spec, 4, n) == {"domain"}
             with pytest.raises(AssertionError):
                 _assert_full_grid_means(moments(spec, 4, n), spec, 4, n)
+    for n in (5, 6, 7, 12):
+        _assert_full_grid_means(moments(spec, 4, n), spec, 4, n)
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
@@ -374,21 +439,25 @@ def _table_gather_moments(spec, max_order, n):
     """Moments gathered from one table of all n cosines, with whole-grid point weights.
 
     Each label's dispersion is gathered point by point over the whole
-    reduced grid (rows ``0..n//2``, and on a 3-D band that the swap of the
-    last two axes leaves alone, ``d`` in ``0..n//2`` of the last axis with
-    the harmonics read as ``(f0, f1 + f2, f2)``), then cut into the slabs
-    of ``moments``: whole axis-0 rows, about ``_SLAB_POINTS`` points.  The
-    slabs' pieces, the two power tables of each piece, their product and
-    the compensated sum over pieces are those of ``moments``, so the floats
-    must agree bit for bit; here each table is one ``np.cumprod`` of its
-    rows' factors.  So is the odd-moment rule: one label whose harmonics
-    all have odd component sums, on an even grid or one past ``max_order``
-    times the bandwidth, takes powers of ``eps**2``, and its odd moments
-    are exact zeros.  It is tier-1's only bit-level guard on the power
-    tables and on that compensated sum: with a plain ``+=`` over the
-    pieces, or ``x**w`` taken as ``np.power(x, w)``, in ``moments`` only
-    the comparison with this helper fails, so it is no duplicate of
-    ``_phase_gather_moments``, which checks the band alone.
+    reduced grid, then cut into the slabs of ``moments``.  The reduced grid
+    is rows ``0..n//2`` in slabs of whole axis-0 rows of about
+    ``_SLAB_POINTS`` points, or, on a 3-D band that every permutation of
+    the axes leaves alone, the fundamental domain (``_domain_points``),
+    its whole rows packed into slabs of at most ``_SLAB_POINTS`` points,
+    at least one row each.  There a point ``(a, b, c)`` weighs ``rw * s *
+    3/t``, worked out here from its own coordinates, and the harmonics
+    constant along ``c`` are summed before the others.  The slabs' pieces,
+    the two power tables of each piece, their product and the compensated
+    sum over pieces are those of ``moments``, so the floats must agree bit
+    for bit; here each table is one ``np.cumprod`` of its rows' factors.
+    So is the odd-moment rule: one label whose harmonics all have odd
+    component sums, on an even grid or one past ``max_order`` times the
+    bandwidth, takes powers of ``eps**2``, and its odd moments are exact
+    zeros.  It is tier-1's only bit-level guard on the power tables and on
+    that compensated sum: with a plain ``+=`` over the pieces, or ``x**w``
+    taken as ``np.power(x, w)``, in ``moments`` only the comparison with
+    this helper fails, so it is no duplicate of ``_phase_gather_moments``,
+    which checks the band alone.
     """
     table = _cos_table(np.arange(n), n)
     band = _band(spec)
@@ -400,28 +469,47 @@ def _table_gather_moments(spec, max_order, n):
         and all(sum(f) % 2 for f, _ in band[0])
         and (n % 2 == 0 or n > max_order * bandwidth)
     )
-    halved = dim == 3 and quadrature._swap_symmetric(band)
-    if halved:
-        band = tuple(tuple(((f0, f1 + f2, f2), amp) for (f0, f1, f2), amp in h) for h in band)
     half = n // 2
+    if dim == 3 and quadrature._permutation_symmetric(band):
+        points = _domain_points(n)
+        axes = np.array(points).T
+        band = tuple(sorted(h, key=lambda harmonic: harmonic[0][-1] != 0) for h in band)
 
-    def mirror_weights(points):
-        weights = np.full(points, 2.0)
-        weights[0] = 1.0
-        if n % 2 == 0 and points > half:
-            weights[half] = 1.0
-        return weights
+        def distance(x):
+            return min(x, n - x)
 
-    sides = [half + 1] + [n] * (dim - 2) + ([half + 1 if halved else n] if dim > 1 else [])
-    axes = np.ix_(*(np.arange(side) for side in sides))
+        point_weights = np.array(
+            [
+                (1 if 2 * a % n == 0 else 2)
+                * (1 if distance(b) == a else 2)
+                * 3
+                / (1 + (distance(c) == a) + (distance(b) == distance(c)))
+                for a, b, c in points
+            ]
+        )
+        slabs, start, size = [], 0, 0
+        for _, row in itertools.groupby(range(len(points)), key=lambda i: points[i][0]):
+            row = len(list(row))
+            if size and size + row > _SLAB_POINTS:
+                slabs.append((start, start + size))
+                start, size = start + size, 0
+            size += row
+        slabs.append((start, start + size))
+    else:
+        sides = [half + 1] + [n] * (dim - 1)
+        axes = np.ix_(*(np.arange(side) for side in sides))
+        row_points = n ** (dim - 1)
+        point_weights = np.repeat(np.where(2 * np.arange(half + 1) % n == 0, 1.0, 2.0), row_points)
+        slab_points = min(max(1, _SLAB_POINTS // row_points), half + 1) * row_points
+        ends = list(range(0, len(point_weights), slab_points)) + [len(point_weights)]
+        slabs = list(zip(ends, ends[1:]))
     terms = []
     for harmonics in band:
-        term = np.zeros(sides)
+        term = np.zeros(len(point_weights))
         for f, amp in harmonics:
-            term += amp * table[np.mod(sum(axis * c for axis, c in zip(axes, f)), n)]
-        terms.append(term.ravel())
-    in_row = np.broadcast_to(mirror_weights(sides[-1]) if halved else 1.0, sides[1:]).ravel()
-    point_weights = np.outer(mirror_weights(half + 1), in_row).ravel()
+            phase = sum(axis * c for axis, c in zip(axes, f))
+            term += (amp * table[np.mod(phase, n)]).ravel()
+        terms.append(term)
     weight, step = (2.0, 2) if spec.basis_size == 2 else (1.0, 2 if squared else 1)
     powers = max_order // step + 1
     if len(band) == 2:
@@ -434,11 +522,8 @@ def _table_gather_moments(spec, max_order, n):
         # every slab of 392 points or more to a multiple of 32, with zero-weight points
         shape = (-(-(max_order + 1) // 8) * 8,) * 2
         per_piece = -(-per_piece // 32) * 32
-    row_points = len(point_weights) // (half + 1)
-    slab_points = min(max(1, _SLAB_POINTS // row_points), half + 1) * row_points
     products, carry = np.zeros(shape), np.zeros(shape)
-    for slab in range(0, len(point_weights), slab_points):
-        end = min(slab + slab_points, len(point_weights))
+    for slab, end in slabs:
         pad = -(end - slab) % 32 if len(band) == 2 and end - slab >= 392 else 0
         slab_weights, *slab_terms = (
             np.concatenate([a[slab:end], np.zeros(pad)]) for a in [point_weights, *terms]
@@ -472,9 +557,6 @@ def _phase_gather_term(harmonics, windows, grid_points, rows, out):
     Every slab point gets its own integer phase, reduced mod N, and reads
     its cosine from the table of all N phases, harmonic by harmonic into
     a fresh slab array; ``windows`` is not read and ``out`` not written.
-    On a halved 3-D grid the harmonics come as ``moments`` reads them,
-    ``(f0, f1 + f2, f2)``, so the phase at slab point ``(a, b, d)`` is the
-    one at grid point ``(a, b, b + d)``.
     """
     table = _cos_table(np.arange(grid_points), grid_points)
     axes = np.ix_(rows, *(np.arange(points) for points in out.shape[1:]))
@@ -485,9 +567,30 @@ def _phase_gather_term(harmonics, windows, grid_points, rows, out):
     return slab
 
 
+def _phase_gather_domain_term(harmonics, windows, grid_points, lines, slabs, out):
+    """``_term_on_domain``'s slabs, each gathered point by point.
+
+    The points of a slab's rows are enumerated afresh (``_domain_points``),
+    and each gets its own integer phase ``f.(a, b, c)``, reduced mod N, and
+    reads its cosine from the table of all N phases: the harmonics constant
+    along ``c`` first, then the others, each in its order, as ``moments``
+    adds them.  ``windows``, ``lines`` and ``out`` are not read.
+    """
+    table = _cos_table(np.arange(grid_points), grid_points)
+    ordered = sorted(harmonics, key=lambda harmonic: harmonic[0][-1] != 0)
+    for slab in slabs:
+        points = np.array(_domain_points(grid_points, [row[0] for row in slab]))
+        values = np.zeros(len(points))
+        for freq, amp in ordered:
+            values += amp * table[np.mod(points @ freq, grid_points)]
+        yield values
+
+
 def _phase_gather_moments(spec, max_order, n):
     """``moments`` with each slab's dispersion gathered point by point (``_phase_gather_term``)."""
-    with mock.patch.object(quadrature, "_term_on_grid", _phase_gather_term):
+    with mock.patch.object(quadrature, "_term_on_grid", _phase_gather_term), mock.patch.object(
+        quadrature, "_term_on_domain", _phase_gather_domain_term
+    ):
         return moments(spec, max_order, n)
 
 
