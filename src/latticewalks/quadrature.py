@@ -35,9 +35,10 @@ into the first quadrant, so the values are exactly symmetric and the
 rational ones (0, +-1/2, +-1) are exact.  In 2-D and 3-D the ``N``
 axis phases are folded into one table per run, and a harmonic reads
 its values along the last axis as whole rows of a window over that
-table times the harmonic's amplitude, the table repeated once more per
-unit of the harmonic's last frequency component (at most ``2N`` floats
-on the built-in lattices, never an ``N x N`` array): only the phases of
+table times the harmonic's amplitude, the table repeated ``2h + 1``
+times for the bandwidth ``h`` and once more per unit of the harmonic's
+last frequency component (at most ``4N`` floats on the built-in
+lattices, never an ``N x N`` array): only the phases of
 the other axes, ``1/N`` of a slab, are computed point by point.  The
 leading harmonics whose last frequency component is 0 are constant along
 that axis, so they are summed one value per line and the sum is written
@@ -105,17 +106,44 @@ The point ``(a, b, c)`` weighs ``rw * s * 3/t``, with ``rw = 1`` where
 ``|b| = a`` and else 2 (the swap).  Every weight is one of 1, 2, 3, 4, 6
 and 12 (``3/t`` is 3/2 only where ``s = 2``), an exact float, and they
 sum to ``N**3``.  Each row is one dense block, lines by points, and
-whole rows are packed into flat slabs; a harmonic ``f`` reads a line's
-points from row ``f0*a + f1*b - f2*a`` of its window, the phase at ``c =
--a``, and the harmonics constant along ``c`` are one value per line
-(:func:`_term_on_domain`).
+whole rows are packed into flat slabs.  A harmonic ``f`` reads a row's
+block as one strided slice of its window, whose rows run on past ``N``
+for ``2h`` more table lengths (``h`` the bandwidth): the lines from the
+row's phase ``f.(a, b, -a)`` on, ``f1`` window rows apart; the harmonics
+constant along ``c`` are one value per line (:func:`_term_on_domain`).
+
+A tetrahedral band on an odd grid is summed over a chamber four times
+smaller still (:func:`_tetrahedron`): one label of four harmonics of one
+amplitude whose frequencies, each signed so that ``f1 + f2 + f3 + f4 =
+0``, have three that form a basis (``|det| = 1``).  bcc's band is one;
+diamond's kernel, with its constant harmonic, is not.  In the cubic
+coordinates ``u = (f1 + f2).j``, ``v = (f1 + f3).j`` and ``w = (f2 +
+f3).j`` of a grid point ``j`` the phases are ``f1.j = (u + v - w)/2``,
+``f2.j = (u - v + w)/2``, ``f3.j = (-u + v + w)/2`` and ``f4.j = -(u + v
++ w)/2``, so the band is unchanged by the 48 signed permutations of ``(u,
+v, w)``.  The map ``j -> (u, v, w)`` has determinant ``+-2``, a unit mod
+an odd ``N``, so it maps the grid one to one onto itself, and there only
+0 is its own negative: the chamber ``0 <= v <= u <= w <= N//2`` holds one
+point of each class of the 48 maps, ``C(N//2 + 3, 3)`` points in all
+(23 426 at ``N = 101``, against the domain's 85 858), and a point weighs
+its class's size, its distinct orderings (6, 3 or 1) times 2 for each
+nonzero coordinate: one of 1, 6, 8, 12, 24 and 48.  :func:`_cubic_band`
+writes each harmonic in cubic coordinates as the integer row ``f.adj(M)``
+of the exact adjugate of ``j -> (u, v, w)``, and the cosine table is read
+at ``det**-1 mod N`` times each phase, the same floats as the lattice
+coordinates' phases read.  Every such row is ``+-1`` in each component,
+so row ``u`` of the chamber, one dense block of lines ``v = 0..u`` by
+points ``w = u..N//2``, reads each harmonic as a slice of unit strides,
+as the domain does.  Along a line only the first point, ``w = u``, has
+fewer images, so a row's weights are whole lines of one small table.  On
+an even grid the cubic map is 2- or 4-to-1, and the domain serves.
 
 The left table's first row holds each point's weight.  Memory is then
 one slab array per label and one of weights, allocated once and refilled
 slab by slab, and the buffer (the 2-D and 3-D table and its windows are
-a few rows of a slab), whatever the order; on the domain add a few
-values for each of its ``N**2/4`` lines.  The work, grid points times
-moments, is bounded by ``MAX_GRID_WORK``.
+a few rows of a slab), whatever the order; the domain and the chamber
+add a few numbers for each of their ``N/2`` rows.  The work, grid points
+times moments, is bounded by ``MAX_GRID_WORK``.
 
 For the finite ring the physically meaningful grid is the ring's own
 ``pbc_size`` quasimomenta: on that grid the deliberate aliasing of the
@@ -143,6 +171,7 @@ package costs no numpy and the exact commands (``coeffs``,
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from typing import TYPE_CHECKING, Iterator, Sequence
@@ -297,91 +326,165 @@ def _term_on_grid(
     return out
 
 
-def _term_on_domain(
-    harmonics: Harmonics,
-    windows: dict,
-    grid_points: int,
-    lines: np.ndarray,
-    slabs: list,
-    out: np.ndarray,
-) -> Iterator[np.ndarray]:
-    """Yield one label's harmonics on each slab of the fundamental domain, written into ``out``.
+def _tetrahedron(band: tuple[Harmonics, ...], grid_points: int) -> list | None:
+    """The band's four harmonics, signed to sum to 0, where the 48-map chamber applies; else None.
 
-    ``lines`` holds every line's ``a`` and ``b``, and each slab of
-    ``slabs`` its rows as ``(a, lo, hi, m, pos)`` (:func:`_domain_slabs`).
-    Once per call each harmonic ``f`` gets its phase at ``c = -a`` on every
-    line, ``f0*a + f1*b - f2*a``, and the harmonics constant along ``c``
-    are summed per line, in their order, from 0.  Each row's block then
-    starts as that sum, and each other harmonic adds, in its order, the
-    first ``m`` values of the rows of ``windows[f2, amp]`` at its lines'
-    phases: a few numpy calls a row.
+    It applies on an odd grid to a one-label 3-D band of four harmonics of
+    one amplitude whose frequencies, each taken with the sign that makes
+    their sum 0, have three that form a basis (``|det| = 1``; the fourth is
+    minus their sum, so any three do).  bcc's is one.
+    """
+    if grid_points % 2 == 0 or len(band) != 1 or len(band[0]) != 4:
+        return None
+    (first, amp), *rest = band[0]
+    if len(first) != 3 or any(a != amp for _, a in rest):
+        return None
+    for signs in itertools.product((1, -1), repeat=3):
+        signed = [(first, amp)] + [(tuple(s * c for c in f), a) for s, (f, a) in zip(signs, rest)]
+        if not any(map(sum, zip(*(f for f, _ in signed)))):
+            (f1, _), (f2, _), (f3, _), _ = signed
+            return signed if abs(_dot(f1, _cross(f2, f3))) == 1 else None
+    return None
+
+
+def _cross(x: Sequence[int], y: Sequence[int]) -> tuple[int, int, int]:
+    """The cross product of two integer 3-vectors."""
+    return (x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2], x[0] * y[1] - x[1] * y[0])
+
+
+def _dot(x: Sequence[int], y: Sequence[int]) -> int:
+    """The dot product of two integer vectors."""
+    return sum(a * b for a, b in zip(x, y))
+
+
+def _cubic_band(tetrahedron: list, grid_points: int) -> tuple[Harmonics, int]:
+    """The tetrahedron's harmonics in cubic coordinates, and ``det**-1 mod N``.
+
+    The cubic coordinates of a grid point ``j`` are ``M j`` for the rows
+    ``f1 + f2``, ``f1 + f3`` and ``f2 + f3`` of ``M``.  The phase of a
+    harmonic ``f`` is ``f.j = f.adj(M).(u, v, w) / det(M)``, with the exact
+    integer adjugate, whose columns are the cross products of ``M``'s rows,
+    so in cubic coordinates the harmonic is the integer row ``f.adj(M)``
+    read from the table at ``det**-1`` times its phase, mod ``N``.  Each
+    row is written with its last nonzero component positive, as
+    :func:`_band` writes frequencies.
+    """
+    (f1, _), (f2, _), (f3, _), _ = tetrahedron
+    rows = [tuple(map(sum, zip(x, y))) for x, y in ((f1, f2), (f1, f3), (f2, f3))]
+    adjugate = [_cross(rows[1], rows[2]), _cross(rows[2], rows[0]), _cross(rows[0], rows[1])]
+    cubic = [(tuple(_dot(f, column) for column in adjugate), amp) for f, amp in tetrahedron]
+    harmonics = tuple((max(r, tuple(-c for c in r), key=lambda v: v[::-1]), a) for r, a in cubic)
+    return harmonics, pow(_dot(rows[0], adjugate[0]), -1, grid_points)
+
+
+def _term_on_domain(
+    harmonics: Harmonics, windows: dict, grid_points: int, slabs: list, out: np.ndarray
+) -> Iterator[np.ndarray]:
+    """Yield one label's harmonics on each slab of a symmetry-reduced domain, written into ``out``.
+
+    Each slab of ``slabs`` holds its rows as ``(a, b, c, count, m, pos)``
+    (:func:`_domain_slabs`): the ``count`` lines from ``b`` on of row ``a``,
+    each of the ``m`` points from ``c`` on, as one dense ``(count, m)`` block
+    from point ``pos`` of the slab.  A harmonic ``f`` reads a row's block as
+    one strided slice of ``windows[f2, amp]``: the lines from its phase
+    ``f.(a, b, c)`` on, ``f1`` window rows apart, each line's points along a
+    window row.  The start is moved on by ``N*h`` rows, ``h`` the largest
+    ``|f1|``, so lines read with a stride below 0 stay in the window.  The
+    harmonics constant along ``c`` are summed per line, in their order, from
+    0, and each row's block starts as that sum (or, where there are none,
+    as the first harmonic: ``0 + x`` is ``x``, as no window holds
+    ``-0.0``); the others add, in their order.
     """
     import numpy as np
 
-    shifts = np.array([(f0 - f2, f1) for (f0, f1, f2), _ in harmonics], dtype=np.int64)
-    phases = np.mod(shifts.reshape(-1, 2) @ lines, grid_points)
-    line = np.zeros((lines.shape[1], 1))
-    rest = []
-    for phase, ((_, _, f2), amp) in zip(phases, harmonics):
-        if f2:
-            rest.append((phase, windows[f2, amp]))
-        else:
-            line += windows[0, amp][phase]
+    n = grid_points
+    reads = sorted(((f, windows[f[2], amp]) for f, amp in harmonics), key=lambda r: r[0][2] != 0)
+    lead = sum(not f[2] for f, _ in harmonics)
+    offset = n * max((abs(f[1]) for f, _ in harmonics), default=0)
     for slab in slabs:
-        for _, lo, hi, m, pos in slab:
-            block = out[pos : pos + (hi - lo) * m].reshape(hi - lo, m)
-            block[...] = line[lo:hi]
-            for phase, window in rest:
-                block += window[:, :m].take(phase[lo:hi], axis=0)
-        yield out[: pos + (hi - lo) * m]
+        for a, b, c, count, m, pos in slab:
+            block = out[pos : pos + count * m].reshape(count, m)
+            terms = []
+            for (f0, f1, f2), window in reads:
+                start = (f0 * a + f1 * b + f2 * c) % n + offset
+                terms.append(
+                    window[start : start + f1 * count : f1, :m] if f1 else window[start, :m]
+                )
+            if lead or not terms:
+                line = np.zeros((count, 1))
+                for term in terms[:lead]:
+                    line += term
+                terms[:lead] = [line]
+            block[...] = terms[0]
+            for term in terms[1:]:
+                block += term
+        yield out[: pos + count * m]
 
 
 def _domain_slabs(
-    band: tuple[Harmonics, ...], windows: dict, grid_points: int
+    band: tuple[Harmonics, ...], windows: dict, grid_points: int, chamber: bool
 ) -> tuple[int, Iterator[tuple[np.ndarray, ...]]]:
-    """The largest slab's points, and a stream of ``(weights, *terms)`` over the fundamental domain.
+    """The largest slab's points, and a stream of ``(weights, *terms)`` over a reduced domain.
 
-    The domain is the module docstring's: row ``a = 0..N//2`` holds the
-    lines ``b`` with ``|b| >= a``, each of ``m = min(2a + 1, N)`` points.
-    Whole rows are packed into flat slabs of about ``_SLAB_POINTS``
-    points, at least one row each; a row is ``(a, lo, hi, m, pos)``, lines
-    ``lo:hi`` of the domain as one dense ``(hi - lo, m)`` block from point
-    ``pos`` of its slab.  Each line's ``a``, ``b`` and weights are made
-    once per call: ``3 * rw * s`` between the line's ends, and ``rw * s *
-    3/t`` at ``c = +-a``, where ``t`` is 3 if ``|b| = a`` too and else 2.
-    Each row's weights are then two assignments.
+    The domains and their weights are the module docstring's.  The 12
+    maps' domain: row ``a = 0..N//2`` holds the lines ``b`` with ``|b| >=
+    a`` (every ``b`` at ``a = 0``, else ``b = a..N-a``), each of the
+    ``min(2a + 1, N)`` points ``c = -a..a`` mod ``N``.  With ``chamber``, the
+    48 maps' chamber in cubic coordinates: row ``u = 0..N//2`` holds the
+    lines ``v = 0..u``, each of the points ``w = u..N//2``.  Whole rows are
+    packed into flat slabs of about ``_SLAB_POINTS`` points, at least one
+    row each; a row is its first point, its ``count`` lines of ``m`` points
+    and where its dense block starts in its slab.  Each row's weights are a
+    few assignments: on the domain a value inside and then its edges, on
+    the chamber whole lines of one table.
     """
     import numpy as np
 
-    n, slabs, sizes, lo, pos = grid_points, [[]], [], 0, 0
-    for a in range(n // 2 + 1):
-        count, m = n - 2 * a + 1 if a else n, min(2 * a + 1, n)
-        if slabs[-1] and pos + count * m > _SLAB_POINTS:
+    n, half = grid_points, grid_points // 2
+    if chamber:
+        rows = [(u, 0, u, u + 1, half - u + 1) for u in range(half + 1)]
+        # the weights along a line, from its point w = u on: the one line of row 0, then in each
+        # other row its line v = 0, its line v = u and each line between
+        faces = np.array([(1.0, 6.0), (12.0, 24.0), (8.0, 24.0), (24.0, 48.0)])
+        faces = np.repeat(faces, (1, half), axis=1)
+    else:
+        rows = [(0, 0, 0, n, 1)]
+        rows += [(a, a, -a, n - 2 * a + 1, min(2 * a + 1, n)) for a in range(1, half + 1)]
+    slabs, sizes, pos = [[]], [], 0
+    for row in rows:
+        if slabs[-1] and pos + row[3] * row[4] > _SLAB_POINTS:
             slabs.append([])
             sizes.append(pos)
             pos = 0
-        slabs[-1].append((a, lo, lo + count, m, pos))
-        lo, pos = lo + count, pos + count * m
+        slabs[-1].append(row + (pos,))
+        pos += row[3] * row[4]
     sizes.append(pos)
-    rows = [row for slab in slabs for row in slab]
-    # b runs from a in each row, and from 0 in row 0
-    lines = np.repeat([(a, a - lo) for a, lo, *_ in rows], [hi - lo for _, lo, hi, *_ in rows], 0).T
-    lines[1] += np.arange(lines.shape[1])
-    a, b = lines
-    edge = np.minimum(b, n - b) == a
-    pair = np.where(2 * a % n, 2.0, 1.0) * np.where(edge, 1.0, 2.0)
-    inner, corner = 3.0 * pair[:, None], np.where(edge, pair, 1.5 * pair)[:, None]
 
     def stream():
         arrays = [_cache_aligned((max(sizes),), 0.0) for _ in band]
         weights = np.empty(max(sizes))
-        terms = [_term_on_domain(h, windows, n, lines, slabs, out) for h, out in zip(band, arrays)]
+        terms = [_term_on_domain(h, windows, n, slabs, out) for h, out in zip(band, arrays)]
         for slab, size, *values in zip(slabs, sizes, *terms):
-            for row, lo, hi, m, pos in slab:
-                block = weights[pos : pos + (hi - lo) * m].reshape(hi - lo, m)
-                block[...] = inner[lo:hi]
-                # c = -a and c = a, columns 0 and 2a: one column where they are one point
-                block[:, :: 2 * row or 1] = corner[lo:hi]
+            for a, _, _, count, m, pos in slab:
+                block = weights[pos : pos + count * m].reshape(count, m)
+                if chamber:
+                    block[...] = faces[3 if a else 0, :m]
+                    if a:
+                        block[::a] = faces[1:3, :m]
+                elif a == 0:
+                    # the points (0, b, 0): b = 0 is its own image, every other b stands for 3
+                    block[...] = 3.0
+                    block[0] = 1.0
+                else:
+                    # rw * s * 3/t: rw = 2 for the inversion where 2a != 0 mod N, s = 2 off the
+                    # lines b = a and N - a, which the swap maps onto themselves, and t = 2 at a
+                    # line's ends c = -a and a, or 3 where b is there too
+                    rw = 2.0 if 2 * a % n else 1.0
+                    block[...] = 6.0 * rw
+                    block[:, :: 2 * a] = 3.0 * rw
+                    edges = block[:: count - 1 or 1]
+                    edges[...] = 3.0 * rw
+                    edges[:, :: 2 * a] = rw
             yield (weights[:size], *values)
 
     return max(sizes), stream()
@@ -456,11 +559,17 @@ def moments(spec: LatticeSpec, max_order: int, grid_points: int) -> dict[MultiIn
     The grid is streamed in slabs over rows ``0..N//2`` with inversion
     weights, or, where :func:`_permutation_symmetric` passes the 3-D band,
     over the fundamental domain of the axis permutations and the
-    inversion (see the module docstring), so bcc and diamond sum about a
-    twelfth of the grid.  Every moment of a piece of a slab comes from one
-    matrix product of two power tables (see the module docstring): with
-    one label, the ``P`` powers ``x**p`` of its dispersion ``x`` are
-    ``(x**w)**j * x**k`` for ``w = isqrt(P - 1) + 1``; with two, the
+    inversion, about a twelfth of the grid: diamond's band on every grid
+    and bcc's on even ones.  A tetrahedral band (:func:`_tetrahedron`) on
+    an odd grid is summed in cubic coordinates over the chamber of their
+    48 signed permutations, about a 48th of the grid: bcc's on its auto
+    grid at even orders (``N = n + 1``) and on every odd hand-set grid.
+    The band and ``N`` choose the path, never the lattice's name, and the
+    paths agree up to rounding (see the module docstring).  Every moment
+    of a piece of a slab comes from one matrix product of two power tables
+    (see the module docstring): with one label, the ``P`` powers ``x**p``
+    of its dispersion ``x`` are ``(x**w)**j * x**k`` for ``w = isqrt(P -
+    1) + 1``; with two, the
     moment ``(i, j)`` is ``e1**i * e2**j``.  A spec with more than
     ``MAX_HOPPING_LABELS`` labels or a step labelled outside
     ``1..hopping_count``, or a run past ``MAX_GRID_WORK`` grid points
@@ -490,21 +599,30 @@ def moments(spec: LatticeSpec, max_order: int, grid_points: int) -> dict[MultiIn
         and all(sum(freq) % 2 for freq, _ in band[0])
         and (grid_points % 2 == 0 or grid_points > max_order * _bandwidth(band))
     )
+    # a tetrahedral band on an odd grid is summed in cubic coordinates over the chamber of their
+    # 48 signed permutations; its table is read at det**-1 times each phase
+    tetrahedron = _tetrahedron(band, grid_points) if spec.dimension == 3 else None
+    if tetrahedron:
+        cubic, inverse = _cubic_band(tetrahedron, grid_points)
+        band = (cubic,)
     windows = {}
     if spec.dimension > 1:
-        table = _cos_table(np.arange(grid_points), grid_points)
+        phases = np.arange(grid_points)
+        table = _cos_table(phases * inverse % grid_points if tetrahedron else phases, grid_points)
+        height = (2 * _bandwidth(band) + 1) * grid_points
         for c, amp in {(freq[-1], amp) for harmonics in band for freq, amp in harmonics}:
-            # windows[c, amp][j, k] = amp * table[(j + c*k) % N]: from j on, read with stride c
+            # windows[c, amp][j, k] = amp * table[(j + c*k) % N] for j < height: from j on, read
+            # with stride c; the rows past N let a domain row read its lines with one stride
             windows[c, amp] = np.lib.stride_tricks.as_strided(
-                np.tile(amp * table, c + 1),
-                (grid_points, grid_points if c else 1),
+                np.tile(amp * table, height // grid_points + c),
+                (height, grid_points if c else 1),
                 (table.itemsize, c * table.itemsize),
                 writeable=False,
             )
-    # a 3-D band unchanged by every permutation of its axes is summed over their fundamental
-    # domain with the inversion, every other band over rows 0..N//2
+    # a 3-D band unchanged by every permutation of its axes is summed over the chamber or the
+    # fundamental domain of the permutations and the inversion, every other band over rows 0..N//2
     if spec.dimension == 3 and _permutation_symmetric(band):
-        slab_points, slabs = _domain_slabs(band, windows, grid_points)
+        slab_points, slabs = _domain_slabs(band, windows, grid_points, bool(tetrahedron))
     else:
         slab_points, slabs = _row_slabs(band, windows, grid_points, spec.dimension)
     # odd moments vanish on two sublattices too, where x is the kernel and both subbands count

@@ -220,6 +220,44 @@ def generated_specs(draw, closed_under_swap=False, odd_sums=False):
 
 
 @st.composite
+def tetrahedral_specs(draw):
+    """bcc's steps under a unimodular map: a one-label 3-D spec whose band is tetrahedral.
+
+    The map is a signed permutation of the axes followed by one to three
+    shears (an axis plus or minus another), so its determinant is +-1; the
+    steps are the images of ``+-e_1``, ``+-e_2``, ``+-e_3`` and ``+-(1, 1, 1)``,
+    in a drawn order.  The four harmonics keep one amplitude, their signed
+    sum stays 0 and any three stay a basis.
+    """
+    axes = draw(st.permutations(range(3)))
+    signs = draw(st.tuples(*[st.sampled_from((1, -1))] * 3))
+    rows = [[sign * (j == axis) for j in range(3)] for axis, sign in zip(axes, signs)]
+    shears = st.tuples(st.integers(0, 2), st.integers(0, 2), st.sampled_from((1, -1)))
+    for i, j, k in draw(st.lists(shears.filter(lambda s: s[0] != s[1]), min_size=1, max_size=3)):
+        rows[i] = [x + k * y for x, y in zip(rows[i], rows[j])]
+    moves = draw(st.permutations([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]))
+    steps = []
+    for move in moves:
+        image = tuple(sum(r * m for r, m in zip(row, move)) for row in rows)
+        steps += [
+            StepVector(tuple(map(Fraction, image)), 1),
+            StepVector(tuple(Fraction(-c) for c in image), 1),
+        ]
+    unit = tuple(tuple(float(i == j) for j in range(3)) for i in range(3))
+    return LatticeSpec(
+        name="generated",
+        dimension=3,
+        basis_size=1,
+        steps=tuple(steps),
+        hopping_count=1,
+        direct_basis=unit,
+        reciprocal_basis=tuple(tuple(2 * math.pi * c for c in row) for row in unit),
+        cell_volume=(2 * math.pi) ** 3,
+        pbc_size=None,
+    )
+
+
+@st.composite
 def two_sublattice_specs(draw, closed_under_swap=False):
     """A two-sublattice spec: A->B steps ``e0 + t`` and their reverses, maybe on a torus.
 

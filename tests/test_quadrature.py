@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import generated_specs, series_value, two_sublattice_specs
+from conftest import generated_specs, series_value, tetrahedral_specs, two_sublattice_specs
 from latticewalks import (
     BUILTIN_NAMES,
     StepVector,
@@ -274,20 +275,20 @@ def _assert_full_grid_means(values, spec, order, n):
 
 def _paths(spec, order, n):
     """How ``moments`` walks the grid: the row shapes, past the rows axis, of the slabs it passes
-    ``_term_on_grid``, and ``"domain"`` where it passes ``_term_on_domain`` slabs."""
+    ``_term_on_grid``, and ``"domain"`` or ``"chamber"`` where it streams ``_domain_slabs``."""
     paths = set()
-    term_on_grid, term_on_domain = quadrature._term_on_grid, quadrature._term_on_domain
+    term_on_grid, domain_slabs = quadrature._term_on_grid, quadrature._domain_slabs
 
     def rows(harmonics, windows, grid_points, rows, out):
         paths.add(out.shape[1:])
         return term_on_grid(harmonics, windows, grid_points, rows, out)
 
-    def domain(*args):
-        paths.add("domain")
-        return term_on_domain(*args)
+    def domain(band, windows, grid_points, chamber):
+        paths.add("chamber" if chamber else "domain")
+        return domain_slabs(band, windows, grid_points, chamber)
 
     with mock.patch.object(quadrature, "_term_on_grid", rows), mock.patch.object(
-        quadrature, "_term_on_domain", domain
+        quadrature, "_domain_slabs", domain
     ):
         moments(spec, order, n)
     return paths
@@ -308,11 +309,32 @@ def _domain_points(n, rows=None):
     ]
 
 
+def _chamber_points(n, rows=None):
+    """The chamber's points ``(u, v, w)`` in cubic coordinates, row by row and line by line.
+
+    Row ``u = 0..n//2`` holds the lines ``v = 0..u``, each of the points ``w
+    = u..n//2``: every ``0 <= v <= u <= w <= n//2``.
+    """
+    half = n // 2
+    return [
+        (u, v, w)
+        for u in (range(half + 1) if rows is None else rows)
+        for v in range(u + 1)
+        for w in range(u, half + 1)
+    ]
+
+
+def _chamber_weight(point):
+    """A chamber point's images under the 48 signed permutations: its distinct orderings times
+    a sign for each nonzero coordinate (on an odd grid only 0 is its own negative)."""
+    return len(set(itertools.permutations(point))) * 2 ** sum(map(bool, point))
+
+
 @pytest.mark.parametrize("n", range(1, 13))
 def test_domain_weights_give_each_orbit_its_size(n):
     # by brute force over the n**3 points: the domain's weights, in exact arithmetic, total
     # each orbit of the 12 maps (the axis permutations, with and without x -> -x) to its size
-    _, stream = quadrature._domain_slabs(((),), {}, n)
+    _, stream = quadrature._domain_slabs(((),), {}, n, False)
     weights = [Fraction(w) for slab, _ in stream for w in slab.tolist()]
     points = _domain_points(n)
     assert len(weights) == len(points)
@@ -336,6 +358,36 @@ def test_domain_weights_give_each_orbit_its_size(n):
     assert not totals
 
 
+@pytest.mark.parametrize("n", range(1, 16, 2))
+def test_chamber_weights_give_each_class_its_size(n):
+    # by brute force over the n**3 points of an odd grid: the chamber holds one point of each
+    # class of the 48 signed permutations of the cubic coordinates mod n, and its weight, in
+    # exact arithmetic, is that class's size
+    _, stream = quadrature._domain_slabs(((),), {}, n, True)
+    weights = [Fraction(w) for slab, _ in stream for w in slab.tolist()]
+    points = _chamber_points(n)
+    assert len(weights) == len(points) == math.comb(n // 2 + 3, 3)
+    assert set(weights) <= {1, 6, 8, 12, 24, 48}
+    assert sum(weights) == n**3
+
+    def image(point, axes, signs):
+        return tuple(sign * point[axis] % n for axis, sign in zip(axes, signs))
+
+    signs = itertools.product((1, -1), repeat=3)
+    maps = list(itertools.product(itertools.permutations(range(3)), signs))
+    assert len(maps) == 48
+    classes = {}
+    for point in itertools.product(range(n), repeat=3):
+        classes.setdefault(min(image(point, *m) for m in maps), set()).add(point)
+    chamber = {}
+    for point, w in zip(points, weights):
+        key = min(image(point, *m) for m in maps)
+        assert key not in chamber, point
+        chamber[key] = w
+        assert w == _chamber_weight(point)
+    assert chamber == {key: len(members) for key, members in classes.items()}
+
+
 # steps whose band the exchange of the last two axes changes
 _ASYMMETRIC_3D = ((1, -2, 3), (0, 2, -1), (2, 0, 0), (1, 1, 1))
 # steps whose band the exchange of the last two axes leaves alone and the 3-cycle changes
@@ -345,9 +397,10 @@ _SWAP_ONLY_3D = ((2, 0, 0), (0, 1, 0), (0, 0, 1))
 @pytest.mark.parametrize("n", [1, 2, 7, 8, 101])
 def test_only_bands_unchanged_by_the_swap_halve_the_last_axis(n):
     # the band decides, never the name: bcc's and diamond's bands pass the permutation test and
-    # take the fundamental domain; bcc's name with steps that a permutation changes does not
-    for name in ("bcc", "diamond"):
-        assert _paths(make(name), 4, n) == {"domain"}, name
+    # take the fundamental domain, and bcc's, tetrahedral, the chamber on an odd grid; bcc's
+    # name with steps that a permutation changes does not
+    assert _paths(make("bcc"), 4, n) == {"chamber" if n % 2 else "domain"}
+    assert _paths(make("diamond"), 4, n) == {"domain"}
     for steps in (_ASYMMETRIC_3D, _SWAP_ONLY_3D):
         assert _paths(make("bcc")._replace(steps=_steps(*steps)), 4, n) == {(n, n)}
     for name in ("triangular", "honeycomb"):
@@ -374,6 +427,49 @@ def test_permutation_test_takes_harmonics_up_to_sign_with_their_amplitudes():
     # every label must pass: one symmetric label and one not
     assert symmetric((axes, axes))
     assert not symmetric((axes, axes[:1]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=tetrahedral_specs(), n=st.sampled_from(range(1, 14, 2)), order=st.integers(0, 6))
+def test_tetrahedral_specs_take_the_chamber_and_give_the_full_grid_mean(spec, n, order):
+    # unimodular images of bcc's steps: on an odd grid the band is summed over the chamber
+    # of the 48 signed permutations of its cubic coordinates
+    assert _paths(spec, order, n) == {"chamber"}
+    _assert_full_grid_means(moments(spec, order, n), spec, order, n)
+
+
+# four harmonics of a zero signed sum, off the chamber's rule: bcc's steps with (1, 1, 1) twice
+# (amplitudes 2, 2, 2 and 4), and 3e_1, e_2, e_3 and (3, 1, 1) (|det| = 3)
+_UNEQUAL_AMPLITUDES = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 1, 1))
+_DETERMINANT_3 = ((3, 0, 0), (0, 1, 0), (0, 0, 1), (3, 1, 1))
+
+
+def test_bands_off_the_chamber_rule_stay_off_it_and_fail_forced_onto_it():
+    # unforced, both bands stay off the chamber and give the full-grid means
+    for steps in (_UNEQUAL_AMPLITUDES, _DETERMINANT_3):
+        spec = make("bcc")._replace(steps=_steps(*steps))
+        for n in (3, 5, 7, 9):
+            assert quadrature._tetrahedron(_band(spec), n) is None
+            assert "chamber" not in _paths(spec, 4, n)
+            _assert_full_grid_means(moments(spec, 4, n), spec, 4, n)
+    # the mutants, each forced onto the chamber with its harmonics signed to sum to 0: with
+    # unequal amplitudes a sign change of one cubic coordinate changes the band, so the
+    # chamber's weights count the wrong points
+    spec = make("bcc")._replace(steps=_steps(*_UNEQUAL_AMPLITUDES))
+    signed = [((1, 0, 0), 2), ((0, 1, 0), 2), ((0, 0, 1), 2), ((-1, -1, -1), 4)]
+    with mock.patch.object(quadrature, "_tetrahedron", lambda band, n: signed):
+        for n in (3, 5, 7, 9):
+            assert _paths(spec, 4, n) == {"chamber"}
+            with pytest.raises(AssertionError):
+                _assert_full_grid_means(moments(spec, 4, n), spec, 4, n)
+    # with |det| = 3 the cubic map's determinant is 6: where 3 divides N the map is not one to
+    # one and no det**-1 exists; elsewhere it is, and forced, the chamber gives the right means
+    spec = make("bcc")._replace(steps=_steps(*_DETERMINANT_3))
+    signed = [((3, 0, 0), 2), ((0, 1, 0), 2), ((0, 0, 1), 2), ((-3, -1, -1), 2)]
+    with mock.patch.object(quadrature, "_tetrahedron", lambda band, n: signed):
+        for n in (3, 9):
+            with pytest.raises(ValueError, match="not invertible"):
+                moments(spec, 4, n)
 
 
 def test_the_domain_on_a_band_the_3_cycle_changes_fails_the_full_grid_mean():
@@ -446,7 +542,15 @@ def _table_gather_moments(spec, max_order, n):
     its whole rows packed into slabs of at most ``_SLAB_POINTS`` points,
     at least one row each.  There a point ``(a, b, c)`` weighs ``rw * s *
     3/t``, worked out here from its own coordinates, and the harmonics
-    constant along ``c`` are summed before the others.  The slabs' pieces,
+    constant along ``c`` are summed before the others.  A tetrahedral band
+    on an odd grid is gathered on the chamber instead (``_chamber_points``,
+    packed as the domain is): a point ``(u, v, w)`` weighs its images
+    under the 48 signed permutations, counted here (``_chamber_weight``),
+    and with the band's harmonics ``f_1..f_4`` signed to sum to 0, ``u =
+    (f_1 + f_2).j``, ``v = (f_1 + f_3).j`` and ``w = (f_2 + f_3).j``, so the
+    phases ``f_i.j`` are the half sums ``(u + v - w)/2``, ``(u - v + w)/2``,
+    ``(-u + v + w)/2`` and ``-(u + v + w)/2`` mod ``n``, read from the
+    table, which is exactly even, in the band's order.  The slabs' pieces,
     the two power tables of each piece, their product and the compensated
     sum over pieces are those of ``moments``, so the floats must agree bit
     for bit; here each table is one ``np.cumprod`` of its rows' factors.
@@ -470,7 +574,14 @@ def _table_gather_moments(spec, max_order, n):
         and (n % 2 == 0 or n > max_order * bandwidth)
     )
     half = n // 2
-    if dim == 3 and quadrature._permutation_symmetric(band):
+    chamber = dim == 3 and quadrature._tetrahedron(band, n)
+    if chamber:
+        points = _chamber_points(n)
+        point_weights = np.array([_chamber_weight(point) for point in points], dtype=float)
+        # 2**-1 mod n times each half sum's integer phase
+        halves = np.array([(1, 1, -1), (1, -1, 1), (-1, 1, 1), (1, 1, 1)]) * ((n + 1) // 2)
+        phases = np.mod(np.array(points) @ halves.T, n)
+    elif dim == 3 and quadrature._permutation_symmetric(band):
         points = _domain_points(n)
         axes = np.array(points).T
         band = tuple(sorted(h, key=lambda harmonic: harmonic[0][-1] != 0) for h in band)
@@ -487,6 +598,7 @@ def _table_gather_moments(spec, max_order, n):
                 for a, b, c in points
             ]
         )
+    if dim == 3 and quadrature._permutation_symmetric(band):
         slabs, start, size = [], 0, 0
         for _, row in itertools.groupby(range(len(points)), key=lambda i: points[i][0]):
             row = len(list(row))
@@ -506,9 +618,9 @@ def _table_gather_moments(spec, max_order, n):
     terms = []
     for harmonics in band:
         term = np.zeros(len(point_weights))
-        for f, amp in harmonics:
-            phase = sum(axis * c for axis, c in zip(axes, f))
-            term += (amp * table[np.mod(phase, n)]).ravel()
+        for i, (f, amp) in enumerate(harmonics):
+            phase = phases[:, i] if chamber else np.mod(sum(x * c for x, c in zip(axes, f)), n)
+            term += (amp * table[phase]).ravel()
         terms.append(term)
     weight, step = (2.0, 2) if spec.basis_size == 2 else (1.0, 2 if squared else 1)
     powers = max_order // step + 1
@@ -567,29 +679,38 @@ def _phase_gather_term(harmonics, windows, grid_points, rows, out):
     return slab
 
 
-def _phase_gather_domain_term(harmonics, windows, grid_points, lines, slabs, out):
+def _phase_gather_domain_term(step, harmonics, windows, grid_points, slabs, out):
     """``_term_on_domain``'s slabs, each gathered point by point.
 
-    The points of a slab's rows are enumerated afresh (``_domain_points``),
-    and each gets its own integer phase ``f.(a, b, c)``, reduced mod N, and
-    reads its cosine from the table of all N phases: the harmonics constant
-    along ``c`` first, then the others, each in its order, as ``moments``
-    adds them.  ``windows``, ``lines`` and ``out`` are not read.
+    The points of a slab's rows are enumerated afresh (``_domain_points``,
+    or ``_chamber_points`` where ``step``, the chamber's ``det**-1 mod N``,
+    is not None), and each gets its own integer phase ``f.p``, reduced mod N
+    (times ``step`` on the chamber, whose harmonics are in cubic
+    coordinates), and reads its cosine from the table of all N phases: the
+    harmonics constant along the last axis first, then the others, each in
+    its order, as ``moments`` adds them.  ``windows`` and ``out`` are not
+    read.
     """
     table = _cos_table(np.arange(grid_points), grid_points)
     ordered = sorted(harmonics, key=lambda harmonic: harmonic[0][-1] != 0)
     for slab in slabs:
-        points = np.array(_domain_points(grid_points, [row[0] for row in slab]))
+        rows = [row[0] for row in slab]
+        if step is None:
+            points, scale = np.array(_domain_points(grid_points, rows)), 1
+        else:
+            points, scale = np.array(_chamber_points(grid_points, rows)), step
         values = np.zeros(len(points))
         for freq, amp in ordered:
-            values += amp * table[np.mod(points @ freq, grid_points)]
+            values += amp * table[np.mod(scale * (points @ freq), grid_points)]
         yield values
 
 
 def _phase_gather_moments(spec, max_order, n):
     """``moments`` with each slab's dispersion gathered point by point (``_phase_gather_term``)."""
+    tetrahedron = spec.dimension == 3 and quadrature._tetrahedron(_band(spec), n)
+    step = quadrature._cubic_band(tetrahedron, n)[1] if tetrahedron else None
     with mock.patch.object(quadrature, "_term_on_grid", _phase_gather_term), mock.patch.object(
-        quadrature, "_term_on_domain", _phase_gather_domain_term
+        quadrature, "_term_on_domain", functools.partial(_phase_gather_domain_term, step)
     ):
         return moments(spec, max_order, n)
 
@@ -626,10 +747,13 @@ def test_row_windows_match_the_phase_gather():
 
 
 @settings(max_examples=80, deadline=None)
-@given(spec=generated_specs() | generated_specs(closed_under_swap=True), n=st.integers(1, 9))
+@given(
+    spec=generated_specs() | generated_specs(closed_under_swap=True) | tetrahedral_specs(),
+    n=st.integers(1, 9),
+)
 def test_generated_bands_match_the_phase_gather(spec, n):
     # 1-D to 3-D, zero moves and bands constant along an axis, one or two
-    # labels, halved last axes: the slab sum is bit for bit the per-point
+    # labels, the domain and the chamber: the slab sum is bit for bit the per-point
     # gather's, on a small grid and on the auto grid (a torus's own cells)
     top = {1: 10, 2: 6, 3: 4}[spec.dimension]
     for grid in (n, auto_grid_size(spec, top)):
@@ -738,10 +862,12 @@ def test_one_dimensional_slabs_fold_the_table_values():
     + [("diamond", order, None) for order in (0, 1, 2, 12, 40)]
     + [("triangular", 20, None), ("honeycomb", 20, None)]
     # powers of eps**2 on an even hand-set grid, and bcc's rows in several slabs
-    + [("bcc", 40, 42), ("bcc", 12, 3), ("bcc", 4, 120)],
+    + [("bcc", 40, 42), ("bcc", 12, 3), ("bcc", 4, 120)]
+    # the chamber's rows in two slabs, and an odd grid that aliases bcc's odd powers
+    + [("bcc", 4, 145), ("bcc", 12, 5)],
 )
 def test_slab_power_tables_match_the_table_gather(name, order, n):
-    # in 2-D and 3-D, halved last axes included, the power tables and the compensated sum over
+    # in 2-D and 3-D, the domain and the chamber included, the power tables and the compensated sum over
     # the pieces give the floats of a gather from the whole-grid table, bit for bit
     spec = make(name)
     n = n or auto_grid_size(spec, order)

@@ -57,7 +57,9 @@ _SINGLE_NAMES = [name for name in BUILTIN_NAMES if name != "chain-nn-finite"]
     "name, order, pbc, grid",
     [(name, order, None, "auto") for name in _SINGLE_NAMES for order in (0, 1, 2, 3, 12, 60)]
     + [("chain-nn-finite", order, ring, "auto") for ring in range(3, 9) for order in (0, 3, 12, 60)]
-    + [("chain-nnn", 100, None, "auto"), ("triangular", 12, None, 3), ("chain-nn", 12, None, 2)],
+    + [("chain-nnn", 100, None, "auto"), ("triangular", 12, None, 3), ("chain-nn", 12, None, 2)]
+    # bcc on aliased hand-set grids: the chamber on an odd one, the domain on an even one
+    + [("bcc", 12, None, 5), ("bcc", 12, None, 6)],
 )
 def test_records_match_the_one_at_a_time_reference(name, order, pbc, grid):
     # the columns keep each record's own operands and association: every field the same,
